@@ -16,16 +16,12 @@ import numpy as np
 
 from .attack import AttackParams
 from .errors import DivergenceError, DomainError
-from .estimator import SteadyState, op_h, op_q_tilde
+from .estimator import SteadyState, _sym, op_h, op_q_tilde
 from .model import SystemModel
 
 _FP_TOL = 1e-11
 _FP_MAX_ITER = 100_000
 _DIVERGENCE_TRACE = 1e12
-
-
-def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ from .attack import (
     solve_optimal_params,
     trigger_probability,
 )
-from .errors import ConfigError, NumericError, ToolkitError
+from .errors import NumericError, ToolkitError
 from .estimator import riccati_fixed_point
-from .harness import config_from_dict, load_config, paper_scenario, run_scenario
+from .harness import config_from_dict, load_config, paper_scenario, read_payload, run_scenario
 from .special import chi2_quantile, marcum_q
 
 EXIT_OK = 0
@@ -45,17 +45,6 @@ class _Parser(argparse.ArgumentParser):
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def _read_payload(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
-    return payload
 
 
 def _cmd_solve(args) -> int:
@@ -96,7 +85,7 @@ def _cmd_simulate(args) -> int:
     if args.config is None:
         config = config_from_dict(paper_scenario(**overrides))
     else:
-        payload = _read_payload(args.config)
+        payload = read_payload(args.config)
         payload.update(overrides)
         config = config_from_dict(payload)
 

@@ -25,7 +25,8 @@ from .special import kappa
 
 
 def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 @dataclass
@@ -116,6 +117,47 @@ def _factor_pair(S: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"innovation covariance not positive definite: {exc}") from exc
     return L, np.linalg.inv(L).T
+
+
+def factor_stack(S: np.ndarray, failed: np.ndarray):
+    """`_factor_pair` over a (T, m, m) stack; returns (L, F) stacks.
+
+    Each slice gets the same bits `_factor_pair` gives it. For m <= 2 the
+    closed forms run elementwise, and a slice that is not positive
+    definite gets nan or inf factors instead of raising (its whitened
+    innovation, hence its statistic, is then non-finite). For m >= 3 a
+    stacked Cholesky raises for the whole stack if one slice fails, so
+    slices already flagged in `failed` are replaced by the identity before
+    it runs; a slice that makes it fail is flagged (in place) and replaced
+    the same way.
+    """
+    m = S.shape[-1]
+    if m == 1:
+        root = np.sqrt(S)
+        return root, 1.0 / root
+    if m == 2:
+        a, b, c = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
+        l11 = np.sqrt(a)
+        l21 = b / l11
+        l22 = np.sqrt(c - l21 * l21)
+        L = np.zeros(S.shape)
+        L[:, 0, 0], L[:, 1, 0], L[:, 1, 1] = l11, l21, l22
+        F = np.zeros(S.shape)
+        F[:, 0, 0], F[:, 0, 1], F[:, 1, 1] = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
+        return L, F
+    eye = np.eye(m)
+    if failed.any():
+        S = np.where(failed[:, None, None], eye, S)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        for t, slice_ in enumerate(S):
+            try:
+                np.linalg.cholesky(slice_)
+            except np.linalg.LinAlgError:
+                failed[t] = True
+        L = np.linalg.cholesky(np.where(failed[:, None, None], eye, S))
+    return L, np.linalg.inv(L).swapaxes(-1, -2)
 
 
 def mahalanobis_factor(P_prior: np.ndarray, model: SystemModel) -> np.ndarray:

@@ -18,8 +18,34 @@ Attack modes:
 The remote estimator receives the same attacked sequence in both attacked
 modes (the attacker reconstructs the nominal innovation from its own effect
 recursion), which is what makes the modes comparable stream-for-stream.
+
+Simulation core: one step loop advances every trajectory at once. State
+vectors are (T, n, 1) columns, covariances (T, n, n), and S, L, F, K are
+held per trajectory. The plant does not depend on the estimator, so each
+trajectory's noise is drawn in one block from its own (seed, trajectory)
+stream and the plant path is computed before the filter loop. The scalar
+functions in estimator, model, attack and detector stay the specification:
+each trajectory's records equal, bit for bit, what a loop over those
+functions produces (tests/_oracles.py keeps that loop as the reference).
+That holds because every product is a stacked np.matmul, which runs the
+same kernel per slice as the 2-D product, and everything else is an
+elementwise ufunc or np.where; einsum, `X @ A.T` rewrites and `sum`
+contractions change the rounding and are not used. S is factorized in
+closed form elementwise for m <= 2 and by a stacked Cholesky for m >= 3.
+
+A trajectory diverges when its plant path or its estimates go non-finite
+or its innovation covariance stops being positive definite. It is masked,
+not raised: its slice carries nan without warnings, no operation mixes
+slices, and it is left out of the aggregates and the trace.
+
+Memory: the measurements and every per-step record of every trajectory
+are kept until the run ends, T * steps * (3n + 5m + 2) doubles, which is
+the peak (the noise block is freed before the filter loop). The paper's
+50 x 4200 run peaks at about 36 MB, where a loop over one trajectory at a
+time needed about 1 MB.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,27 +55,16 @@ import numpy as np
 from . import analysis
 from .attack import (
     AttackParams,
-    AttackState,
     SuccessCriteria,
     alarm_probability,
-    attack_effect_update,
-    forward_attack,
     solve_optimal_params,
     trigger_probability,
 )
-from .detector import DetectorConfig, design_threshold, statistic, test
+from .detector import DetectorConfig, design_threshold
 from .errors import ConfigError, DivergenceError, DomainError, ModelError, NumericError
-from .estimator import (
-    SteadyState,
-    initial_filter_state,
-    innovation,
-    measurement_update,
-    riccati_fixed_point,
-    schedule,
-    time_update,
-    transform_innovation,
-)
-from .model import RandomSource, SystemModel, sample_initial_state, step
+from .estimator import _sym, factor_stack, initial_filter_state, riccati_fixed_point
+from .model import RandomSource, SystemModel
+from .special import kappa
 
 ATTACK_MODES = ("off", "forward_only", "two_channel")
 
@@ -279,8 +294,8 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
     )
 
 
-def load_config(path) -> ScenarioConfig:
-    """Parse and resolve a JSON scenario file (see docs/config_schema.json)."""
+def read_payload(path) -> dict:
+    """Read a JSON scenario file into a raw mapping (validated by config_from_dict)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -288,7 +303,12 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
-    return config_from_dict(payload)
+    return payload
+
+
+def load_config(path) -> ScenarioConfig:
+    """Parse and resolve a JSON scenario file (see docs/config_schema.json)."""
+    return config_from_dict(read_payload(path))
 
 
 def trace_header(n: int, m: int) -> str:
@@ -302,10 +322,21 @@ def trace_header(n: int, m: int) -> str:
     return ",".join(cols)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _row_format(n: int, m: int) -> str:
+    """One trace row: k, traj, gamma, alarm as integers, then g and the vectors.
+
+    '%.17g' renders a float exactly as format(value, '.17g') does, signed
+    zeros, subnormals, infinities and nan included.
+    """
+    return ",".join(["%d"] * 4 + ["%.17g"] * (1 + 3 * n + 3 * m)) + "\n"
+
+
+def _write_rows(path, n: int, m: int, rows) -> None:
+    """The header, then one line per flat row (k, traj, gamma, alarm, g, *vector entries)."""
+    line = _row_format(n, m)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(trace_header(n, m) + "\n")
+        handle.writelines(line % row for row in rows)
 
 
 def write_trace(records, path) -> None:
@@ -320,169 +351,225 @@ def write_trace(records, path) -> None:
         first = next(records)
     except StopIteration:
         raise NumericError("write_trace needs at least one record to size the header")
-    n = len(first[5])
-    m = len(first[8])
-
-    def render(rec) -> str:
-        k, traj, gamma, alarm, g, x, xhat, xhata, z, eps, epstilde = rec
-        fields = [str(int(k)), str(int(traj)), str(int(gamma)), str(int(alarm)), _format_value(g)]
-        for vec in (x, xhat, xhata, z, eps, epstilde):
-            fields.extend(_format_value(v) for v in vec)
-        return ",".join(fields)
-
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(trace_header(n, m) + "\n")
-        handle.write(render(first) + "\n")
-        for rec in records:
-            handle.write(render(rec) + "\n")
+    rows = (
+        (k, traj, gamma, alarm, g, *np.concatenate(vectors).tolist())
+        for k, traj, gamma, alarm, g, *vectors in itertools.chain([first], records)
+    )
+    _write_rows(path, len(first[5]), len(first[8]), rows)
 
 
-class _TrajectoryStats:
-    """Post-burn-in aggregates for a single trajectory."""
-
-    def __init__(self, n: int, m: int):
-        self.count = 0
-        self.gamma_count = 0
-        self.alarm_count = 0
-        self.bias_sum = np.zeros(n)
-        self.err_sq_sum = 0.0
-        self.z_sum = np.zeros(m)
-        self.z_outer = np.zeros((m, m))
-        self.eps_sum = np.zeros(m)
-        self.eps_sq = np.zeros(m)
-        self.eps_lag1 = np.zeros(m)
-        self.g_sum = 0.0
-        self.p_trace_sum = 0.0
-        self.cancel_max = 0.0
+_TRACE_CHUNK = 2048  # rows turned into Python values at a time, bounding the trace's memory
 
 
-def _simulate_trajectory(config: ScenarioConfig, traj: int, theory_bias: np.ndarray, rows):
-    """Run one trajectory; returns its stats. Appends trace rows when `rows` is not None.
+def _record_rows(records: "_Records", survivors):
+    """Flat trace rows of the surviving trajectories, in index order, from their records."""
+    for traj in survivors:
+        values = np.hstack([
+            records.g[traj][:, None], records.x[traj], records.xn[traj], records.xa[traj],
+            records.z[traj], records.eps[traj], records.epst[traj],
+        ])
+        for start in range(0, len(values), _TRACE_CHUNK):
+            stop = start + _TRACE_CHUNK
+            for k, gamma, alarm, vals in zip(
+                range(start, stop),
+                records.gamma[traj, start:stop].tolist(),
+                records.alarm[traj, start:stop].tolist(),
+                values[start:stop].tolist(),
+            ):
+                yield (k, traj, gamma, alarm, *vals)
 
-    Per-step quantities are recorded into preallocated arrays and reduced
-    vectorized at the end of the trajectory.
+
+@dataclass
+class _Records:
+    """Per-step records of every trajectory, indexed [traj, k, ...].
+
+    Indexing one trajectory gives C-contiguous (steps, ...) arrays, the
+    layout the per-trajectory aggregation reduces over.
+    """
+
+    gamma: np.ndarray  # (T, steps) scheduler decisions
+    alarm: np.ndarray  # (T, steps) detector decisions
+    g: np.ndarray  # (T, steps) detector statistic
+    ptr: np.ndarray  # (T, steps) trace of the filter's prior covariance
+    x: np.ndarray  # (T, steps, n) plant state x_k
+    xn: np.ndarray  # (T, steps, n) nominal-reference estimate
+    xa: np.ndarray  # (T, steps, n) remote (possibly attacked) estimate
+    z: np.ndarray  # (T, steps, m) sensor-side innovation
+    zn: np.ndarray  # (T, steps, m) nominal innovation
+    eps: np.ndarray  # (T, steps, m) whitened sensor-side innovation
+    epst: np.ndarray  # (T, steps, m) whitened innovation the estimator received
+    diverged: np.ndarray  # (T,) bool
+
+
+def _noise(config: ScenarioConfig, traj: int) -> np.ndarray:
+    """All of a trajectory's standard normal draws, in the order they are used.
+
+    x_0 first, then the process noise w_k before the measurement noise v_k
+    at each step. One draw from the (seed, traj) stream gives the same
+    numbers as drawing each vector in turn.
+    """
+    n, m = config.model.n, config.model.m
+    return RandomSource(config.seed, traj).normal(n + config.steps * (n + m))
+
+
+@np.errstate(all="ignore")
+def _simulate(config: ScenarioConfig) -> _Records:
+    """Advance every trajectory of the scenario together; see the module docstring.
+
+    Diverging slices carry nan and inf without warnings; no operation mixes
+    slices, so the other trajectories are unaffected.
     """
     model = config.model
-    A, C = model.A, model.C
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    At, Ct = A.T, C.T
+    n, m = model.n, model.m
+    T, steps = config.trajectories, config.steps
     params = config.attack_params
     attacked = config.attack_mode != "off"
     two_channel = config.attack_mode == "two_channel"
-    beta = config.beta
-    burn_in = config.burn_in
-    attack_start = config.attack_start
-    steps = config.steps
-    n, m = model.n, model.m
+    beta, mu = config.beta, params.mu
+    delta = params.delta.reshape(m, 1)
+    kappa_beta = kappa(beta)
 
-    rng = RandomSource(config.seed, traj)
-    plant = sample_initial_state(model, rng)
+    # The plant does not see the estimator, so its whole path comes first.
+    draws = np.stack([_noise(config, traj) for traj in range(T)])[..., None]
+    noise = draws[:, n:].reshape(T, steps, n + m, 1)
+    w = model._q_factor @ noise[:, :, :n]
+    xs = np.empty((T, steps + 1, n, 1))
+    xs[:, 0] = model._xi0_factor @ draws[:, :n]
+    for k in range(steps):
+        xs[:, k + 1] = A @ xs[:, k] + w[:, k]
+    ys = C @ xs[:, :steps] + model._r_factor @ noise[:, :, n:]
+    del draws, noise, w
+
     filt = initial_filter_state(model)
-    att = AttackState.zeros(n, m)
-    xn_post = np.zeros(n)  # virtual nominal estimator (same trigger sequence)
-
-    rec_gamma = np.empty(steps, dtype=np.int64)
-    rec_alarm = np.empty(steps, dtype=np.int64)
-    rec_g = np.empty(steps)
-    rec_ptr = np.empty(steps)
-    rec_x = np.empty((steps, n))
-    rec_xn = np.empty((steps, n))
-    rec_xa = np.empty((steps, n))
-    rec_z = np.empty((steps, m))
-    rec_zn = np.empty((steps, m))
-    rec_eps = np.empty((steps, m))
-    rec_epst = np.empty((steps, m)) if rows is not None else None
+    P, L, F, K = (np.broadcast_to(a, (T, *a.shape)) for a in (filt.P_prior, filt.L, filt.F, filt.K))
+    x_prior = np.zeros((T, n, 1))
+    x_post = xn_post = xt_post = x_prior
+    failed = np.zeros(T, dtype=bool)  # innovation covariance lost definiteness (m >= 3)
+    gammas = np.empty((T, steps), dtype=bool)
+    ptrs = np.empty((T, steps))
+    xns, xas = np.empty((T, steps, n, 1)), np.empty((T, steps, n, 1))
+    zs, zns, epss, epsts = (np.empty((T, steps, m, 1)) for _ in range(4))
 
     for k in range(steps):
         if k > 0:
-            filt = time_update(filt, model)
-        xn_prior = A @ xn_post
-        plant_next, y = step(model, plant, rng)
+            x_prior = A @ x_post
+            P = _sym(A @ P_post @ At + Q)
+            PCt = P @ Ct
+            L, F = factor_stack(_sym(C @ PCt + R), failed)
+            K = (PCt @ F) @ F.swapaxes(-1, -2)
+        Ft = F.swapaxes(-1, -2)
+        y = ys[:, k]
+        # before the attack the nominal estimator is the filter, so A xn = x^-
+        xn_prior = x_prior if k > 0 and xn_post is x_post else A @ xn_post
+        z_nominal = y - C @ xn_prior
 
-        active = attacked and k >= attack_start
-        z_nominal = innovation(y, xn_prior, model)
-
+        active = attacked and k >= config.attack_start
         if active:
-            x_tilde_prior = A @ att.x_tilde_post
+            xt_prior = A @ xt_post
             if two_channel:
-                feedback = C @ filt.x_prior - C @ x_tilde_prior  # alpha = -C xtilde^-
+                feedback = C @ x_prior - C @ xt_prior  # alpha = -C xtilde^-
             else:
-                feedback = C @ filt.x_prior
+                feedback = C @ x_prior
             z_sensor = y - feedback
-            eps_sensor = transform_innovation(z_sensor, filt.F)
-            eps_received = forward_attack(transform_innovation(z_nominal, filt.F), params)
+            eps_sensor = Ft @ z_sensor
+            eps_received = (Ft @ z_nominal) / mu + delta
         else:
             z_sensor = z_nominal
-            eps_sensor = transform_innovation(z_sensor, filt.F)
-            eps_received = eps_sensor
+            eps_sensor = eps_received = Ft @ z_sensor
 
-        gamma = schedule(eps_received, beta)
-        g = statistic(eps_received)
-        alarm = test(g, config.detector)
-
-        filt = measurement_update(filt, eps_received, gamma, beta, model)
+        gamma = ~(np.abs(eps_received).max(axis=(1, 2)) <= beta)
+        fired = gamma[:, None, None]
+        P_post = _sym(P - np.where(fired, 1.0, kappa_beta) * (K @ (C @ P)))
+        x_post = np.where(fired, x_prior + K @ (L @ eps_received), x_prior)
         if active:
-            xn_post = xn_prior + filt.K @ z_nominal if gamma else xn_prior
-            bundle = SteadyState(P=filt.P_prior, K=filt.K, F=filt.F, S=filt.S, L=filt.L)
-            att = attack_effect_update(att, gamma, z_nominal, bundle, params, model)
+            Kz = K @ z_nominal
+            xn_post = np.where(fired, xn_prior + Kz, xn_prior)
+            xt_post = xt_prior + (gamma / mu - gamma)[:, None, None] * Kz
+            xt_post = np.where(fired, xt_post + K @ (L @ delta), xt_post)
         else:
-            xn_post = filt.x_post  # no attack yet: the filter is the nominal estimator
+            xn_post = x_post  # no attack yet: the filter is the nominal estimator
 
-        rec_gamma[k] = gamma
-        rec_alarm[k] = alarm
-        rec_g[k] = g
-        rec_ptr[k] = filt.P_prior.trace()
-        rec_x[k] = plant.x
-        rec_xn[k] = xn_post
-        rec_xa[k] = filt.x_post
-        rec_z[k] = z_sensor
-        rec_zn[k] = z_nominal
-        rec_eps[k] = eps_sensor
-        if rec_epst is not None:
-            rec_epst[k] = eps_received
-        plant = plant_next
+        gammas[:, k] = gamma
+        P.trace(axis1=1, axis2=2, out=ptrs[:, k])
+        xns[:, k] = xn_post
+        xas[:, k] = x_post
+        zs[:, k] = z_sensor
+        zns[:, k] = z_nominal
+        epss[:, k] = eps_sensor
+        epsts[:, k] = eps_received
 
-    if not math.isfinite(float(rec_xa.sum()) + float(rec_g.sum())):
-        raise NumericError(f"estimator diverged in trajectory {traj}")
+    g = (epsts.swapaxes(-1, -2) @ epsts)[..., 0, 0]
+    xa = xas[..., 0]
+    plant_finite = np.isfinite(xs[:, 1:]).all(axis=(1, 2, 3)) & np.isfinite(ys).all(axis=(1, 2, 3))
+    estimate_finite = [
+        math.isfinite(float(xa[traj].sum()) + float(g[traj].sum())) for traj in range(T)
+    ]
+    return _Records(
+        gamma=gammas,
+        alarm=g >= config.detector.sigma,
+        g=g,
+        ptr=ptrs,
+        x=xs[:, :steps, :, 0],
+        xn=xns[..., 0],
+        xa=xa,
+        z=zs[..., 0],
+        zn=zns[..., 0],
+        eps=epss[..., 0],
+        epst=epsts[..., 0],
+        diverged=failed | ~plant_finite | ~np.array(estimate_finite),
+    )
 
-    stats = _TrajectoryStats(n, m)
-    post = slice(burn_in, steps)
-    stats.count = steps - burn_in
-    stats.gamma_count = int(rec_gamma[post].sum())
-    stats.alarm_count = int(rec_alarm[post].sum())
-    stats.bias_sum = (rec_xa[post] - rec_xn[post]).sum(axis=0)
-    err = rec_xa[post] - rec_x[post] - theory_bias
-    stats.err_sq_sum = float((err * err).sum())
-    z_post = rec_z[post]
-    stats.z_sum = z_post.sum(axis=0)
-    stats.z_outer = z_post.T @ z_post
-    eps_post = rec_eps[post]
-    stats.eps_sum = eps_post.sum(axis=0)
-    stats.eps_sq = (eps_post * eps_post).sum(axis=0)
-    stats.eps_lag1 = (eps_post[1:] * eps_post[:-1]).sum(axis=0)
-    stats.g_sum = float(rec_g[post].sum())
-    stats.p_trace_sum = float(rec_ptr[post].sum())
-    if two_channel:
-        win = slice(attack_start, steps)
-        gap = np.abs(rec_z[win] - rec_zn[win]) / (1.0 + np.abs(rec_zn[win]))
-        stats.cancel_max = float(gap.max()) if gap.size else 0.0
 
-    if rows is not None:
-        for k in range(steps):
-            rows.append(
-                (
-                    k,
-                    traj,
-                    int(rec_gamma[k]),
-                    int(rec_alarm[k]),
-                    rec_g[k],
-                    rec_x[k],
-                    rec_xn[k],
-                    rec_xa[k],
-                    rec_z[k],
-                    rec_eps[k],
-                    rec_epst[k],
-                )
-            )
-    return stats
+@dataclass
+class _TrajectoryStats:
+    """Post-burn-in aggregates for a single trajectory."""
+
+    count: int
+    gamma_count: int
+    alarm_count: int
+    bias_sum: np.ndarray
+    err_sq_sum: float
+    z_sum: np.ndarray
+    z_outer: np.ndarray
+    eps_sum: np.ndarray
+    eps_sq: np.ndarray
+    eps_lag1: np.ndarray
+    g_sum: float
+    p_trace_sum: float
+    cancel_max: float
+
+
+def _trajectory_stats(
+    rec: _Records, traj: int, config: ScenarioConfig, theory_bias: np.ndarray
+) -> _TrajectoryStats:
+    post = slice(config.burn_in, config.steps)
+    xa = rec.xa[traj][post]
+    z_post = rec.z[traj][post]
+    eps_post = rec.eps[traj][post]
+    err = xa - rec.x[traj][post] - theory_bias
+    cancel_max = 0.0
+    if config.attack_mode == "two_channel":
+        win = slice(config.attack_start, config.steps)
+        z, zn = rec.z[traj][win], rec.zn[traj][win]
+        gap = np.abs(z - zn) / (1.0 + np.abs(zn))
+        cancel_max = float(gap.max()) if gap.size else 0.0
+    return _TrajectoryStats(
+        count=config.steps - config.burn_in,
+        gamma_count=int(rec.gamma[traj][post].sum()),
+        alarm_count=int(rec.alarm[traj][post].sum()),
+        bias_sum=(xa - rec.xn[traj][post]).sum(axis=0),
+        err_sq_sum=float((err * err).sum()),
+        z_sum=z_post.sum(axis=0),
+        z_outer=z_post.T @ z_post,
+        eps_sum=eps_post.sum(axis=0),
+        eps_sq=(eps_post * eps_post).sum(axis=0),
+        eps_lag1=(eps_post[1:] * eps_post[:-1]).sum(axis=0),
+        g_sum=float(rec.g[traj][post].sum()),
+        p_trace_sum=float(rec.ptr[traj][post].sum()),
+        cancel_max=cancel_max,
+    )
 
 
 def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
@@ -492,7 +579,7 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     its own (seed, index) substream and aggregation runs in index order.
     Writes the full per-step trace as CSV when trace_path is given. A
     trajectory that diverges numerically is recorded in RunResult.diverged
-    and excluded from the aggregates (partial summary).
+    and excluded from the aggregates and the trace (partial summary).
     """
     model = config.model
     steady = riccati_fixed_point(model)
@@ -512,21 +599,13 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         theory_bias = np.full(model.n, np.nan)
         theory_cov_trace = float("nan")
 
-    rows = [] if trace_path is not None else None
-    per_traj: list[_TrajectoryStats] = []
-    diverged: list[int] = []
-    for traj in range(config.trajectories):
-        traj_rows = [] if rows is not None else None
-        try:
-            per_traj.append(_simulate_trajectory(config, traj, theory_bias, traj_rows))
-        except NumericError:
-            diverged.append(traj)
-        else:
-            if rows is not None:
-                rows.extend(traj_rows)
+    records = _simulate(config)
+    diverged = [int(t) for t in np.flatnonzero(records.diverged)]
+    survivors = [t for t in range(config.trajectories) if not records.diverged[t]]
+    per_traj = [_trajectory_stats(records, t, config, theory_bias) for t in survivors]
 
-    if rows:
-        write_trace(rows, trace_path)
+    if trace_path is not None and survivors:
+        _write_rows(trace_path, model.n, model.m, _record_rows(records, survivors))
 
     if not per_traj:
         raise NumericError("all trajectories diverged; no summary available")

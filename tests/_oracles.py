@@ -83,3 +83,117 @@ def lyapunov_kron(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     G = rng.standard_normal((n, n))
     return scale * (G @ G.T) / n
+
+
+def simulate_trajectory_reference(config, traj: int) -> dict:
+    """One trajectory through the scalar public functions, one step at a time.
+
+    This is the step loop the library ran before its simulation core was
+    batched over trajectories; it stays here as the reference that core
+    must match bit for bit. Returns the per-step records keyed like
+    `harness._Records` (each with the step index first), and raises
+    NumericError where the old loop did: on a non-finite plant state, an
+    innovation covariance that is not positive definite, or non-finite
+    estimates or statistics at the end.
+    """
+    from eventfdi import (
+        AttackState,
+        NumericError,
+        RandomSource,
+        SteadyState,
+        attack_effect_update,
+        forward_attack,
+        initial_filter_state,
+        innovation,
+        measurement_update,
+        sample_initial_state,
+        schedule,
+        statistic,
+        step,
+        test,
+        time_update,
+        transform_innovation,
+    )
+
+    model = config.model
+    A, C = model.A, model.C
+    params = config.attack_params
+    attacked = config.attack_mode != "off"
+    two_channel = config.attack_mode == "two_channel"
+    steps = config.steps
+    n, m = model.n, model.m
+
+    rng = RandomSource(config.seed, traj)
+    plant = sample_initial_state(model, rng)
+    filt = initial_filter_state(model)
+    att = AttackState.zeros(n, m)
+    xn_post = np.zeros(n)  # virtual nominal estimator (same trigger sequence)
+
+    rec = {
+        "gamma": np.empty(steps, dtype=bool),
+        "alarm": np.empty(steps, dtype=bool),
+        "g": np.empty(steps),
+        "ptr": np.empty(steps),
+        "x": np.empty((steps, n)),
+        "xn": np.empty((steps, n)),
+        "xa": np.empty((steps, n)),
+        "z": np.empty((steps, m)),
+        "zn": np.empty((steps, m)),
+        "eps": np.empty((steps, m)),
+        "epst": np.empty((steps, m)),
+    }
+    for k in range(steps):
+        if k > 0:
+            filt = time_update(filt, model)
+        xn_prior = A @ xn_post
+        plant_next, y = step(model, plant, rng)
+
+        active = attacked and k >= config.attack_start
+        z_nominal = innovation(y, xn_prior, model)
+
+        if active:
+            x_tilde_prior = A @ att.x_tilde_post
+            if two_channel:
+                feedback = C @ filt.x_prior - C @ x_tilde_prior  # alpha = -C xtilde^-
+            else:
+                feedback = C @ filt.x_prior
+            z_sensor = y - feedback
+            eps_sensor = transform_innovation(z_sensor, filt.F)
+            eps_received = forward_attack(transform_innovation(z_nominal, filt.F), params)
+        else:
+            z_sensor = z_nominal
+            eps_sensor = transform_innovation(z_sensor, filt.F)
+            eps_received = eps_sensor
+
+        gamma = schedule(eps_received, config.beta)
+        g = statistic(eps_received)
+        alarm = test(g, config.detector)
+
+        filt = measurement_update(filt, eps_received, gamma, config.beta, model)
+        if active:
+            xn_post = xn_prior + filt.K @ z_nominal if gamma else xn_prior
+            bundle = SteadyState(P=filt.P_prior, K=filt.K, F=filt.F, S=filt.S, L=filt.L)
+            att = attack_effect_update(att, gamma, z_nominal, bundle, params, model)
+        else:
+            xn_post = filt.x_post  # no attack yet: the filter is the nominal estimator
+
+        for key, value in (
+            ("gamma", gamma), ("alarm", alarm), ("g", g), ("ptr", filt.P_prior.trace()),
+            ("x", plant.x), ("xn", xn_post), ("xa", filt.x_post), ("z", z_sensor),
+            ("zn", z_nominal), ("eps", eps_sensor), ("epst", eps_received),
+        ):
+            rec[key][k] = value
+        plant = plant_next
+
+    if not math.isfinite(float(rec["xa"].sum()) + float(rec["g"].sum())):
+        raise NumericError(f"estimator diverged in trajectory {traj}")
+    return rec
+
+
+def reference_trace_rows(rec: dict, traj: int) -> list:
+    """The 11-tuples `write_trace` takes, from one reference trajectory's records."""
+    return [
+        (k, traj, int(rec["gamma"][k]), int(rec["alarm"][k]), rec["g"][k], rec["x"][k],
+         rec["xn"][k], rec["xa"][k], rec["z"][k], rec["eps"][k], rec["epst"][k])
+        for k in range(len(rec["g"]))
+    ]

@@ -17,6 +17,7 @@ from eventfdi import (
     time_update,
     transform_innovation,
 )
+from eventfdi.estimator import _factor_pair, factor_stack
 from eventfdi.model import SystemModel
 
 from _oracles import matmul_loops, random_psd
@@ -98,6 +99,45 @@ class TestMahalanobisFactor:
         # F = L^{-T} is upper triangular
         assert steady.F[1, 0] == 0.0
         assert np.allclose(steady.L @ steady.F.T, np.eye(2), atol=1e-13)
+
+
+class TestFactorStack:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_each_slice_matches_factor_pair_bitwise(self, m, rng):
+        S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(6)])
+        failed = np.zeros(6, dtype=bool)
+        L, F = factor_stack(S, failed)
+        for t in range(6):
+            L_t, F_t = _factor_pair(S[t])
+            assert L[t].tobytes() == L_t.tobytes()
+            assert F[t].tobytes() == F_t.tobytes()
+        assert not failed.any()
+
+    def test_indefinite_slice_masked_before_stacked_cholesky(self, rng):
+        S = np.stack([random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(4)])
+        S[2] = -S[2]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        failed = np.zeros(4, dtype=bool)
+        L, F = factor_stack(S, failed)
+        assert failed.tolist() == [False, False, True, False]
+        assert np.array_equal(L[2], np.eye(3)) and np.array_equal(F[2], np.eye(3))
+        for t in (0, 1, 3):
+            L_t, F_t = _factor_pair(S[t])
+            assert L[t].tobytes() == L_t.tobytes() and F[t].tobytes() == F_t.tobytes()
+        # a flagged slice stays masked even once its covariance is valid again
+        S[2] = np.eye(3)
+        factor_stack(S, failed)
+        assert failed.tolist() == [False, False, True, False]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_leaves_indefinite_slice_non_finite(self, m, rng):
+        S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(3)])
+        S[1] = -S[1]
+        with np.errstate(invalid="ignore"):
+            L, F = factor_stack(S, np.zeros(3, dtype=bool))
+        assert not np.all(np.isfinite(F[1]))
+        assert np.all(np.isfinite(F[[0, 2]]))
 
 
 class TestInnovationAndTransform:

@@ -1,13 +1,19 @@
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eventfdi as ef
 from eventfdi import ConfigError, NumericError
 from eventfdi import harness
+
+from _oracles import random_psd, reference_trace_rows, simulate_trajectory_reference
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO = REPO / "scenarios" / "paper_sec5.json"
@@ -239,22 +245,66 @@ class TestCrossModeConsistency:
         assert covs["two_channel"] < 1e-2 < covs["forward_only"]
 
 
+def _trace_rows_by_trajectory(path) -> dict:
+    rows = {}
+    for line in path.read_text().splitlines()[1:]:
+        rows.setdefault(int(line.split(",")[1]), []).append(line)
+    return rows
+
+
+def _three_channel_payload(paper_payload) -> dict:
+    model = dict(
+        paper_payload["model"],
+        C=harness.PAPER_C + [[0.5, -0.2, 0.1]],
+        R=[[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]],
+    )
+    return dict(paper_payload, model=model, steps=240, trajectories=3)
+
+
 class TestDivergence:
-    def test_partial_divergence_flag(self, paper_payload, monkeypatch):
-        real = harness._simulate_trajectory
-
-        def flaky(config, traj, theory_bias, rows):
-            if traj == 1:
-                raise NumericError("injected failure")
-            return real(config, traj, theory_bias, rows)
-
-        monkeypatch.setattr(harness, "_simulate_trajectory", flaky)
-        config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=3))
-        result = ef.run_scenario(config)
+    def _assert_only_trajectory_1_masked(self, config, tmp_path, monkeypatch, name, fault):
+        clean_path, faulty_path = tmp_path / "clean.csv", tmp_path / "faulty.csv"
+        clean = ef.run_scenario(config, trace_path=clean_path)
+        monkeypatch.setattr(harness, name, fault)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # masked slices warn about nothing
+            result = ef.run_scenario(config, trace_path=faulty_path)
         assert result.diverged == [1]
         assert result.summary.trajectory_count == 2
+        clean_rows = _trace_rows_by_trajectory(clean_path)
+        assert _trace_rows_by_trajectory(faulty_path) == {0: clean_rows[0], 2: clean_rows[2]}
+        assert np.array_equal(result.traj_bias_means, clean.traj_bias_means[[0, 2]])
 
-    def test_unstable_plant_detected(self):
+    def test_partial_divergence_flag(self, paper_payload, tmp_path, monkeypatch):
+        real = harness._noise
+
+        def poisoned(config, traj):
+            draws = real(config, traj)
+            if traj == 1:
+                draws[len(draws) // 2] = np.nan
+            return draws
+
+        config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=3))
+        self._assert_only_trajectory_1_masked(config, tmp_path, monkeypatch, "_noise", poisoned)
+
+    def test_indefinite_innovation_covariance_masked(self, paper_payload, tmp_path, monkeypatch):
+        real = harness.factor_stack
+        calls = []
+
+        def corrupting(S, failed):
+            calls.append(None)
+            if len(calls) == 50:
+                S = S.copy()
+                S[1] = -S[1]
+            return real(S, failed)
+
+        config = ef.config_from_dict(_three_channel_payload(paper_payload))
+        assert config.model.m == 3
+        self._assert_only_trajectory_1_masked(
+            config, tmp_path, monkeypatch, "factor_stack", corrupting
+        )
+
+    def test_unstable_plant_detected(self, tmp_path):
         payload = {
             "model": {
                 "A": [[2.0, 0.0], [0.0, 2.0]],
@@ -275,7 +325,67 @@ class TestDivergence:
         }
         config = ef.config_from_dict(payload)
         with pytest.raises(NumericError):
-            ef.run_scenario(config)
+            ef.run_scenario(config, trace_path=tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
+
+def _random_stable_payload(n, m, trajectories, mode, seed) -> dict:
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.1, 0.95) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    steps = int(rng.integers(1, 40))
+    burn_in = int(rng.integers(0, steps))
+    return ef.paper_scenario(
+        model={
+            "A": A.tolist(),
+            "C": rng.standard_normal((m, n)).tolist(),
+            "Q": random_psd(rng, n, 0.1).tolist(),
+            "R": (random_psd(rng, m, 0.5) + 0.05 * np.eye(m)).tolist(),
+            "Xi0": random_psd(rng, n).tolist(),
+        },
+        beta=float(rng.uniform(0.2, 2.5)),
+        solver_dof=m,
+        steps=steps,
+        trajectories=trajectories,
+        burn_in=burn_in,
+        attack_start=int(rng.integers(0, burn_in + 1)),
+        seed=int(rng.integers(0, 2**63)),
+        attack_mode=mode,
+        attack_params={"mu": float(rng.uniform(1.0, 5.0)), "delta_bar": float(rng.uniform(0, 3))},
+    )
+
+
+class TestBatchedCore:
+    """The batched step loop against the scalar reference loop, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        trajectories=st.sampled_from([1, 2, 5]),
+        mode=st.sampled_from(harness.ATTACK_MODES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_reference(self, n, m, trajectories, mode, seed):
+        config = ef.config_from_dict(_random_stable_payload(n, m, trajectories, mode, seed))
+        records = harness._simulate(config)
+        assert not records.diverged.any()
+        post = slice(config.burn_in, config.steps)
+        rows, gammas, alarms = [], 0, 0
+        for traj in range(trajectories):
+            reference = simulate_trajectory_reference(config, traj)
+            for key, column in reference.items():
+                assert np.array_equal(getattr(records, key)[traj], column), (key, traj)
+            rows += reference_trace_rows(reference, traj)
+            gammas += int(reference["gamma"][post].sum())
+            alarms += int(reference["alarm"][post].sum())
+
+        with tempfile.TemporaryDirectory() as tmp:
+            batched, scalar = Path(tmp) / "batched.csv", Path(tmp) / "scalar.csv"
+            result = ef.run_scenario(config, trace_path=batched)
+            ef.write_trace(rows, scalar)
+            assert batched.read_bytes() == scalar.read_bytes()
+        assert (result.gamma_count, result.alarm_count) == (gammas, alarms)
 
 
 class TestWriteTrace:

@@ -8,20 +8,23 @@ that bias follows
 
 whose fixed point interpolates between the standard Kalman posterior
 covariance (mu = 1) and the open-loop Lyapunov fixed point (mu -> inf).
+
+Both fixed points are discrete Lyapunov equations P = A P A^T + (Q - W),
+with W the injection term above (W = 0 for the open loop), and are solved
+directly. They exist iff A is stable, which is checked first. The one-step
+maps stay as the recursions' definition and as an independent residual
+check of the solves.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .attack import AttackParams
 from .errors import DivergenceError, DomainError
 from .estimator import SteadyState, _sym, op_h, op_q_tilde
 from .model import SystemModel
-
-_FP_TOL = 1e-11
-_FP_MAX_ITER = 100_000
-_DIVERGENCE_TRACE = 1e12
 
 
 @dataclass(frozen=True)
@@ -88,24 +91,26 @@ def attacked_covariance_step(
     )
 
 
+def _lyapunov_fixed_point(model: SystemModel, forcing: np.ndarray, name: str) -> np.ndarray:
+    """The P with P = A P A^T + forcing, by a direct solve; exists iff A is stable.
+
+    A direct solve on an unstable A still returns a matrix, so the spectral
+    radius is checked first.
+    """
+    rho = model.spectral_radius()
+    if rho >= 1.0:
+        raise DivergenceError(
+            f"{name} covariance diverges; A has spectral radius {rho:.6f} >= 1"
+        )
+    return _sym(linalg.solve_discrete_lyapunov(model.A, forcing))
+
+
 def attacked_covariance_fixed_point(
-    params: AttackParams,
-    steady: SteadyState,
-    model: SystemModel,
-    tol: float = _FP_TOL,
-    max_iter: int = _FP_MAX_ITER,
+    params: AttackParams, steady: SteadyState, model: SystemModel
 ) -> np.ndarray:
-    """Iterate the attacked recursion to its fixed point (A stable makes it a contraction)."""
-    P_a = op_q_tilde(steady.P, 1.0, model)
-    for _ in range(int(max_iter)):
-        P_next = attacked_covariance_step(P_a, params, steady, model)
-        if not np.all(np.isfinite(P_next)) or np.trace(P_next) > _DIVERGENCE_TRACE:
-            raise DivergenceError("attacked covariance recursion diverged (A unstable?)")
-        if np.max(np.abs(P_next - P_a)) < tol:
-            return P_next
-        P_a = P_next
-    raise DivergenceError(
-        f"attacked covariance recursion did not converge within {max_iter} iterations"
+    """Fixed point of the attacked recursion: the Lyapunov equation with forcing Q - W."""
+    return _lyapunov_fixed_point(
+        model, model.Q - _injection_term(params, steady, model), "attacked"
     )
 
 
@@ -114,23 +119,9 @@ def open_loop_step(P_o: np.ndarray, model: SystemModel) -> np.ndarray:
     return _sym(model.A @ np.asarray(P_o, dtype=float) @ model.A.T + model.Q)
 
 
-def open_loop_fixed_point(
-    model: SystemModel, tol: float = _FP_TOL, max_iter: int = _FP_MAX_ITER
-) -> np.ndarray:
+def open_loop_fixed_point(model: SystemModel) -> np.ndarray:
     """Fixed point of the Lyapunov recursion; exists iff A is stable."""
-    P_o = model.Q.copy()
-    for _ in range(int(max_iter)):
-        P_next = open_loop_step(P_o, model)
-        if not np.all(np.isfinite(P_next)) or np.trace(P_next) > _DIVERGENCE_TRACE:
-            raise DivergenceError(
-                "open-loop covariance diverged; A has spectral radius >= 1"
-            )
-        if np.max(np.abs(P_next - P_o)) < tol:
-            return P_next
-        P_o = P_next
-    raise DivergenceError(
-        f"open-loop recursion did not converge within {max_iter} iterations"
-    )
+    return _lyapunov_fixed_point(model, model.Q, "open-loop")
 
 
 def covariance_trajectory(

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import ConfigError, DomainError
 from .estimator import SteadyState
@@ -21,7 +22,7 @@ from .model import SystemModel
 from .special import gaussian_q, gaussian_q_inv, marcum_q, noncentral_chi2_survival
 
 _MU_CAP = 1e6
-_BISECT_TOL = 1e-12
+_ROOT_XTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,20 +185,6 @@ def alarm_probability(params: AttackParams, sigma: float, dof: int) -> float:
     return noncentral_chi2_survival(params.mu**2 * sigma, dof, params.xi)
 
 
-def _bisect(func, lo: float, hi: float, tol: float) -> float:
-    flo = func(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        fmid = func(mid)
-        if (flo > 0.0) == (fmid > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_optimal_params(
     beta: float,
     sigma: float,
@@ -211,8 +198,8 @@ def solve_optimal_params(
     detector boundary leaves a single equation
     G(mu) = Q_{dof/2}(mu beta + Psi, mu sqrt(sigma)) - Upsilon = 0,
     bracketed by doubling from mu = 1 (first sign change, hence smallest
-    root) and bisected to 1e-12. The returned delta vector has dimension m
-    (default dof).
+    root) and solved on that bracket by Brent's method to 1e-12. The
+    returned delta vector has dimension m (default dof).
     """
     beta = float(beta)
     sigma = float(sigma)
@@ -249,7 +236,7 @@ def solve_optimal_params(
                 f"no feasible scaling found up to mu = {_MU_CAP:.0e}; "
                 "check beta, sigma, Upsilon and M"
             )
-    mu_star = _bisect(gap, lo, hi, _BISECT_TOL)
+    mu_star = optimize.brentq(gap, lo, hi, xtol=_ROOT_XTOL)
     delta_star = beta + psi_level / mu_star
 
     residual = abs(gap(mu_star))
@@ -293,10 +280,11 @@ def feasible_delta_interval(
         raise DomainError(
             f"empty feasible interval: mu = {mu!r} is below the optimal scaling"
         )
-    hi = max(low, 1e-6)
+    lo, hi = low, max(low, 1e-6)
     while gap(hi) < 0.0:
+        lo = hi
         hi *= 2.0
         if hi > 1e9:
             raise DomainError("failed to bracket the detector boundary in delta")
-    high = _bisect(gap, low, hi, _BISECT_TOL)
+    high = optimize.brentq(gap, lo, hi, xtol=_ROOT_XTOL)
     return low, high

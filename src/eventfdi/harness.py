@@ -176,9 +176,18 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
-def _positive_int(value, key: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"'{key}' must be a positive integer, got {value!r}", field=key)
+_INT_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _int_field(payload: dict, key: str, minimum: int | None, default=None) -> int:
+    """An integer field at least `minimum`; required unless a default is given."""
+    value = _require(payload, key) if default is None else payload.get(key, default)
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        raise ConfigError(f"'{key}' must be {_INT_KINDS[minimum]}, got {value!r}", field=key)
     return value
 
 
@@ -208,30 +217,21 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
     if not (0.0 < target < 1.0):
         raise ConfigError(f"'M' must be in (0, 1), got {target!r}", field="M")
 
-    steps = _positive_int(_require(payload, "steps"), "steps")
-    trajectories = _positive_int(_require(payload, "trajectories"), "trajectories")
-    burn_in = _require(payload, "burn_in")
-    if not isinstance(burn_in, int) or isinstance(burn_in, bool) or burn_in < 0:
-        raise ConfigError(f"'burn_in' must be a nonnegative integer, got {burn_in!r}", field="burn_in")
+    steps = _int_field(payload, "steps", 1)
+    trajectories = _int_field(payload, "trajectories", 1)
+    burn_in = _int_field(payload, "burn_in", 0)
     if burn_in >= steps:
         raise ConfigError(
             f"'burn_in' must be smaller than 'steps' ({burn_in} >= {steps})", field="burn_in"
         )
-    attack_start = payload.get("attack_start", burn_in // 2)
-    if not isinstance(attack_start, int) or isinstance(attack_start, bool) or attack_start < 0:
-        raise ConfigError(
-            f"'attack_start' must be a nonnegative integer, got {attack_start!r}",
-            field="attack_start",
-        )
+    attack_start = _int_field(payload, "attack_start", 0, default=burn_in // 2)
     if attack_start > burn_in:
         raise ConfigError(
             f"'attack_start' must not exceed 'burn_in' ({attack_start} > {burn_in}); "
             "the metrics window assumes a settled attack",
             field="attack_start",
         )
-    seed = _require(payload, "seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}", field="seed")
+    seed = _int_field(payload, "seed", None)
 
     attack_mode = _require(payload, "attack_mode")
     if attack_mode not in ATTACK_MODES:
@@ -240,8 +240,7 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
             field="attack_mode",
         )
 
-    solver_dof = payload.get("solver_dof", model.m)
-    solver_dof = _positive_int(solver_dof, "solver_dof")
+    solver_dof = _int_field(payload, "solver_dof", 1, default=model.m)
 
     if payload.get("sigma") is None:
         detector = design_threshold(upsilon, solver_dof, beta=beta)

@@ -6,10 +6,11 @@ and noncentral chi-square survival functions, and the Marcum Q-function
 Q_nu(a, b) = Pr(V >= b^2) for V noncentral chi-square with 2*nu degrees of
 freedom and noncentrality a^2.
 
-Half-integer orders use the closed form built from erfc and exponentials;
-integer orders default to the exact Poisson mixture of central chi-square
-survivals, with the half-order averaging heuristic available as an
-alternative mode.
+Every Marcum order, integer or half-integer, is the Poisson mixture of
+central chi-square survivals, summed outward from the Poisson mode; two
+rigorous bounds return 0 or 1 directly when the value is saturated (see
+Gil, Segura and Temme, "Computation of the Marcum Q-function", ACM TOMS
+40(3), 2014, for the function's numerics).
 """
 
 import math
@@ -21,12 +22,12 @@ from .errors import DomainError, NumericError
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Below this the closed-form Marcum expression loses ~eps/a to cancellation
-# while the central branch is within a^2/2 <= 5e-13 of the true value.
+# Below this a is treated as 0: the central branch is within a^2/2 <= 5e-13
+# of the true value.
 _MARCUM_CENTRAL_CUTOFF = 1e-6
 
-_SERIES_TAIL = 1e-14
-_SERIES_MAX_TERMS = 100_000
+_SERIES_TOL = 1e-15  # neglected terms on each side of the mode, relative to the sum
+_SATURATED = 1e-16  # bound on Q or 1 - Q below which the value is 0 or 1
 
 
 def gaussian_q(x: float) -> float:
@@ -118,98 +119,82 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _marcum_half_order(nu: float, a: float, b: float) -> float:
-    """Closed form for odd multiples of 0.5 (erfc plus a finite exponential sum).
-
-    Valid for a > 0; the k-sum is empty at nu = 0.5.
-    """
-    total = 0.5 * math.erfc((b + a) / _SQRT2) + 0.5 * math.erfc((b - a) / _SQRT2)
-    kmax = int(round(nu - 1.5))
-    if kmax < 0:
-        return total
-    e_minus = math.exp(-0.5 * (b - a) ** 2)
-    e_plus = math.exp(-0.5 * (b + a) ** 2)
-    ab = a * b
-    outer = 0.0
-    for k in range(kmax + 1):
-        inner_q = 0.0
-        for q in range(k + 1):
-            inner_i = 0.0
-            for i in range(2 * q + 1):
-                bracket = ((-1.0) ** i) * e_minus - e_plus
-                inner_i += bracket / (ab ** (2 * q - i) * math.factorial(i))
-            coeff = ((-1.0) ** q) * math.factorial(2 * q) / (
-                math.factorial(k - q) * math.factorial(q)
-            )
-            inner_q += coeff * inner_i
-        outer += (b ** (2 * k) / 2.0**k) * inner_q
-    return total + outer / (a * _SQRT_2PI)
-
-
-def _marcum_integer_series(nu: int, a: float, b: float) -> float:
+def _marcum_series(nu: float, a: float, b: float) -> float:
     """Poisson mixture of central chi-square survivals, summed from the mode.
 
-    Q_nu(a,b) = sum_j pois(j; a^2/2) * Pr(chi^2_{2(nu+j)} >= b^2). The sweep
-    starts at the Poisson mode and expands both ways; the neglected mass of
-    the weights bounds the truncation error because every survival is <= 1.
+    Needs a, b > 0 (marcum_q routes a or b at or below 1e-6 elsewhere).
+
+    Q_nu(a,b) = sum_j pois(j; a^2/2) S_j with S_j = Pr(chi^2_{2(nu+j)} >= b^2)
+    = gammaincc(nu + j, b^2/2), valid for every order, and 1 - Q is the same
+    mixture of G_j = 1 - S_j = gammainc(nu + j, b^2/2). S_j increases in j,
+    which gives two rigorous saturation bounds over the window [lo, hi]
+    around the mode:
+
+        Q     <= S_hi + Pr(Pois > hi),
+        1 - Q <= G_lo + Pr(Pois < lo);
+
+    when either is below 1e-16 the value is 0 or 1 without summing. Otherwise
+    the mixture of whichever of Q and 1 - Q is likely the smaller (b^2/2
+    against the mean nu + a^2/2) is summed, so a value near 1 keeps its
+    relative accuracy in 1 - Q. The sweep starts at the Poisson mode and
+    expands both ways until a bound on each side's neglected terms is below
+    1e-15 of the sum; it never leaves the window, whose outside mass is
+    negligible. The Poisson weights and the chi-square steps between
+    adjacent orders follow by their ratio recurrences.
     """
     lam = 0.5 * a * a
     y = 0.5 * b * b
-    if y == 0.0:  # b underflowed; survival at zero
+    spread = 12.0 * math.sqrt(lam) + 40.0
+    hi = math.floor(lam + spread)
+    if sp.gammaincc(nu + hi, y) + sp.pdtrc(hi, lam) < _SATURATED:
+        return 0.0
+    lo = max(0, math.ceil(lam - spread))
+    if sp.gammainc(nu + lo, y) + (sp.pdtr(lo - 1, lam) if lo else 0.0) < _SATURATED:
         return 1.0
+
+    # sum Q (terms S_j, increasing in j) or 1 - Q (terms G_j, decreasing)
+    survival = y >= lam + nu
+    sign = 1.0 if survival else -1.0
     j0 = int(lam)
-    log_lam = math.log(lam)
-    log_y = math.log(y)
+    p0 = math.exp(j0 * math.log(lam) - lam - math.lgamma(j0 + 1))
+    v0 = float(sp.gammaincc(nu + j0, y) if survival else sp.gammainc(nu + j0, y))
+    # S at order t+1 minus S at order t is e^{-y} y^t / Gamma(t+1); here t = nu + j0
+    e0 = sign * math.exp((nu + j0) * math.log(y) - y - math.lgamma(nu + j0 + 1))
+    total = p0 * v0
 
-    def erlang_term(t: int) -> float:
-        # e^{-y} y^t / t!, the survival increment between orders t and t+1
-        return math.exp(t * log_y - y - math.lgamma(t + 1))
-
-    p0 = math.exp(j0 * log_lam - lam - math.lgamma(j0 + 1))
-    s0 = float(sp.gammaincc(nu + j0, y))
-    total = p0 * s0
-    mass = p0
-
-    # downward sweep first (finite): its mass feeds the tail criterion.
-    # Weights decrease away from the mode, so the mass still below index j
-    # is at most p * j; stop once that is negligible.
-    p, s = p0, s0
-    for j in range(j0, 0, -1):
-        s -= erlang_term(nu + j - 1)
+    # below the mode, with p the weight at k = j - 1, the weights decrease
+    # away from the mode, so the mass below k is at most p * k < p * j; the
+    # terms there are at most v or 1
+    p, v, e = p0, v0, e0
+    for j in range(j0, lo, -1):
+        e *= (nu + j) / y
+        v -= e
         p *= j / lam
-        total += p * s
-        mass += p
-        if p * j < 2.0 * _SERIES_TAIL:
+        total += p * v
+        if p * j * (v if survival else 1.0) < _SERIES_TOL * total:
             break
 
-    # upward sweep until the neglected Poisson mass is below the tail bound;
-    # past the mode the weights decay with ratio r = lam/(j+2) <= lam/(lam+2),
-    # so the remaining tail is at most p/(1-r) <= p*(lam+2)/2
-    p, s = p0, s0
-    j = j0
-    while mass < 1.0 - _SERIES_TAIL:
-        s += erlang_term(nu + j)
+    # above the mode, with p the weight at k = j + 1, the weight ratio past k
+    # is at most r = lam/(k+1) < 1, so the mass past k is at most
+    # p * r/(1-r) = p * lam/(k+1-lam); the terms there are at most 1 or v
+    p, v, e = p0, v0, e0
+    for j in range(j0, hi):
+        v += e
+        e *= y / (nu + j + 1)
         p *= lam / (j + 1)
-        j += 1
-        total += p * s
-        mass += p
-        if j + 1 >= lam and p * (lam + 2.0) < 2.0 * _SERIES_TAIL:
+        total += p * v
+        if j + 2 > lam and p * lam * (1.0 if survival else v) < (
+            _SERIES_TOL * total * (j + 2 - lam)
+        ):
             break
-        if j - j0 > _SERIES_MAX_TERMS:
-            raise NumericError(
-                f"Marcum series did not converge within {_SERIES_MAX_TERMS} terms"
-            )
 
-    return total
+    return total if survival else 1.0 - total
 
 
-def marcum_q(nu: float, a: float, b: float, method: str = "series") -> float:
+def marcum_q(nu: float, a: float, b: float) -> float:
     """Marcum Q-function Q_nu(a, b) for nu a positive multiple of 0.5.
 
-    `method` selects the integer-order evaluation: "series" (default, exact
-    Poisson mixture) or "average" (mean of the two adjacent half-order
-    closed forms, a common approximation for even multiples of 0.5).
-    Half-integer orders always use the closed form.
+    Every order goes through the Poisson-mixture series; see _marcum_series.
     """
     nu = _check_order(nu)
     a = float(a)
@@ -218,25 +203,16 @@ def marcum_q(nu: float, a: float, b: float, method: str = "series") -> float:
         raise DomainError(f"marcum_q requires a >= 0, got {a!r}")
     if not math.isfinite(b) or b < 0.0:
         raise DomainError(f"marcum_q requires b >= 0, got {b!r}")
-    if method not in ("series", "average"):
-        raise DomainError(f"marcum_q method must be 'series' or 'average', got {method!r}")
 
     if b <= _MARCUM_CENTRAL_CUTOFF:
         # Pr(V >= b^2) differs from 1 by O(b^(2 nu)), below 1e-12 here
         return 1.0
     if a <= _MARCUM_CENTRAL_CUTOFF:
-        return chi2_survival(b * b, int(round(2 * nu)))
+        # saturated like the series, which keeps Q monotone across the cutoff
+        value = chi2_survival(b * b, int(round(2 * nu)))
+        return value if value >= _SATURATED else 0.0
 
-    if int(round(2 * nu)) % 2 == 1:  # odd multiple of 0.5
-        value = _marcum_half_order(nu, a, b)
-    elif method == "average":
-        value = 0.5 * (
-            _marcum_half_order(nu - 0.5, a, b) + _marcum_half_order(nu + 0.5, a, b)
-        )
-    else:
-        value = _marcum_integer_series(int(round(nu)), a, b)
-
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, _marcum_series(nu, a, b)))
 
 
 def noncentral_chi2_survival(x: float, dof: int, noncentrality: float) -> float:

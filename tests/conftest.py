@@ -1,9 +1,16 @@
+import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import eventfdi as ef
+
+# CI runs every property test on the same examples and without a per-example
+# deadline, so a result does not depend on the draw or on the runner's speed.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,8 @@ from eventfdi import (
     trigger_probability,
 )
 
+from _oracles import ncx2_survival_quad
+
 PAPER_MU = 2.7705
 PAPER_DELTA = 2.4828
 
@@ -240,6 +242,16 @@ class TestSolver:
         params = solve_optimal_params(1.4, 11.34, criteria, 2)
         assert params.mu == pytest.approx(2.7391335, abs=1e-6)
         assert params.delta_bar == pytest.approx(2.4952285, abs=1e-6)
+
+    @pytest.mark.parametrize("dof", [19, 21, 23])
+    def test_large_odd_dof_matches_oracle(self, criteria, dof):
+        # the detector boundary at the solution, by quadrature of the density
+        sigma = ef.design_threshold(0.01, dof, beta=1.4).sigma
+        params = solve_optimal_params(1.4, sigma, criteria, dof)
+        alarm = ncx2_survival_quad(
+            params.mu**2 * sigma, dof, (params.mu * params.delta_bar) ** 2
+        )
+        assert abs(alarm - criteria.Upsilon) <= 1e-9
 
     def test_constraints_hold_as_inequalities(self, criteria):
         params = solve_optimal_params(1.4, 11.34, criteria, 3, m=2)

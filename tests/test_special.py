@@ -142,14 +142,21 @@ class TestMarcumQ:
             assert marcum_q(1.0, a, b) == pytest.approx(marcum_quad(1.0, a, b), abs=1e-10)
             assert marcum_q(2.0, a, b) == pytest.approx(marcum_quad(2.0, a, b), abs=1e-10)
 
-    def test_averaging_mode_brackets_series(self):
-        a, b = 3.0, 4.0
-        alt = marcum_q(1.0, a, b, method="average")
-        exact = marcum_q(1.0, a, b)
-        lo = marcum_q(0.5, a, b)
-        hi = marcum_q(1.5, a, b)
-        assert lo < exact < hi
-        assert alt == pytest.approx(0.5 * (lo + hi), abs=1e-14)
+    @pytest.mark.parametrize(
+        "nu, a, b", [(10.5, 8.0, 9.0), (10.5, 0.5, 1.0), (20.5, 8.0, 9.0)]
+    )
+    def test_large_half_order_vs_oracle(self, nu, a, b):
+        # odd dof of 21 and 41: the orders an odd solver_dof >= 11 reaches
+        assert marcum_q(nu, a, b) == pytest.approx(marcum_quad(nu, a, b), abs=1e-10)
+
+    def test_saturated_tail_at_huge_noncentrality(self):
+        # a^2/2 ~ 3e8, far in either tail: the saturation bounds must decide,
+        # whatever the last bit of a
+        a, b = 24828.218405709555, 33674.916480965476
+        assert marcum_q(1.0, a, b) == 0.0
+        assert marcum_q(1.0, b, a) == 1.0
+        assert marcum_q(1.5, a, b) == 0.0
+        assert marcum_q(1.0, math.nextafter(a, 0.0), b) == 0.0
 
     def test_small_a_routes_to_central(self):
         for nu in (0.5, 1.0, 1.5):
@@ -165,8 +172,6 @@ class TestMarcumQ:
             marcum_q(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             marcum_q(1.0, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            marcum_q(1.0, 1.0, 1.0, method="bogus")
 
     @staticmethod
     def _assert_ordered(lo, hi):
@@ -177,7 +182,7 @@ class TestMarcumQ:
 
     @settings(max_examples=60)
     @given(
-        st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 10.5, 12.0, 20.5]),
         st.floats(0.0, 9.0),
         st.floats(0.01, 2.0),
         st.floats(0.1, 15.0),
@@ -187,7 +192,7 @@ class TestMarcumQ:
 
     @settings(max_examples=60)
     @given(
-        st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 10.5, 12.0, 20.5]),
         st.floats(0.0, 10.0),
         st.floats(0.1, 13.0),
         st.floats(0.01, 2.0),
@@ -197,7 +202,7 @@ class TestMarcumQ:
 
     @settings(max_examples=80)
     @given(
-        st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 10.5, 12.0, 20.5]),
         st.floats(0.0, 12.0),
         st.floats(0.0, 16.0),
     )

@@ -11,7 +11,16 @@ covariance (mu = 1) and the open-loop Lyapunov fixed point (mu -> inf).
 
 Both fixed points are discrete Lyapunov equations P = A P A^T + (Q - W),
 with W the injection term above (W = 0 for the open loop), and are solved
-directly. They exist iff A is stable, which is checked first. The one-step
+directly. They exist iff A is stable, which is checked first. The equation
+is linear in its forcing, and 1 - (2/mu - 1/mu^2) = (1 - 1/mu)^2, so across
+scaling values the attacked fixed point is
+
+    P^a(mu) = X_1 + (1 - 1/mu)^2 X_W,
+
+with X_1 = lyap(A, Q - D) the mu = 1 point, X_W = lyap(A, D) and
+D = P C^T S^{-1} C P: a sweep takes two solves, whatever its length. Both
+terms are positive semi-definite, so the sum does not cancel, as
+X_open - (2/mu - 1/mu^2) X_W would near mu = 1 for a slow A. The one-step
 maps stay as the recursions' definition and as an independent residual
 check of the solves.
 """
@@ -73,10 +82,13 @@ def steady_bias(
     return BiasVector(value=value, prior_value=model.A @ value)
 
 
+def _injection_shape(steady: SteadyState, model: SystemModel) -> np.ndarray:
+    """D = P C^T S^{-1} C P, the injection term before its weight 2/mu - 1/mu^2."""
+    return _sym(steady.P @ model.C.T @ np.linalg.solve(steady.S, model.C @ steady.P))
+
+
 def _injection_term(params: AttackParams, steady: SteadyState, model: SystemModel):
-    correction = steady.P @ model.C.T @ np.linalg.solve(steady.S, model.C @ steady.P)
-    weight = 2.0 / params.mu - 1.0 / params.mu**2
-    return weight * _sym(correction)
+    return (2.0 / params.mu - 1.0 / params.mu**2) * _injection_shape(steady, model)
 
 
 def attacked_covariance_step(
@@ -91,18 +103,24 @@ def attacked_covariance_step(
     )
 
 
-def _lyapunov_fixed_point(model: SystemModel, forcing: np.ndarray, name: str) -> np.ndarray:
-    """The P with P = A P A^T + forcing, by a direct solve; exists iff A is stable.
-
-    A direct solve on an unstable A still returns a matrix, so the spectral
-    radius is checked first.
-    """
+def _check_stable(model: SystemModel, name: str) -> None:
+    """Raise unless A is stable: a direct Lyapunov solve on an unstable A still
+    returns a matrix, so the spectral radius is checked before any solve."""
     rho = model.spectral_radius()
     if rho >= 1.0:
         raise DivergenceError(
             f"{name} covariance diverges; A has spectral radius {rho:.6f} >= 1"
         )
+
+
+def _lyapunov(model: SystemModel, forcing: np.ndarray) -> np.ndarray:
+    """The P with P = A P A^T + forcing, by a direct solve (A must be stable)."""
     return _sym(linalg.solve_discrete_lyapunov(model.A, forcing))
+
+
+def _lyapunov_fixed_point(model: SystemModel, forcing: np.ndarray, name: str) -> np.ndarray:
+    _check_stable(model, name)
+    return _lyapunov(model, forcing)
 
 
 def attacked_covariance_fixed_point(
@@ -155,9 +173,12 @@ def mu_sweep(
 ) -> list[SweepPoint]:
     """Fixed-point trace of the attacked recursion per scaling value.
 
-    The grid must be ascending; the resulting traces are checked to be
-    nondecreasing, and every fixed point must dominate the mu = 1 point in
-    the positive semi-definite order (eigenvalue tolerance 1e-9).
+    Every fixed point is X_1 + (1 - 1/mu)^2 X_W from the same two Lyapunov
+    solves (see the module docstring). When A is unstable every entry
+    carries the error instead. The grid must be ascending; the
+    resulting traces are checked to be nondecreasing, and every fixed point
+    must dominate the mu = 1 point in the positive semi-definite order
+    (eigenvalue tolerance 1e-9).
     """
     mus = [float(mu) for mu in mu_grid]
     if any(mu < 1.0 for mu in mus):
@@ -165,24 +186,26 @@ def mu_sweep(
     if any(b < a for a, b in zip(mus, mus[1:])):
         raise DomainError("mu grid must be sorted ascending")
 
+    try:
+        _check_stable(model, "attacked")
+    except DivergenceError as exc:
+        return [SweepPoint(mu=mu, trace=float("nan"), error=str(exc)) for mu in mus]
+    shape = _injection_shape(steady, model)
+    kalman = _lyapunov(model, model.Q - shape)
+    injected = _lyapunov(model, shape)
     points: list[SweepPoint] = []
     for mu in mus:
-        params = AttackParams(mu=mu, delta=np.zeros(model.m))
-        try:
-            fp = attacked_covariance_fixed_point(params, steady, model)
-            points.append(SweepPoint(mu=mu, trace=float(np.trace(fp)), fixed_point=fp))
-        except DivergenceError as exc:
-            points.append(SweepPoint(mu=mu, trace=float("nan"), error=str(exc)))
+        fp = kalman + (1.0 - 1.0 / mu) ** 2 * injected
+        points.append(SweepPoint(mu=mu, trace=float(np.trace(fp)), fixed_point=fp))
 
-    converged = [p for p in points if p.error is None]
-    for prev, cur in zip(converged, converged[1:]):
+    for prev, cur in zip(points, points[1:]):
         if cur.trace < prev.trace - 1e-9:
             raise DivergenceError(
                 f"sweep traces not nondecreasing: mu={prev.mu} -> {cur.mu}"
             )
-    if converged and converged[0].mu == 1.0:
-        base = converged[0].fixed_point
-        for p in converged[1:]:
+    if points and points[0].mu == 1.0:
+        base = points[0].fixed_point
+        for p in points[1:]:
             if np.linalg.eigvalsh(p.fixed_point - base).min() < -1e-9:
                 raise DivergenceError(
                     f"fixed point at mu={p.mu} does not dominate the mu=1 point"

@@ -83,21 +83,17 @@ class AttackParams:
 class AttackState:
     """Attack-effect bookkeeping: xtilde = xhat_attacked - xhat_nominal.
 
-    Starts at zero (the attack begins with the estimator at steady state).
-    alpha is the feedback injection used at the current step.
+    Starts at zero (the attack begins with the estimator at steady state);
+    the feedback injection follows from it by feedback_attack.
     """
 
     x_tilde_prior: np.ndarray
     x_tilde_post: np.ndarray
-    alpha: np.ndarray
 
     @classmethod
-    def zeros(cls, n: int, m: int):
-        return cls(
-            x_tilde_prior=np.zeros(n),
-            x_tilde_post=np.zeros(n),
-            alpha=np.zeros(m),
-        )
+    def zeros(cls, n: int, m: int | None = None):
+        """The zero state; m is ignored, kept optional so two-argument calls still work."""
+        return cls(x_tilde_prior=np.zeros(n), x_tilde_post=np.zeros(n))
 
 
 @dataclass(frozen=True)
@@ -138,16 +134,13 @@ def attack_effect_update(
 
     xtilde_k^- = A xtilde_{k-1};
     xtilde_k = xtilde_k^- + (gamma/mu - gamma) K z_k + gamma K F^{-T} delta,
-    where z_k is the nominal innovation at the sensor. The returned state
-    carries the matching feedback injection alpha = -C xtilde_k^-.
+    where z_k is the nominal innovation at the sensor.
     """
     x_prior = model.A @ state.x_tilde_post
     x_post = x_prior + (gamma / params.mu - gamma) * (steady.K @ np.asarray(z, dtype=float))
     if gamma:
         x_post = x_post + steady.K @ (steady.L @ params.delta)  # F^{-T} = L
-    new_state = AttackState(x_tilde_prior=x_prior, x_tilde_post=x_post, alpha=state.alpha)
-    new_state.alpha = feedback_attack(new_state, model)
-    return new_state
+    return AttackState(x_tilde_prior=x_prior, x_tilde_post=x_post)
 
 
 def feedback_attack(state: AttackState, model: SystemModel) -> np.ndarray:

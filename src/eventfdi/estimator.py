@@ -265,29 +265,58 @@ def measurement_update(
 
 
 def riccati_fixed_point(
-    model: SystemModel, tol: float = 1e-12, max_iter: int = 100_000
+    model: SystemModel, tol: float = 1e-12, max_iter: int = 64
 ) -> SteadyState:
-    """Iterate P <- h(q_tilde(P)) to the steady prior covariance.
+    """Steady prior covariance, the limit of P <- h(q_tilde(P)), by doubling.
 
-    Starts from Xi0 (or Q when Xi0 is zero); convergence is the max-norm
-    difference of successive iterates. Non-convergence raises, signalling an
-    effectively undetectable pair.
+    One Riccati step is the map X -> Q + A X (I + G X)^{-1} A^T with
+    G = C^T R^{-1} C. Its 2^k-fold composition has the same form,
+    X -> H_k + A_k^T X (I + G_k X)^{-1} A_k, and doubling squares it:
+    with W = I + G_k H_k,
+
+        A_{k+1} = A_k W^{-1} A_k,
+        G_{k+1} = G_k + A_k W^{-1} G_k A_k^T,
+        H_{k+1} = H_k + A_k^T H_k W^{-1} A_k,
+
+    from A_0 = A^T, G_0 = G, H_0 = Q (Anderson and Moore, Optimal
+    Filtering, 1979). The map is evaluated at the iteration's start X_0
+    (Xi0, or Q when Xi0 is zero), so iterate 2^k follows from k doubling
+    steps; H_k alone is the iterate from X = 0, which for an unstable A
+    with Q = 0 can be a non-stabilising fixed point. Convergence is the
+    max-norm difference of successive iterates below tol; max_iter counts
+    doubling steps. Non-finite values or non-convergence raise, signalling
+    an effectively undetectable pair.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    P = model.Xi0 if np.any(model.Xi0) else model.Q
-    P = P.copy()
-    for _ in range(int(max_iter)):
-        P_next = op_h(op_q_tilde(P, 1.0, model), model)
-        if not np.all(np.isfinite(P_next)):
-            raise DivergenceError("Riccati iteration produced non-finite values")
-        if np.max(np.abs(P_next - P)) < tol:
+    X0 = model.Xi0 if np.any(model.Xi0) else model.Q
+    eye = np.eye(model.n)
+    A_k = model.A.T
+    G_k = _sym(model.C.T @ np.linalg.solve(model.R, model.C))
+    H_k = model.Q
+    P = X0
+    with np.errstate(all="ignore"):
+        for _ in range(int(max_iter)):
+            try:
+                W_inv = np.linalg.inv(eye + G_k @ H_k)
+                P_next = _sym(H_k + A_k.T @ X0 @ np.linalg.solve(eye + G_k @ X0, A_k))
+            except np.linalg.LinAlgError as exc:
+                raise DivergenceError(f"Riccati doubling hit a singular matrix: {exc}") from exc
+            if not np.all(np.isfinite(P_next)):
+                raise DivergenceError("Riccati iteration produced non-finite values")
+            if np.max(np.abs(P_next - P)) < tol:
+                P = P_next
+                break
             P = P_next
-            break
-        P = P_next
-    else:
-        raise DivergenceError(
-            f"Riccati iteration did not converge within {max_iter} iterations"
-        )
+            WA = W_inv @ A_k
+            H_k, G_k, A_k = (
+                _sym(H_k + A_k.T @ H_k @ WA),
+                _sym(G_k + A_k @ W_inv @ G_k @ A_k.T),
+                A_k @ WA,
+            )
+        else:
+            raise DivergenceError(
+                f"Riccati iteration did not converge within {max_iter} doubling steps"
+            )
     S, L, F, K = _derived(P, model)
     return SteadyState(P=P, K=K, F=F, S=S, L=L)

@@ -21,6 +21,7 @@ from .errors import DomainError, NumericError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN_SQRT_2PI = math.log(_SQRT_2PI)
 
 # Below this a is treated as 0: the central branch is within a^2/2 <= 5e-13
 # of the true value.
@@ -119,6 +120,50 @@ def _check_order(nu: float) -> float:
     return nu
 
 
+def _stirlerr(x: float) -> float:
+    """log(x!) - log(sqrt(2 pi x) (x/e)^x), the error of Stirling's formula.
+
+    By lgamma up to 15, where it is within a few 1e-15 of the value, and by
+    five terms of the Stirling series above, whose remainder is below 1e-16
+    there (Loader, "Fast and accurate computation of binomial
+    probabilities", 2000).
+    """
+    if x <= 15.0:
+        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - _LN_SQRT_2PI
+    xx = x * x
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / xx) / xx) / xx) / xx) / x
+
+
+def _bd0(x: float, lam: float) -> float:
+    """x log(x/lam) + lam - x without cancellation when x is near lam (Loader)."""
+    if abs(x - lam) < 0.1 * (x + lam):
+        v = (x - lam) / (x + lam)
+        total = (x - lam) * v
+        term = 2.0 * x * v
+        v *= v
+        j = 1
+        while True:
+            term *= v
+            step = term / (2 * j + 1)
+            if total + step == total:
+                return total
+            total += step
+            j += 1
+    return x * math.log(x / lam) + lam - x
+
+
+def _poisson_weight(x: float, lam: float) -> float:
+    """lam^x e^{-lam} / Gamma(x + 1) for x >= 0, lam > 0, by Loader's saddle-point form.
+
+    exp(-stirlerr(x) - bd0(x, lam)) / sqrt(2 pi x) keeps its relative
+    accuracy at any lam, where exp(x log lam - lam - lgamma(x + 1)) loses
+    about eps * lam log lam to the cancellation of its large terms.
+    """
+    if x == 0.0:
+        return math.exp(-lam)
+    return math.exp(-_stirlerr(x) - _bd0(x, lam)) / math.sqrt(2.0 * math.pi * x)
+
+
 def _marcum_series(nu: float, a: float, b: float) -> float:
     """Poisson mixture of central chi-square survivals, summed from the mode.
 
@@ -139,8 +184,9 @@ def _marcum_series(nu: float, a: float, b: float) -> float:
     relative accuracy in 1 - Q. The sweep starts at the Poisson mode and
     expands both ways until a bound on each side's neglected terms is below
     1e-15 of the sum; it never leaves the window, whose outside mass is
-    negligible. The Poisson weights and the chi-square steps between
-    adjacent orders follow by their ratio recurrences.
+    negligible. At the mode, the Poisson weight and the chi-square step
+    between adjacent orders come from Loader's saddle-point form
+    (_poisson_weight); away from it they follow by their ratio recurrences.
     """
     lam = 0.5 * a * a
     y = 0.5 * b * b
@@ -156,10 +202,10 @@ def _marcum_series(nu: float, a: float, b: float) -> float:
     survival = y >= lam + nu
     sign = 1.0 if survival else -1.0
     j0 = int(lam)
-    p0 = math.exp(j0 * math.log(lam) - lam - math.lgamma(j0 + 1))
+    p0 = _poisson_weight(j0, lam)
     v0 = float(sp.gammaincc(nu + j0, y) if survival else sp.gammainc(nu + j0, y))
     # S at order t+1 minus S at order t is e^{-y} y^t / Gamma(t+1); here t = nu + j0
-    e0 = sign * math.exp((nu + j0) * math.log(y) - y - math.lgamma(nu + j0 + 1))
+    e0 = sign * _poisson_weight(nu + j0, y)
     total = p0 * v0
 
     # below the mode, with p the weight at k = j - 1, the weights decrease

@@ -85,6 +85,40 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarr
     return scale * (G @ G.T) / n
 
 
+def random_stable_model(n: int, m: int, rho: float, seed: int):
+    """A random system whose A has spectral radius rho."""
+    from eventfdi.model import SystemModel
+
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= rho / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    return SystemModel(
+        A=A,
+        C=rng.standard_normal((m, n)),
+        Q=random_psd(rng, n, 0.1) + 0.01 * np.eye(n),
+        R=random_psd(rng, m, 0.5) + 0.05 * np.eye(m),
+        Xi0=np.eye(n),
+    )
+
+
+def unstable_model():
+    """A detectable system with one unstable mode (eigenvalue 1.05)."""
+    from eventfdi.model import SystemModel
+
+    return SystemModel(
+        A=np.array([[1.05, 0.2], [0.0, 0.5]]),
+        C=np.eye(2),
+        Q=np.eye(2),
+        R=np.eye(2),
+        Xi0=np.eye(2),
+    )
+
+
+def relative_gap(X: np.ndarray, Y: np.ndarray) -> float:
+    """Max-norm distance of X from Y relative to the max norm of Y."""
+    return float(np.max(np.abs(X - Y)) / np.max(np.abs(Y)))
+
+
 def simulate_trajectory_reference(config, traj: int) -> dict:
     """One trajectory through the scalar public functions, one step at a time.
 
@@ -126,7 +160,7 @@ def simulate_trajectory_reference(config, traj: int) -> dict:
     rng = RandomSource(config.seed, traj)
     plant = sample_initial_state(model, rng)
     filt = initial_filter_state(model)
-    att = AttackState.zeros(n, m)
+    att = AttackState.zeros(n)
     xn_post = np.zeros(n)  # virtual nominal estimator (same trigger sequence)
 
     rec = {

@@ -19,7 +19,13 @@ from eventfdi import (
 )
 from eventfdi.model import SystemModel
 
-from _oracles import lyapunov_kron, random_psd
+from _oracles import (
+    lyapunov_kron,
+    random_psd,
+    random_stable_model,
+    relative_gap,
+    unstable_model,
+)
 
 PAPER_MU = 2.7705
 PAPER_DELTA = 2.4828
@@ -28,33 +34,6 @@ PAPER_DELTA = 2.4828
 @pytest.fixture(scope="module")
 def paper_params():
     return AttackParams.scalar_bias(PAPER_MU, PAPER_DELTA, 2)
-
-
-def _unstable_model() -> SystemModel:
-    return SystemModel(
-        A=np.array([[1.05, 0.2], [0.0, 0.5]]),
-        C=np.eye(2),
-        Q=np.eye(2),
-        R=np.eye(2),
-        Xi0=np.eye(2),
-    )
-
-
-def _random_stable_model(n: int, m: int, rho: float, seed: int) -> SystemModel:
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    A *= rho / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
-    return SystemModel(
-        A=A,
-        C=rng.standard_normal((m, n)),
-        Q=random_psd(rng, n, 0.1) + 0.01 * np.eye(n),
-        R=random_psd(rng, m, 0.5) + 0.05 * np.eye(m),
-        Xi0=np.eye(n),
-    )
-
-
-def _relative_gap(X: np.ndarray, Y: np.ndarray) -> float:
-    return float(np.max(np.abs(X - Y)) / np.max(np.abs(Y)))
 
 
 class TestDirectFixedPoints:
@@ -69,24 +48,24 @@ class TestDirectFixedPoints:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_residual_through_step_maps(self, n, m, rho, mu, seed):
-        model = _random_stable_model(n, m, rho, seed)
+        model = random_stable_model(n, m, rho, seed)
         steady = ef.riccati_fixed_point(model)
         params = AttackParams.scalar_bias(mu, 1.0, m)
 
         attacked = attacked_covariance_fixed_point(params, steady, model)
         stepped = attacked_covariance_step(attacked, params, steady, model)
-        assert _relative_gap(stepped, attacked) <= 1e-11
+        assert relative_gap(stepped, attacked) <= 1e-11
         open_fp = open_loop_fixed_point(model)
-        assert _relative_gap(open_loop_step(open_fp, model), open_fp) <= 1e-11
+        assert relative_gap(open_loop_step(open_fp, model), open_fp) <= 1e-11
 
         forcing = attacked_covariance_step(np.zeros((n, n)), params, steady, model)  # Q - W
-        assert _relative_gap(attacked, lyapunov_kron(model.A, forcing)) <= 1e-10
-        assert _relative_gap(open_fp, lyapunov_kron(model.A, model.Q)) <= 1e-10
+        assert relative_gap(attacked, lyapunov_kron(model.A, forcing)) <= 1e-10
+        assert relative_gap(open_fp, lyapunov_kron(model.A, model.Q)) <= 1e-10
         assert np.array_equal(attacked, attacked.T)
         assert np.array_equal(open_fp, open_fp.T)
 
     def test_unstable_A_attacked_diverges(self):
-        model = _unstable_model()
+        model = unstable_model()
         steady = ef.riccati_fixed_point(model)
         for params in (AttackParams.off(2), AttackParams.scalar_bias(3.0, 1.0, 2)):
             with pytest.raises(DivergenceError, match="spectral radius"):
@@ -109,7 +88,7 @@ class TestDirectFixedPoints:
             )
 
     def test_unstable_A_sweep_records_errors(self):
-        model = _unstable_model()
+        model = unstable_model()
         steady = ef.riccati_fixed_point(model)
         points = mu_sweep([1.0, 2.0, 1e4], steady, model)
         assert [p.mu for p in points] == [1.0, 2.0, 1e4]
@@ -182,8 +161,6 @@ class TestAttackedCovariance:
         assert np.trace(fp) == pytest.approx(0.0732852, abs=2e-6)
 
     def test_step_is_one_recursion(self, steady, paper_model, paper_params, rng):
-        from _oracles import random_psd
-
         X = random_psd(rng, 3)
         stepped = attacked_covariance_step(X, paper_params, steady, paper_model)
         weight = 2.0 / PAPER_MU - 1.0 / PAPER_MU**2
@@ -255,6 +232,24 @@ class TestMuSweep:
         for prev, cur in zip(points, points[1:]):
             eigs = np.linalg.eigvalsh(cur.fixed_point - prev.fixed_point)
             assert eigs.min() > -1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        rho=st.floats(0.0, 0.995),
+        mu=st.floats(1.0, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_match_single_fixed_points(self, n, m, rho, mu, seed):
+        model = random_stable_model(n, m, rho, seed)
+        steady = ef.riccati_fixed_point(model)
+        for point in mu_sweep([1.0, mu, 10.0 * mu], steady, model):
+            single = attacked_covariance_fixed_point(
+                AttackParams(mu=point.mu, delta=np.zeros(m)), steady, model
+            )
+            assert relative_gap(point.fixed_point, single) <= 1e-12
+            assert point.trace == pytest.approx(np.trace(single), rel=1e-12)
 
     def test_grid_validation(self, steady, paper_model):
         with pytest.raises(DomainError):

@@ -77,7 +77,7 @@ class TestForwardAttack:
 
 class TestAttackEffect:
     def test_no_transmission_propagates(self, steady, paper_model, paper_params):
-        state = AttackState.zeros(3, 2)
+        state = AttackState.zeros(3)
         state.x_tilde_post = np.array([0.5, -0.2, 0.1])
         new = attack_effect_update(state, 0, np.zeros(2), steady, paper_params, paper_model)
         expected = paper_model.A @ state.x_tilde_post
@@ -85,7 +85,7 @@ class TestAttackEffect:
         assert np.allclose(new.x_tilde_post, expected, atol=1e-14)
 
     def test_attack_off_keeps_zero(self, steady, paper_model, rng):
-        state = AttackState.zeros(3, 2)
+        state = AttackState.zeros(3)
         off = AttackParams.off(2)
         for _ in range(20):
             state = attack_effect_update(
@@ -121,7 +121,7 @@ class TestAttackEffect:
         )
 
         filt = initial_filter_state(config.model)
-        state = AttackState.zeros(3, 2)
+        state = AttackState.zeros(3)
         for row in rows:
             k = int(row["k"])
             gamma = int(row["gamma"])
@@ -168,10 +168,10 @@ class TestAttackEffect:
 
 class TestFeedbackAttack:
     def test_zero_state(self, paper_model):
-        assert np.array_equal(feedback_attack(AttackState.zeros(3, 2), paper_model), np.zeros(2))
+        assert np.array_equal(feedback_attack(AttackState.zeros(3), paper_model), np.zeros(2))
 
     def test_formula(self, paper_model, rng):
-        state = AttackState.zeros(3, 2)
+        state = AttackState.zeros(3)
         state.x_tilde_prior = rng.standard_normal(3)
         assert np.allclose(
             feedback_attack(state, paper_model),

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
 import eventfdi as ef
 from eventfdi import (
@@ -20,7 +23,13 @@ from eventfdi import (
 from eventfdi.estimator import _factor_pair, factor_stack
 from eventfdi.model import SystemModel
 
-from _oracles import matmul_loops, random_psd
+from _oracles import (
+    matmul_loops,
+    random_psd,
+    random_stable_model,
+    relative_gap,
+    unstable_model,
+)
 
 
 class TestOpH:
@@ -273,6 +282,50 @@ class TestRiccati:
     def test_nonconvergence_raises(self, paper_model):
         with pytest.raises(DivergenceError):
             riccati_fixed_point(paper_model, tol=1e-12, max_iter=3)
+
+    # scipy's DARE fails its QZ reordering when A is scaled to a spectral
+    # radius near 1e-278, so below 1e-12 only A = 0 itself is drawn
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        rho=st.one_of(st.just(0.0), st.floats(1e-12, 0.995)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, m=1, rho=0.995, seed=1)  # slow linear convergence: 1.7e-11 by iteration
+    def test_matches_scipy_dare(self, n, m, rho, seed):
+        model = random_stable_model(n, m, rho, seed)
+        ref = linalg.solve_discrete_are(model.A.T, model.C.T, model.Q, model.R)
+        assert relative_gap(riccati_fixed_point(model).P, ref) <= 1e-12
+
+    def test_unstable_plant_matches_scipy_dare(self):
+        model = unstable_model()
+        ref = linalg.solve_discrete_are(model.A.T, model.C.T, model.Q, model.R)
+        assert relative_gap(riccati_fixed_point(model).P, ref) <= 1e-12
+
+    def test_unstable_noiseless_plant_stabilising_solution(self):
+        # P = 4P - 4P^2/(P + 1) has the roots 0 and 3; only 3 stabilises,
+        # and the map's iterates from X = 0 stay at 0
+        model = SystemModel(
+            A=np.array([[2.0]]),
+            C=np.array([[1.0]]),
+            Q=np.array([[0.0]]),
+            R=np.array([[1.0]]),
+            Xi0=np.array([[1.0]]),
+        )
+        assert riccati_fixed_point(model).P[0, 0] == pytest.approx(3.0, rel=1e-12)
+
+    def test_undetectable_pair_raises(self):
+        # the unstable mode 1.5 is not seen by C
+        model = SystemModel(
+            A=np.diag([1.5, 0.5]),
+            C=np.array([[0.0, 1.0]]),
+            Q=np.eye(2),
+            R=np.eye(1),
+            Xi0=np.eye(2),
+        )
+        with pytest.raises(DivergenceError):
+            riccati_fixed_point(model)
 
     def test_covariance_converges_under_always_fire(self, paper_model, steady):
         # Assumption-4 regime: repeated gamma=1 updates land on the fixed point

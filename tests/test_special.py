@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from eventfdi import (
     DomainError,
@@ -148,6 +149,15 @@ class TestMarcumQ:
     def test_large_half_order_vs_oracle(self, nu, a, b):
         # odd dof of 21 and 41: the orders an odd solver_dof >= 11 reaches
         assert marcum_q(nu, a, b) == pytest.approx(marcum_quad(nu, a, b), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "nu, a, b", [(1.0, 24828.2, 24828.2), (1.5, 3000.0, 3000.5), (2.0, 1000.0, 1000.3)]
+    )
+    def test_large_noncentrality_near_half_vs_scipy(self, nu, a, b):
+        # a^2/2 from 5e5 to 3e8 with Q near 1/2: the Poisson weights there
+        # must not lose eps * lam * log(lam) to cancellation
+        ref = stats.ncx2.sf(b * b, 2 * nu, a * a)
+        assert marcum_q(nu, a, b) == pytest.approx(ref, abs=1e-10)
 
     def test_saturated_tail_at_huge_noncentrality(self):
         # a^2/2 ~ 3e8, far in either tail: the saturation bounds must decide,

@@ -26,7 +26,7 @@ from .attack import (
 )
 from .errors import NumericError, ToolkitError
 from .estimator import riccati_fixed_point
-from .harness import config_from_dict, load_config, paper_scenario, read_payload, run_scenario
+from .harness import config_from_dict, paper_scenario, read_payload, run_scenario
 from .special import chi2_quantile, marcum_q
 
 EXIT_OK = 0
@@ -70,25 +70,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load(args):
-    if args.config is None:
-        return config_from_dict(paper_scenario())
-    return load_config(args.config)
+def _load(args, **overrides):
+    """The --config scenario (default: the published one) with fields overridden."""
+    payload = paper_scenario() if args.config is None else read_payload(args.config)
+    payload.update(overrides)
+    return config_from_dict(payload)
 
 
 def _cmd_simulate(args) -> int:
-    overrides = {}
-    if args.attack is not None:
-        overrides["attack_mode"] = args.attack
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.config is None:
-        config = config_from_dict(paper_scenario(**overrides))
-    else:
-        payload = read_payload(args.config)
-        payload.update(overrides)
-        config = config_from_dict(payload)
-
+    overrides = {"attack_mode": args.attack, "seed": args.seed}
+    config = _load(args, **{k: v for k, v in overrides.items() if v is not None})
     result = run_scenario(config, trace_path=args.trace)
     payload = result.summary.to_dict()
     if result.diverged:
@@ -144,11 +135,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check(name, value, target, tol):
-    ok = abs(value - target) <= tol
-    return ok, f"{'PASS' if ok else 'FAIL'}  {name}: {value:.6g} (target {target:.6g} +/- {tol:.2g})"
-
-
 def _cmd_reproduce(args) -> int:
     budget = {"steps": 1200, "trajectories": 10} if args.quick else {}
     bias_budget = (
@@ -169,27 +155,18 @@ def _cmd_reproduce(args) -> int:
     model = config.model
     steady = riccati_fixed_point(model)
     params = config.attack_params
-    psi = config.criteria.Psi
 
+    open_trace = float(np.trace(analysis.open_loop_fixed_point(model)))
+    nominal = run_scenario(config_from_dict(dict(base, attack_mode="off")))
     for name, value, target, tol in [
         ("scaling mu*", params.mu, 2.7705, 5e-3),
         ("bias delta*", params.delta_bar, 2.4828, 5e-3),
         ("threshold sigma (1% tail, 3 dof)", chi2_quantile(0.01, 3), 11.345, 5e-3),
-        ("confidence level Psi", psi, 3.0, 1e-3),
+        ("confidence level Psi", config.criteria.Psi, 3.0, 1e-3),
+        ("open-loop covariance trace", open_trace, 0.0915, 5e-4),
+        ("nominal communication rate", nominal.summary.comm_rate, 0.2969, 5e-3),
     ]:
-        ok, line = _check(name, value, target, tol)
-        failures += not ok
-        lines.append(line)
-
-    open_trace = float(np.trace(analysis.open_loop_fixed_point(model)))
-    ok, line = _check("open-loop covariance trace", open_trace, 0.0915, 5e-4)
-    failures += not ok
-    lines.append(line)
-
-    nominal = run_scenario(config_from_dict(dict(base, attack_mode="off")))
-    ok, line = _check("nominal communication rate", nominal.summary.comm_rate, 0.2969, 5e-3)
-    failures += not ok
-    lines.append(line)
+        gate(abs(value - target) <= tol, f"{name}: {value:.6g} (target {target:.6g} +/- {tol:.2g})")
 
     attacked = run_scenario(config)
     n_dec = attacked.summary.step_count * attacked.summary.trajectory_count

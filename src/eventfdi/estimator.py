@@ -35,9 +35,8 @@ class FilterState:
 
     x_prior/x_post are the a priori / a posteriori estimates, P_prior/P_post
     the matching covariances, K the Kalman gain, F the whitening factor for
-    the current prior, gamma the last trigger decision. S caches the
-    innovation covariance C P^- C^T + R and L its lower Cholesky factor
-    (so F = L^{-T} and F^{-T} = L).
+    the current prior. S caches the innovation covariance C P^- C^T + R and
+    L its lower Cholesky factor (so F = L^{-T} and F^{-T} = L).
     """
 
     x_prior: np.ndarray
@@ -48,7 +47,6 @@ class FilterState:
     F: np.ndarray
     S: np.ndarray
     L: np.ndarray
-    gamma: int = 0
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,6 @@ def initial_filter_state(model: SystemModel) -> FilterState:
         F=F,
         S=S,
         L=L,
-        gamma=0,
     )
 
 
@@ -207,7 +204,6 @@ def time_update(prev: FilterState, model: SystemModel) -> FilterState:
         F=F,
         S=S,
         L=L,
-        gamma=prev.gamma,
     )
 
 
@@ -260,7 +256,6 @@ def measurement_update(
         F=state.F,
         S=state.S,
         L=state.L,
-        gamma=int(gamma),
     )
 
 

@@ -5,7 +5,8 @@ measurement, estimator time update, sensor innovation against the (possibly
 attacked) feedback, whitening, forward attack, scheduler decision on the
 received data, detector statistic on the received data, measurement update,
 attack-effect bookkeeping. Trajectories are independent (seed, trajectory)
-substreams aggregated in index order, so runs are deterministic.
+substreams, and the summary is reduced from the stacked records in
+trajectory-index order, so runs are deterministic.
 
 Attack modes:
   off          - plain event-based loop.
@@ -39,10 +40,11 @@ not raised: its slice carries nan without warnings, no operation mixes
 slices, and it is left out of the aggregates and the trace.
 
 Memory: the measurements and every per-step record of every trajectory
-are kept until the run ends, T * steps * (3n + 5m + 2) doubles, which is
-the peak (the noise block is freed before the filter loop). The paper's
-50 x 4200 run peaks at about 36 MB, where a loop over one trajectory at a
-time needed about 1 MB.
+are kept until the run ends, T * steps * (3n + 5m + 1) doubles; the
+noise block is freed before the filter loop, and the summary's reductions
+hold one or two window-sized temporaries at a time. The paper's 50 x 4200
+run peaks at about 37 MB, where a loop over one trajectory at a time
+needed about 1 MB.
 """
 
 import itertools
@@ -91,8 +93,10 @@ _MODEL_KEYS = {"A", "C", "Q", "R", "Xi0"}
 class ScenarioConfig:
     """Fully resolved simulation scenario.
 
-    sigma and attack_params are always concrete here: load_config designs
-    the threshold from (upsilon, solver_dof) and solves the attack
+    The file's sigma, upsilon and solver_dof live in detector (sigma,
+    upsilon, dof), and its M and upsilon in criteria (M, Upsilon). Both
+    detector.sigma and attack_params are always concrete here: load_config
+    designs the threshold from (upsilon, solver_dof) and solves the attack
     parameters when the file omits them. Metrics cover k >= burn_in; the
     attack switches on at attack_start (default burn_in // 2) so both the
     filter and the attack bias are settled before the metrics window.
@@ -100,10 +104,6 @@ class ScenarioConfig:
 
     model: SystemModel
     beta: float
-    upsilon: float
-    M: float
-    sigma: float
-    solver_dof: int
     steps: int
     trajectories: int
     burn_in: int
@@ -164,7 +164,6 @@ class RunResult:
     eps_lag1: np.ndarray  # (m,) lag-1 autocorrelation of the whitened innovation
     g_mean: float  # detector statistic mean
     cancellation_max: float  # max_i |z_sensor - z_nominal|_i / (1 + |z_nominal_i|)
-    filter_prior_trace: float  # mean trace of the filter's internal prior covariance
     gamma_count: int
     alarm_count: int
     diverged: list = field(default_factory=list)
@@ -244,7 +243,6 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
 
     if payload.get("sigma") is None:
         detector = design_threshold(upsilon, solver_dof, beta=beta)
-        sigma = detector.sigma
     else:
         sigma = float(payload["sigma"])
         if not (sigma > 0.0 and math.isfinite(sigma)):
@@ -272,15 +270,11 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
             float(raw_attack["mu"]), float(raw_attack["delta_bar"]), model.m
         )
     else:
-        attack_params = solve_optimal_params(beta, sigma, criteria, solver_dof, m=model.m)
+        attack_params = solve_optimal_params(beta, detector.sigma, criteria, solver_dof, m=model.m)
 
     return ScenarioConfig(
         model=model,
         beta=beta,
-        upsilon=upsilon,
-        M=target,
-        sigma=sigma,
-        solver_dof=solver_dof,
         steps=steps,
         trajectories=trajectories,
         burn_in=burn_in,
@@ -382,14 +376,14 @@ def _record_rows(records: "_Records", survivors):
 class _Records:
     """Per-step records of every trajectory, indexed [traj, k, ...].
 
-    Indexing one trajectory gives C-contiguous (steps, ...) arrays, the
-    layout the per-trajectory aggregation reduces over.
+    Indexing one trajectory gives C-contiguous (steps, ...) arrays, so a
+    reduction over the step axis adds each trajectory's values in the same
+    order as a reduction over that trajectory alone.
     """
 
     gamma: np.ndarray  # (T, steps) scheduler decisions
     alarm: np.ndarray  # (T, steps) detector decisions
     g: np.ndarray  # (T, steps) detector statistic
-    ptr: np.ndarray  # (T, steps) trace of the filter's prior covariance
     x: np.ndarray  # (T, steps, n) plant state x_k
     xn: np.ndarray  # (T, steps, n) nominal-reference estimate
     xa: np.ndarray  # (T, steps, n) remote (possibly attacked) estimate
@@ -447,7 +441,6 @@ def _simulate(config: ScenarioConfig) -> _Records:
     x_post = xn_post = xt_post = x_prior
     failed = np.zeros(T, dtype=bool)  # innovation covariance lost definiteness (m >= 3)
     gammas = np.empty((T, steps), dtype=bool)
-    ptrs = np.empty((T, steps))
     xns, xas = np.empty((T, steps, n, 1)), np.empty((T, steps, n, 1))
     zs, zns, epss, epsts = (np.empty((T, steps, m, 1)) for _ in range(4))
 
@@ -491,7 +484,6 @@ def _simulate(config: ScenarioConfig) -> _Records:
             xn_post = x_post  # no attack yet: the filter is the nominal estimator
 
         gammas[:, k] = gamma
-        P.trace(axis1=1, axis2=2, out=ptrs[:, k])
         xns[:, k] = xn_post
         xas[:, k] = x_post
         zs[:, k] = z_sensor
@@ -509,7 +501,6 @@ def _simulate(config: ScenarioConfig) -> _Records:
         gamma=gammas,
         alarm=g >= config.detector.sigma,
         g=g,
-        ptr=ptrs,
         x=xs[:, :steps, :, 0],
         xn=xns[..., 0],
         xa=xa,
@@ -518,56 +509,6 @@ def _simulate(config: ScenarioConfig) -> _Records:
         eps=epss[..., 0],
         epst=epsts[..., 0],
         diverged=failed | ~plant_finite | ~np.array(estimate_finite),
-    )
-
-
-@dataclass
-class _TrajectoryStats:
-    """Post-burn-in aggregates for a single trajectory."""
-
-    count: int
-    gamma_count: int
-    alarm_count: int
-    bias_sum: np.ndarray
-    err_sq_sum: float
-    z_sum: np.ndarray
-    z_outer: np.ndarray
-    eps_sum: np.ndarray
-    eps_sq: np.ndarray
-    eps_lag1: np.ndarray
-    g_sum: float
-    p_trace_sum: float
-    cancel_max: float
-
-
-def _trajectory_stats(
-    rec: _Records, traj: int, config: ScenarioConfig, theory_bias: np.ndarray
-) -> _TrajectoryStats:
-    post = slice(config.burn_in, config.steps)
-    xa = rec.xa[traj][post]
-    z_post = rec.z[traj][post]
-    eps_post = rec.eps[traj][post]
-    err = xa - rec.x[traj][post] - theory_bias
-    cancel_max = 0.0
-    if config.attack_mode == "two_channel":
-        win = slice(config.attack_start, config.steps)
-        z, zn = rec.z[traj][win], rec.zn[traj][win]
-        gap = np.abs(z - zn) / (1.0 + np.abs(zn))
-        cancel_max = float(gap.max()) if gap.size else 0.0
-    return _TrajectoryStats(
-        count=config.steps - config.burn_in,
-        gamma_count=int(rec.gamma[traj][post].sum()),
-        alarm_count=int(rec.alarm[traj][post].sum()),
-        bias_sum=(xa - rec.xn[traj][post]).sum(axis=0),
-        err_sq_sum=float((err * err).sum()),
-        z_sum=z_post.sum(axis=0),
-        z_outer=z_post.T @ z_post,
-        eps_sum=eps_post.sum(axis=0),
-        eps_sq=(eps_post * eps_post).sum(axis=0),
-        eps_lag1=(eps_post[1:] * eps_post[:-1]).sum(axis=0),
-        g_sum=float(rec.g[traj][post].sum()),
-        p_trace_sum=float(rec.ptr[traj][post].sum()),
-        cancel_max=cancel_max,
     )
 
 
@@ -599,58 +540,80 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         theory_cov_trace = float("nan")
 
     records = _simulate(config)
-    diverged = [int(t) for t in np.flatnonzero(records.diverged)]
-    survivors = [t for t in range(config.trajectories) if not records.diverged[t]]
-    per_traj = [_trajectory_stats(records, t, config, theory_bias) for t in survivors]
+    survivors = np.flatnonzero(~records.diverged)
 
-    if trace_path is not None and survivors:
+    if trace_path is not None and survivors.size:
         _write_rows(trace_path, model.n, model.m, _record_rows(records, survivors))
 
-    if not per_traj:
+    if not survivors.size:
         raise NumericError("all trajectories diverged; no summary available")
 
-    total = sum(s.count for s in per_traj)
-    gamma_count = sum(s.gamma_count for s in per_traj)
-    alarm_count = sum(s.alarm_count for s in per_traj)
-    bias_means = np.vstack([s.bias_sum / s.count for s in per_traj])
-    emp_bias = sum(s.bias_sum for s in per_traj) / total
-    emp_cov_trace = sum(s.err_sq_sum for s in per_traj) / total
-    z_mean = sum(s.z_sum for s in per_traj) / total
-    z_cov = sum(s.z_outer for s in per_traj) / total - np.outer(z_mean, z_mean)
-    eps_mean = sum(s.eps_sum for s in per_traj) / total
-    eps_var = sum(s.eps_sq for s in per_traj) / total - eps_mean**2
-    lag_total = total - len(per_traj)  # one fewer lagged pair per trajectory
+    # Each record is reduced over the steps of the post-burn-in window, on
+    # views spanning every trajectory, and only then are the survivors' rows
+    # of the small (T, k) sums kept. Python's sum adds those rows one after
+    # another in index order; ndarray.sum over the trajectory axis would be
+    # pairwise for scalars and for k == 1, which rounds differently.
+    post = slice(config.burn_in, config.steps)
+    count = config.steps - config.burn_in
+    total = count * survivors.size
+    xa, z, eps = records.xa[:, post], records.z[:, post], records.eps[:, post]
+    with np.errstate(all="ignore"):  # diverged slices carry nan and inf
+        err = xa - records.x[:, post]
+        err -= theory_bias  # in place: one window-sized temporary at a time
+        err_sq = np.square(err, out=err).sum(axis=(1, 2))[survivors]
+        del err
+        bias_sums = (xa - records.xn[:, post]).sum(axis=1)[survivors]
+        z_sum = z.sum(axis=1)[survivors]
+        z_outer = (z.swapaxes(1, 2) @ z)[survivors]
+        eps_sum = eps.sum(axis=1)[survivors]
+        eps_sq = (eps * eps).sum(axis=1)[survivors]
+        eps_lag = (eps[:, 1:] * eps[:, :-1]).sum(axis=1)[survivors]
+        g_sum = records.g[:, post].sum(axis=1)[survivors]
+        cancellation_max = 0.0
+        if config.attack_mode == "two_channel":
+            win = slice(config.attack_start, config.steps)
+            zn_win = records.zn[:, win]
+            gap = np.abs(records.z[:, win] - zn_win)
+            gap /= 1.0 + np.abs(zn_win)
+            cancellation_max = float(gap.max(axis=(1, 2))[survivors].max())
+
+    gamma_count = int(records.gamma[survivors, post].sum())
+    alarm_count = int(records.alarm[survivors, post].sum())
+    z_mean = sum(z_sum) / total
+    z_cov = sum(z_outer) / total - np.outer(z_mean, z_mean)
+    eps_mean = sum(eps_sum) / total
+    eps_var = sum(eps_sq) / total - eps_mean**2
+    lag_total = total - survivors.size  # one fewer lagged pair per trajectory
     if lag_total > 0 and np.all(eps_var > 0):
-        eps_lag1 = (sum(s.eps_lag1 for s in per_traj) / lag_total - eps_mean**2) / eps_var
+        eps_lag1 = (sum(eps_lag) / lag_total - eps_mean**2) / eps_var
     else:
         eps_lag1 = np.full(model.m, np.nan)
 
     summary = SimulationSummary(
         comm_rate=gamma_count / total,
         alarm_rate=alarm_count / total,
-        emp_bias=emp_bias,
-        emp_cov_trace=emp_cov_trace,
+        emp_bias=sum(bias_sums) / total,
+        emp_cov_trace=sum(err_sq.tolist()) / total,
         theory_bias=theory_bias,
         theory_cov_trace=theory_cov_trace,
         analytic_trigger=trigger_probability(params, config.beta, model.m),
         analytic_alarm=alarm_probability(params, config.detector.sigma, model.m),
-        step_count=config.steps - config.burn_in,
-        trajectory_count=len(per_traj),
+        step_count=count,
+        trajectory_count=survivors.size,
     )
     return RunResult(
         summary=summary,
-        traj_bias_means=bias_means,
+        traj_bias_means=bias_sums / count,
         sensor_innovation_mean=z_mean,
         sensor_innovation_cov=z_cov,
         eps_mean=eps_mean,
         eps_var=eps_var,
         eps_lag1=eps_lag1,
-        g_mean=sum(s.g_sum for s in per_traj) / total,
-        cancellation_max=max(s.cancel_max for s in per_traj),
-        filter_prior_trace=sum(s.p_trace_sum for s in per_traj) / total,
+        g_mean=sum(g_sum.tolist()) / total,
+        cancellation_max=cancellation_max,
         gamma_count=gamma_count,
         alarm_count=alarm_count,
-        diverged=diverged,
+        diverged=np.flatnonzero(records.diverged).tolist(),
     )
 
 

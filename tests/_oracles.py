@@ -167,7 +167,6 @@ def simulate_trajectory_reference(config, traj: int) -> dict:
         "gamma": np.empty(steps, dtype=bool),
         "alarm": np.empty(steps, dtype=bool),
         "g": np.empty(steps),
-        "ptr": np.empty(steps),
         "x": np.empty((steps, n)),
         "xn": np.empty((steps, n)),
         "xa": np.empty((steps, n)),
@@ -212,8 +211,7 @@ def simulate_trajectory_reference(config, traj: int) -> dict:
             xn_post = filt.x_post  # no attack yet: the filter is the nominal estimator
 
         for key, value in (
-            ("gamma", gamma), ("alarm", alarm), ("g", g), ("ptr", filt.P_prior.trace()),
-            ("x", plant.x), ("xn", xn_post), ("xa", filt.x_post), ("z", z_sensor),
+            ("gamma", gamma), ("alarm", alarm), ("g", g), ("x", plant.x), ("xn", xn_post), ("xa", filt.x_post), ("z", z_sensor),
             ("zn", z_nominal), ("eps", eps_sensor), ("epst", eps_received),
         ):
             rec[key][k] = value
@@ -231,3 +229,68 @@ def reference_trace_rows(rec: dict, traj: int) -> list:
          rec["xn"][k], rec["xa"][k], rec["z"][k], rec["eps"][k], rec["epst"][k])
         for k in range(len(rec["g"]))
     ]
+
+
+def reference_summary(records_by_traj: list, config, theory_bias: np.ndarray) -> dict:
+    """The post-burn-in aggregates by a plain loop over trajectories.
+
+    records_by_traj holds the surviving trajectories' records, as
+    `simulate_trajectory_reference` returns them, in index order. Each
+    trajectory is reduced on its own, and the sums are added one
+    trajectory after another. Keys are the `RunResult` fields and the
+    empirical `SimulationSummary` fields.
+    """
+    post = slice(config.burn_in, config.steps)
+    count = config.steps - config.burn_in
+    total = count * len(records_by_traj)
+    acc = dict.fromkeys(("gamma", "alarm", "bias", "err_sq", "z", "zz", "eps", "eps_sq", "lag", "g"), 0)
+    bias_means, cancellation_max = [], 0.0
+    for rec in records_by_traj:
+        xa, z, eps = rec["xa"][post], rec["z"][post], rec["eps"][post]
+        err = xa - rec["x"][post] - theory_bias
+        bias = (xa - rec["xn"][post]).sum(axis=0)
+        bias_means.append(bias / count)
+        for key, value in (
+            ("gamma", int(rec["gamma"][post].sum())),
+            ("alarm", int(rec["alarm"][post].sum())),
+            ("bias", bias),
+            ("err_sq", float((err * err).sum())),
+            ("z", z.sum(axis=0)),
+            ("zz", z.T @ z),
+            ("eps", eps.sum(axis=0)),
+            ("eps_sq", (eps * eps).sum(axis=0)),
+            ("lag", (eps[1:] * eps[:-1]).sum(axis=0)),
+            ("g", float(rec["g"][post].sum())),
+        ):
+            acc[key] = acc[key] + value
+        if config.attack_mode == "two_channel":
+            z_win, zn_win = rec["z"][config.attack_start:], rec["zn"][config.attack_start:]
+            gap = np.abs(z_win - zn_win) / (1.0 + np.abs(zn_win))
+            cancellation_max = max(cancellation_max, float(gap.max()))
+
+    z_mean = acc["z"] / total
+    eps_mean = acc["eps"] / total
+    eps_var = acc["eps_sq"] / total - eps_mean**2
+    lag_total = total - len(records_by_traj)  # one fewer lagged pair per trajectory
+    if lag_total > 0 and np.all(eps_var > 0):
+        eps_lag1 = (acc["lag"] / lag_total - eps_mean**2) / eps_var
+    else:
+        eps_lag1 = np.full(config.model.m, np.nan)
+    return {
+        "comm_rate": acc["gamma"] / total,
+        "alarm_rate": acc["alarm"] / total,
+        "emp_bias": acc["bias"] / total,
+        "emp_cov_trace": acc["err_sq"] / total,
+        "step_count": count,
+        "trajectory_count": len(records_by_traj),
+        "traj_bias_means": np.vstack(bias_means),
+        "sensor_innovation_mean": z_mean,
+        "sensor_innovation_cov": acc["zz"] / total - np.outer(z_mean, z_mean),
+        "eps_mean": eps_mean,
+        "eps_var": eps_var,
+        "eps_lag1": eps_lag1,
+        "g_mean": acc["g"] / total,
+        "cancellation_max": cancellation_max,
+        "gamma_count": acc["gamma"],
+        "alarm_count": acc["alarm"],
+    }

@@ -13,7 +13,12 @@ import eventfdi as ef
 from eventfdi import ConfigError, NumericError
 from eventfdi import harness
 
-from _oracles import random_psd, reference_trace_rows, simulate_trajectory_reference
+from _oracles import (
+    random_psd,
+    reference_summary,
+    reference_trace_rows,
+    simulate_trajectory_reference,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO = REPO / "scenarios" / "paper_sec5.json"
@@ -23,10 +28,10 @@ SCHEMA = REPO / "docs" / "config_schema.json"
 class TestConfigLoading:
     def test_paper_file_loads(self):
         config = ef.load_config(SCENARIO)
-        assert config.sigma == 11.34
+        assert config.detector.sigma == 11.34
         assert config.beta == 1.4
-        assert config.upsilon == 0.01
-        assert config.solver_dof == 3
+        assert config.detector.upsilon == 0.01
+        assert config.detector.dof == 3
         assert config.attack_mode == "two_channel"
         assert config.model.m == 2 and config.model.n == 3
 
@@ -45,7 +50,7 @@ class TestConfigLoading:
         payload = dict(paper_payload)
         payload.pop("sigma")
         config = ef.config_from_dict(payload)
-        assert config.sigma == pytest.approx(11.345, abs=5e-3)
+        assert config.detector.sigma == pytest.approx(11.345, abs=5e-3)
 
     def test_attack_params_solved_when_absent(self, paper_config):
         assert paper_config.attack_params.mu == pytest.approx(2.7705, abs=5e-3)
@@ -356,13 +361,14 @@ def _random_stable_payload(n, m, trajectories, mode, seed) -> dict:
 
 
 class TestBatchedCore:
-    """The batched step loop against the scalar reference loop, bit for bit."""
+    """The batched step loop and its summary against the scalar reference loop, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(1, 6),
         m=st.integers(1, 4),
-        trajectories=st.sampled_from([1, 2, 5]),
+        # 12 trajectories: enough for a pairwise sum across them to round differently
+        trajectories=st.sampled_from([1, 2, 5, 12]),
         mode=st.sampled_from(harness.ATTACK_MODES),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -370,22 +376,27 @@ class TestBatchedCore:
         config = ef.config_from_dict(_random_stable_payload(n, m, trajectories, mode, seed))
         records = harness._simulate(config)
         assert not records.diverged.any()
-        post = slice(config.burn_in, config.steps)
-        rows, gammas, alarms = [], 0, 0
-        for traj in range(trajectories):
-            reference = simulate_trajectory_reference(config, traj)
+        references = [simulate_trajectory_reference(config, traj) for traj in range(trajectories)]
+        rows = []
+        for traj, reference in enumerate(references):
             for key, column in reference.items():
                 assert np.array_equal(getattr(records, key)[traj], column), (key, traj)
             rows += reference_trace_rows(reference, traj)
-            gammas += int(reference["gamma"][post].sum())
-            alarms += int(reference["alarm"][post].sum())
 
         with tempfile.TemporaryDirectory() as tmp:
             batched, scalar = Path(tmp) / "batched.csv", Path(tmp) / "scalar.csv"
             result = ef.run_scenario(config, trace_path=batched)
             ef.write_trace(rows, scalar)
             assert batched.read_bytes() == scalar.read_bytes()
-        assert (result.gamma_count, result.alarm_count) == (gammas, alarms)
+
+        expected = reference_summary(references, config, result.summary.theory_bias)
+        summary = result.summary.to_dict()
+        theory = {"theory_bias", "theory_cov_trace", "analytic_trigger", "analytic_alarm"}
+        assert set(expected) == set(summary) - theory | set(vars(result)) - {"summary", "diverged"}
+        assert result.diverged == []
+        for key, value in expected.items():
+            actual = summary[key] if key in summary else getattr(result, key)
+            assert np.array_equal(actual, value, equal_nan=True), key
 
 
 class TestWriteTrace:

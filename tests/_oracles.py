@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the code paths under test: survival
 functions come from quadrature of the Bessel-form noncentral chi-square
-density, matrix maps from explicit elementwise loops, Lyapunov fixed points
-from a Kronecker solve.
+density or from 50-digit mpmath sums, matrix maps from explicit elementwise
+loops, Lyapunov fixed points from a Kronecker solve.
 """
 
 import math
+from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 from scipy import integrate
 from scipy import special as sp
@@ -29,7 +31,9 @@ def ncx2_survival_quad(x: float, dof: int, lam: float) -> float:
     """Pr(V >= x) for noncentral chi-square by integrating the density.
 
     The density is written through the exponentially scaled Bessel function
-    so the integrand stays in range for large noncentrality.
+    so the integrand stays in range for large noncentrality. The range is cut
+    at every second standard deviation of the bulk, out to 10 of them, so
+    quad cannot step over a peak that lies far beyond x.
     """
     if x <= 0.0:
         return 1.0
@@ -52,13 +56,111 @@ def ncx2_survival_quad(x: float, dof: int, lam: float) -> float:
                 * sp.ive(dof / 2.0 - 1.0, arg)
             )
 
-    val, _ = integrate.quad(dens, x, np.inf, epsabs=1e-11, epsrel=1e-11, limit=400)
-    return val
+    mean, sd = dof + lam, math.sqrt(2.0 * (dof + 2.0 * lam))
+    edges = [x] + [mean + k * sd for k in range(-10, 11, 2) if mean + k * sd > x] + [np.inf]
+    return sum(
+        integrate.quad(dens, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=400)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
 
 
 def marcum_quad(nu: float, a: float, b: float) -> float:
     """Marcum Q by the quadrature oracle (2*nu dof, noncentrality a^2, at b^2)."""
     return ncx2_survival_quad(b * b, int(round(2 * nu)), a * a)
+
+
+def _upper_gamma_regularized(s, y):
+    """Gamma(s, y) / Gamma(s) in mpmath.
+
+    mpmath's own gammainc gives up on non-integer orders near a million and
+    above; there the value is 1 - P(s, y), with P by the positive Kummer
+    series P = y^s e^(-y) / Gamma(s + 1) * 1F1(1; s + 1; y).
+    """
+    try:
+        return mpmath.gammainc(s, y, mpmath.inf, regularized=True)
+    except mpmath.libmp.NoConvergence:
+        scale = mpmath.exp(s * mpmath.log(y) - y - mpmath.loggamma(s + 1))
+        return 1 - scale * mpmath.hyp1f1(1, s + 1, y, maxterms=10**7)
+
+
+def marcum_mpmath(nu: float, a: float, b: float) -> float:
+    """Marcum Q as a 50-digit Poisson sum of regularized upper incomplete gammas.
+
+    Q_nu(a, b) = sum_j p_j S_j with p_j = pois(j; lam = a^2/2) and
+    S_j = Gamma(nu + j, y = b^2/2) / Gamma(nu + j), summed outward from the
+    Poisson mode j0. p_j0, S_j0 and e_j0 = S_{j0+1} - S_j0 come from mpmath;
+    the other terms follow by the recurrences p_{j+1} = p_j lam/(j+1),
+    S_{j+1} = S_j + e_j and e_{j+1} = e_j y/(nu+j+1), run in Python's
+    decimal at 50 digits, which is several times faster than mpf for the
+    ~2e5 terms that lam ~ 3e8 needs. Each side stops once a bound on its
+    neglected mass is below 1e-20 of the sum: below the mode the weights
+    fall away from it and S falls with j, so that mass is at most p_j j S_j;
+    above it the weight ratio past j is at most lam/(j+1) < 1 and S <= 1,
+    so it is at most p_j lam/(j+1-lam).
+    """
+    with mpmath.workdps(60):
+        lam = mpmath.mpf(a) ** 2 / 2
+        y = mpmath.mpf(b) ** 2 / 2
+        if y == 0:
+            return 1.0
+        if lam == 0:
+            return float(_upper_gamma_regularized(mpmath.mpf(nu), y))
+        j0 = int(mpmath.floor(lam))
+        start = (
+            mpmath.exp(j0 * mpmath.log(lam) - lam - mpmath.loggamma(j0 + 1)),
+            _upper_gamma_regularized(nu + j0, y),
+            mpmath.exp((nu + j0) * mpmath.log(y) - y - mpmath.loggamma(nu + j0 + 1)),
+        )
+        p0, s0, e0, lam, y = (Decimal(mpmath.nstr(v, 55)) for v in (*start, lam, y))
+
+    with localcontext(prec=50):
+        nu = Decimal(nu)
+        tol = Decimal("1e-20")
+        total = p0 * s0
+
+        p, s, e, j = p0, s0, e0, j0
+        while j > 0:
+            e = e * (nu + j) / y
+            s -= e
+            p = p * j / lam
+            j -= 1
+            total += p * s
+            if p * j * s < tol * total:
+                break
+
+        p, s, e, j = p0, s0, e0, j0
+        while True:
+            s += e
+            e = e * y / (nu + j + 1)
+            p = p * lam / (j + 1)
+            j += 1
+            total += p * s
+            if j + 1 > lam and p * lam < tol * total * (j + 1 - lam):
+                break
+        return float(total)
+
+
+def chi2_quantile_mpmath(upper_tail: float, dof: int) -> float:
+    """The s with Pr(chi^2_dof >= s) = upper_tail, by a 50-digit mpmath root.
+
+    Newton's method on log(survival) - log(upper_tail) in t = log(s), from a
+    float seed; it runs until the step is below 1e-30, so the seed only
+    decides how many steps that takes. The derivative in t is
+    -s pdf(s) / survival(s).
+    """
+    with mpmath.workdps(50):
+        k = mpmath.mpf(dof) / 2
+        target = mpmath.log(upper_tail)
+        t = mpmath.log(sp.gammainccinv(dof / 2, upper_tail) * 2)
+        for _ in range(50):
+            s = mpmath.exp(t)
+            survival = mpmath.gammainc(k, s / 2, mpmath.inf, regularized=True)
+            density = mpmath.exp((k - 1) * mpmath.log(s) - s / 2 - k * mpmath.log(2) - mpmath.loggamma(k))
+            step = (mpmath.log(survival) - target) * survival / (s * density)
+            t += step
+            if abs(step) < 1e-30:
+                return float(mpmath.exp(t))
+        raise AssertionError("chi2_quantile_mpmath did not converge")
 
 
 def matmul_loops(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

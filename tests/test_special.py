@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize
 
 from eventfdi import (
     DomainError,
@@ -16,7 +17,7 @@ from eventfdi import (
     noncentral_chi2_survival,
 )
 
-from _oracles import gaussian_tail_quad, marcum_quad
+from _oracles import chi2_quantile_mpmath, gaussian_tail_quad, marcum_mpmath, marcum_quad
 
 
 class TestGaussianQ:
@@ -114,6 +115,12 @@ class TestChi2:
         v = chi2_quantile(0.05, 3)
         assert chi2_survival(v, 3) == pytest.approx(0.05, abs=1e-8)
 
+    @pytest.mark.parametrize("dof", [1, 2, 3, 5, 8, 13, 24, 40])
+    def test_quantile_vs_mpmath_root(self, dof):
+        for upper_tail in (1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.3, 0.5, 0.9, 0.999):
+            ref = chi2_quantile_mpmath(upper_tail, dof)
+            assert chi2_quantile(upper_tail, dof) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_domains(self):
         with pytest.raises(DomainError):
             chi2_survival(-1.0, 3)
@@ -150,25 +157,57 @@ class TestMarcumQ:
         # odd dof of 21 and 41: the orders an odd solver_dof >= 11 reaches
         assert marcum_q(nu, a, b) == pytest.approx(marcum_quad(nu, a, b), abs=1e-10)
 
+    @pytest.mark.parametrize("nu", [0.5, 4.5, 12.0, 24.5])
+    def test_wide_grid_vs_oracle(self, nu):
+        # the orders of solver_dof up to 49, a^2/2 up to 450, Q from 1 down
+        # past the resolution of the quadrature
+        for a in np.linspace(0.0, 30.0, 7):
+            for b in np.linspace(0.0, 35.0, 8):
+                got = marcum_q(nu, float(a), float(b))
+                assert got == pytest.approx(marcum_quad(nu, float(a), float(b)), abs=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 3.0, 7.5, 12.0])
+    def test_deep_tail_relative_vs_mpmath(self, nu):
+        # relative accuracy over Q in [1e-15, 1e-3], where an absolute check
+        # cannot tell a value from 0; b is placed at each decade of Q
+        for a in (0.0, 0.5, 3.0, 6.0, 9.0):
+            for target in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+                b = optimize.brentq(
+                    lambda b: math.log(max(marcum_q(nu, a, b), 1e-300) / target),
+                    a,
+                    a + 40.0,
+                    xtol=1e-6,
+                )
+                ref = marcum_mpmath(nu, a, b)
+                assert 0.5 * target < ref < 2.0 * target
+                assert marcum_q(nu, a, b) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize(
         "nu, a, b", [(1.0, 24828.2, 24828.2), (1.5, 3000.0, 3000.5), (2.0, 1000.0, 1000.3)]
     )
-    def test_large_noncentrality_near_half_vs_scipy(self, nu, a, b):
-        # a^2/2 from 5e5 to 3e8 with Q near 1/2: the Poisson weights there
-        # must not lose eps * lam * log(lam) to cancellation
-        ref = stats.ncx2.sf(b * b, 2 * nu, a * a)
-        assert marcum_q(nu, a, b) == pytest.approx(ref, abs=1e-10)
+    def test_large_noncentrality_near_half_vs_mpmath(self, nu, a, b):
+        # a^2/2 from 5e5 to 3e8 with Q near 1/2, where a Poisson sum loses
+        # eps * lam * log(lam) if its weights are formed carelessly
+        assert marcum_q(nu, a, b) == pytest.approx(marcum_mpmath(nu, a, b), rel=1e-12, abs=0.0)
 
     def test_saturated_tail_at_huge_noncentrality(self):
-        # a^2/2 ~ 3e8, far in either tail: the saturation bounds must decide,
-        # whatever the last bit of a
+        # a^2/2 ~ 3e8, some 1e4 standard deviations into either tail: the
+        # value rounds to 0 or 1 whatever the last bit of a
         a, b = 24828.218405709555, 33674.916480965476
         assert marcum_q(1.0, a, b) == 0.0
         assert marcum_q(1.0, b, a) == 1.0
         assert marcum_q(1.5, a, b) == 0.0
         assert marcum_q(1.0, math.nextafter(a, 0.0), b) == 0.0
 
+    def test_tiny_b_is_not_rounded_to_one(self):
+        # Q_0.5(0, b) = erfc(b / sqrt 2) falls from 1 linearly in b
+        for b in (1e-7, 1e-9):
+            assert 1.0 - marcum_q(0.5, 0.0, b) == pytest.approx(
+                b * math.sqrt(2 / math.pi), rel=1e-6
+            )
+
     def test_small_a_routes_to_central(self):
+        # a^2/2 = 5e-19: within rounding of the central survival
         for nu in (0.5, 1.0, 1.5):
             dof = int(round(2 * nu))
             assert marcum_q(nu, 1e-9, 2.0) == pytest.approx(

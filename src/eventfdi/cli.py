@@ -39,7 +39,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        self.exit(EXIT_VALIDATION, f"eventfdi: error: {message}\n")
+
+
+def _mu_grid(text: str) -> list:
+    """The --mu-grid value: comma-separated scaling values."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _emit(payload: dict) -> None:
@@ -121,8 +131,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args)
     steady = riccati_fixed_point(config.model)
-    grid = [float(v) for v in args.mu_grid.split(",")]
-    points = analysis.mu_sweep(grid, steady, config.model)
+    points = analysis.mu_sweep(args.mu_grid, steady, config.model)
     lines = ["mu,trace"]
     for p in points:
         lines.append(f"{p.mu:.17g},{p.trace:.17g}" if p.error is None else f"{p.mu:.17g},nan")
@@ -264,7 +273,7 @@ def _build_parser() -> _Parser:
 
     swp = sub.add_parser("sweep", help="attacked-covariance fixed-point trace per scaling value")
     swp.add_argument("--config", default=None)
-    swp.add_argument("--mu-grid", dest="mu_grid", default="1,1.5,2,2.7705,5,10,100")
+    swp.add_argument("--mu-grid", dest="mu_grid", type=_mu_grid, default="1,1.5,2,2.7705,5,10,100")
     swp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     swp.set_defaults(func=_cmd_sweep)
 

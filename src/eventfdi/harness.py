@@ -34,6 +34,17 @@ elementwise ufunc or np.where; einsum, `X @ A.T` rewrites and `sum`
 contractions change the rounding and are not used. S is factorized in
 closed form elementwise for m <= 2 and by a stacked Cholesky for m >= 3.
 
+Covariance memo: under an attack the scheduler fires on almost every step,
+so the covariance recursion is nearly the Riccati map and keeps reaching
+P+ bits it reached before. On attacked steps (k >= attack_start) the run's
+_CovarianceMemo serves the prior (P, L, F, K) and the next P+ when it has
+seen every slice's (P+, gamma) before, and computes the step as above
+otherwise. It is exact: those values are functions of the P+ bits and
+gamma alone, F is served in the layout factor_stack gives it (np.matmul
+picks its kernel by strides), and the memo stops once a slice is flagged
+`failed`, whose identity factor is no function of P+. The attack-off path
+and the steps before the attack run no memo code.
+
 A trajectory diverges when its plant path or its estimates go non-finite
 or its innovation covariance stops being positive definite. It is masked,
 not raised: its slice carries nan without warnings, no operation mixes
@@ -44,7 +55,10 @@ are kept until the run ends, T * steps * (3n + 5m + 1) doubles; the
 noise block is freed before the filter loop, and the summary's reductions
 hold one or two window-sized temporaries at a time. The paper's 50 x 4200
 run peaks at about 37 MB, where a loop over one trajectory at a time
-needed about 1 MB.
+needed about 1 MB. The memo holds at most _MEMO_NODES nodes of
+n^2 + 2m^2 + nm doubles each, plus an n^2-double key: the paper's
+attacked runs make about 450 nodes at 10 x 700, 2,200 at 50 x 4200 and
+7,400 at 200 x 700, 1.5 MB and 3 MB of peak memory for the last two.
 """
 
 import itertools
@@ -405,6 +419,94 @@ def _noise(config: ScenarioConfig, traj: int) -> np.ndarray:
     return RandomSource(config.seed, traj).normal(n + config.steps * (n + m))
 
 
+_MEMO_NODES = 1 << 14  # distinct P+ one run's memo may hold
+_MEMO_GRACE = 128  # steps the memo may compute beyond those it serves before it stops
+
+
+class _CovarianceMemo:
+    """Exact memo of one run's filter covariance path, shared by its trajectories.
+
+    A node is one bit pattern of the posterior covariance P+ and owns the
+    prior computed from it, the next step's (P, L, F, K); (node, gamma) ->
+    node' is the P+ that step leaves. Each is a function of the P+ bits and
+    gamma alone, so a served step has the bits of a computed one. F keeps
+    the layout factor_stack gives it, since np.matmul picks its kernel by
+    strides: for m >= 3 that is a transposed view, so the table holds F^T.
+
+    The memo stops for the rest of the run when a slice is flagged
+    `failed` (factor_stack gave it the identity, which is no function of
+    P+), when the table would pass _MEMO_NODES, or when it has computed
+    _MEMO_GRACE more steps than it served (paths that rarely repeat).
+    """
+
+    def __init__(self, n: int, m: int, failed: np.ndarray):
+        self.failed = failed
+        self.f_view = m >= 3
+        self.index = {}  # P+ bytes -> node
+        self.tables = [np.empty((64, *shape)) for shape in ((n, n), (m, m), (m, m), (n, m))]
+        self.next = np.full((64, 2), -1)  # (node, gamma) -> node', -1 while unseen
+        self.live = True
+        self.lag = 0  # steps computed minus steps served
+        self.nodes = None  # node of each slice's P+, when all are known
+        self.held = None  # nodes of the stacks in self.stacks
+        self.stacks = None
+        self.last = None  # (nodes, gamma) of the previous step, linked once its P+ is found
+
+    def prior(self, P_post, compute):
+        """(P, L, F, K) of every slice's next step, served or computed by compute(P_post).
+
+        P_post is read only when some slice's next node is not known.
+        """
+        nodes = self.nodes
+        if nodes is None and self.live:
+            keys = [p.tobytes() for p in P_post]
+            found = [self.index.get(key, -1) for key in keys]
+            if -1 not in found:
+                nodes = np.array(found)
+        if nodes is None:
+            self.stacks = compute(P_post)
+            self.lag += 1
+            self.live = self.live and self.lag <= _MEMO_GRACE and not self.failed.any()
+            if self.live:
+                nodes = self._add(keys, self.stacks)
+        else:
+            self.lag -= 1
+            if self.held is None or nodes.tobytes() != self.held.tobytes():
+                P, L, F, K = (table[nodes] for table in self.tables)
+                self.stacks = P, L, F.swapaxes(-1, -2) if self.f_view else F, K
+        if self.nodes is None and nodes is not None and self.last is not None:
+            self.next[self.last] = nodes
+        self.nodes = self.held = nodes
+        return self.stacks
+
+    def advance(self, gamma: np.ndarray) -> bool:
+        """Whether every slice's next P+ is known from its node and gamma."""
+        if self.nodes is None:
+            self.last = None
+            return False
+        self.last = (self.nodes, gamma.view(np.int8))
+        nxt = self.next[self.last]
+        self.nodes = nxt if nxt.min() >= 0 else None
+        return self.nodes is not None
+
+    def _add(self, keys, stacks):
+        """Every slice's node, new ones numbered in turn; None (and stop) if the table is full.
+
+        All slices are written: a known node gets the bits it already holds.
+        """
+        if len(self.index) + len(keys) > _MEMO_NODES:
+            self.live = False
+            return None
+        nodes = np.array([self.index.setdefault(key, len(self.index)) for key in keys])
+        while len(self.index) > len(self.next):
+            self.tables = [np.concatenate([a, np.empty_like(a)]) for a in self.tables]
+            self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
+        P, L, F, K = stacks
+        for table, stack in zip(self.tables, (P, L, F.swapaxes(-1, -2) if self.f_view else F, K)):
+            table[nodes] = stack
+        return nodes
+
+
 @np.errstate(all="ignore")
 def _simulate(config: ScenarioConfig) -> _Records:
     """Advance every trajectory of the scenario together; see the module docstring.
@@ -444,20 +546,24 @@ def _simulate(config: ScenarioConfig) -> _Records:
     xns, xas = np.empty((T, steps, n, 1)), np.empty((T, steps, n, 1))
     zs, zns, epss, epsts = (np.empty((T, steps, m, 1)) for _ in range(4))
 
+    def prior(P_post):
+        P = _sym(A @ P_post @ At + Q)
+        PCt = P @ Ct
+        L, F = factor_stack(_sym(C @ PCt + R), failed)
+        return P, L, F, (PCt @ F) @ F.swapaxes(-1, -2)
+
+    memo = _CovarianceMemo(n, m, failed) if attacked else None
     for k in range(steps):
+        active = attacked and k >= config.attack_start
         if k > 0:
             x_prior = A @ x_post
-            P = _sym(A @ P_post @ At + Q)
-            PCt = P @ Ct
-            L, F = factor_stack(_sym(C @ PCt + R), failed)
-            K = (PCt @ F) @ F.swapaxes(-1, -2)
+            P, L, F, K = memo.prior(P_post, prior) if active else prior(P_post)
         Ft = F.swapaxes(-1, -2)
         y = ys[:, k]
         # before the attack the nominal estimator is the filter, so A xn = x^-
         xn_prior = x_prior if k > 0 and xn_post is x_post else A @ xn_post
         z_nominal = y - C @ xn_prior
 
-        active = attacked and k >= config.attack_start
         if active:
             xt_prior = A @ xt_post
             if two_channel:
@@ -473,7 +579,8 @@ def _simulate(config: ScenarioConfig) -> _Records:
 
         gamma = ~(np.abs(eps_received).max(axis=(1, 2)) <= beta)
         fired = gamma[:, None, None]
-        P_post = _sym(P - np.where(fired, 1.0, kappa_beta) * (K @ (C @ P)))
+        if not (active and memo.advance(gamma)):
+            P_post = _sym(P - np.where(fired, 1.0, kappa_beta) * (K @ (C @ P)))
         x_post = np.where(fired, x_prior + K @ (L @ eps_received), x_prior)
         if active:
             Kz = K @ z_nominal

@@ -73,7 +73,14 @@ class TestSolve:
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--bogus", "1")
         assert code == 1
-        assert "usage" in err
+        assert err.startswith("usage: eventfdi solve")
+        assert err.splitlines()[-1].startswith("eventfdi: error: the following arguments are required")
+
+    def test_bad_number_names_the_argument(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--beta", "x")
+        assert code == 1
+        assert err.startswith("usage: eventfdi solve")
+        assert err.splitlines()[-1] == "eventfdi: error: argument --beta: invalid float value: 'x'"
 
 
 class TestSimulate:
@@ -142,6 +149,16 @@ class TestSweep:
         traces = [float(line.split(",")[1]) for line in lines[1:]]
         assert traces == sorted(traces)
         assert traces[-1] == pytest.approx(0.0915, abs=1e-3)
+
+    @pytest.mark.parametrize("grid", ["1,,2", "0.5,abc"])
+    def test_bad_grid_is_validation_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep", "--config", SCENARIO, "--mu-grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: eventfdi sweep")
+        assert err.splitlines()[-1] == (
+            f"eventfdi: error: argument --mu-grid: expected comma-separated numbers, got {grid!r}"
+        )
 
     def test_stdout_default(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--config", SCENARIO, "--mu-grid", "1,2")

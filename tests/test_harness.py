@@ -3,10 +3,11 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eventfdi as ef
@@ -309,6 +310,34 @@ class TestDivergence:
             config, tmp_path, monkeypatch, "factor_stack", corrupting
         )
 
+    def test_failed_slice_stops_the_memo(self, paper_payload, tmp_path, monkeypatch):
+        """Slice 1's S turns indefinite in the attack window on a step where it shares
+        its P+ node with slice 0 but not with slice 2. Its prior is then no function
+        of P+, so the memo must stop rather than record it under that node."""
+        config = ef.config_from_dict(dict(_three_channel_payload(paper_payload), seed=12))
+        memo_class, memos = harness._CovarianceMemo, []
+        monkeypatch.setattr(
+            harness, "_CovarianceMemo", lambda *args: memos.append(memo_class(*args)) or memos[-1]
+        )
+        real, calls, corrupted = harness.factor_stack, [], []
+
+        def corrupting(S, failed):
+            calls.append(None)
+            in_window = len(calls) >= config.attack_start  # one call per step until then
+            if in_window and not corrupted and _same_bits(S[0], S[1]) and not _same_bits(S[1], S[2]):
+                corrupted.append(len(calls))
+                S = S.copy()
+                S[1] = -S[1]
+            return real(S, failed)
+
+        self._assert_only_trajectory_1_masked(
+            config, tmp_path, monkeypatch, "factor_stack", corrupting
+        )
+        clean, faulty = memos
+        assert corrupted
+        assert clean.live and clean.lag < 0  # it served more steps than it computed
+        assert not faulty.live
+
     def test_unstable_plant_detected(self, tmp_path):
         payload = {
             "model": {
@@ -332,6 +361,10 @@ class TestDivergence:
         with pytest.raises(NumericError):
             ef.run_scenario(config, trace_path=tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
+
+
+def _same_bits(a, b) -> bool:
+    return a.tobytes() == b.tobytes()
 
 
 def _random_stable_payload(n, m, trajectories, mode, seed) -> dict:
@@ -358,6 +391,44 @@ def _random_stable_payload(n, m, trajectories, mode, seed) -> dict:
         attack_mode=mode,
         attack_params={"mu": float(rng.uniform(1.0, 5.0)), "delta_bar": float(rng.uniform(0, 3))},
     )
+
+
+def _memo_payload(n, m, trajectories, mode, seed) -> dict:
+    """200 steps with the attack from step 20; the scheduler stays silent on 0.05-0.5 %
+    of attacked steps, so the covariance recursion is nearly the Riccati map and
+    each trajectory's P+ keeps coming back to bits it had before."""
+    rng = np.random.default_rng([seed, 1])
+    payload = _random_stable_payload(n, m, trajectories, mode, seed)
+    mu = float(rng.uniform(1.5, 4.0))
+    silent = float(rng.uniform(5e-4, 5e-3))  # chance that the biased channel stays within beta
+    delta_bar = payload["beta"] + ef.gaussian_q_inv(silent) / mu
+    return dict(
+        payload, steps=200, burn_in=100, attack_start=20,
+        attack_params={"mu": mu, "delta_bar": delta_bar},
+    )
+
+
+def _first_revisit(config, gammas):
+    """First step whose P+ repeats, in every trajectory, bits of an earlier P+ of the
+    attack window (from attack_start - 1 on); None if there is none.
+
+    The covariance path follows the scalar recursion along the recorded
+    scheduler decisions.
+    """
+    model = config.model
+    revisits = []
+    for gamma in gammas:
+        filt, seen, hits = ef.initial_filter_state(model), set(), []
+        for k, fired in enumerate(gamma.tolist()):
+            if k > 0:
+                filt = ef.time_update(filt, model)
+            filt = ef.measurement_update(filt, np.zeros(model.m), int(fired), config.beta, model)
+            key = filt.P_post.tobytes()
+            hits.append(key in seen)
+            if k >= config.attack_start - 1:
+                seen.add(key)
+        revisits.append(hits)
+    return next((k for k, row in enumerate(zip(*revisits)) if all(row)), None)
 
 
 class TestBatchedCore:
@@ -397,6 +468,42 @@ class TestBatchedCore:
         for key, value in expected.items():
             actual = summary[key] if key in summary else getattr(result, key)
             assert np.array_equal(actual, value, equal_nan=True), key
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        trajectories=st.sampled_from([1, 3]),
+        mode=st.sampled_from(["forward_only", "two_channel"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_memo_matches_scalar_reference(self, n, m, trajectories, mode, seed):
+        """Long attack windows, where the covariance memo serves steps, bit for bit."""
+        config = ef.config_from_dict(_memo_payload(n, m, trajectories, mode, seed))
+        with mock.patch.object(harness, "factor_stack", wraps=harness.factor_stack) as spy:
+            records = harness._simulate(config)
+        assert not records.diverged.any()
+        for traj in range(trajectories):
+            for key, column in simulate_trajectory_reference(config, traj).items():
+                assert np.array_equal(getattr(records, key)[traj], column), (key, traj)
+
+        # Every P+ of the attack window becomes a node, so the step after a common
+        # revisit finds them all and is served, unless the memo has stopped, which
+        # takes _MEMO_GRACE more computed steps than served ones.
+        revisit = _first_revisit(config, records.gamma)
+        assume(revisit is not None and revisit < config.attack_start + harness._MEMO_GRACE)
+        assert spy.call_count < config.steps - 1
+
+    @pytest.mark.parametrize("mode", harness.ATTACK_MODES)
+    def test_memo_runs_only_in_the_attack_window(self, paper_payload, mode):
+        config = ef.config_from_dict(dict(paper_payload, steps=400, trajectories=3, attack_mode=mode))
+        with mock.patch.object(harness, "factor_stack", wraps=harness.factor_stack) as spy:
+            harness._simulate(config)
+        if mode == "off":
+            assert spy.call_count == config.steps - 1
+        else:
+            assert config.attack_start - 1 < spy.call_count < config.steps - 1
 
 
 class TestWriteTrace:

@@ -58,7 +58,7 @@ run peaks at about 37 MB, where a loop over one trajectory at a time
 needed about 1 MB. The memo holds at most _MEMO_NODES nodes of
 n^2 + 2m^2 + nm doubles each, plus an n^2-double key: the paper's
 attacked runs make about 450 nodes at 10 x 700, 2,200 at 50 x 4200 and
-7,400 at 200 x 700, 1.5 MB and 3 MB of peak memory for the last two.
+7,400 at 200 x 700, about 1 MB and 2 MB of peak memory for the last two.
 """
 
 import itertools
@@ -443,8 +443,10 @@ class _CovarianceMemo:
         self.failed = failed
         self.f_view = m >= 3
         self.index = {}  # P+ bytes -> node
-        self.tables = [np.empty((64, *shape)) for shape in ((n, n), (m, m), (m, m), (n, m))]
-        self.next = np.full((64, 2), -1)  # (node, gamma) -> node', -1 while unseen
+        # np.empty reserves the tables; only the rows written take memory
+        shapes = ((n, n), (m, m), (m, m), (n, m))
+        self.tables = [np.empty((_MEMO_NODES, *shape)) for shape in shapes]
+        self.next = np.full((_MEMO_NODES, 2), -1)  # (node, gamma) -> node', -1 while unseen
         self.live = True
         self.lag = 0  # steps computed minus steps served
         self.nodes = None  # node of each slice's P+, when all are known
@@ -498,9 +500,6 @@ class _CovarianceMemo:
             self.live = False
             return None
         nodes = np.array([self.index.setdefault(key, len(self.index)) for key in keys])
-        while len(self.index) > len(self.next):
-            self.tables = [np.concatenate([a, np.empty_like(a)]) for a in self.tables]
-            self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
         P, L, F, K = stacks
         for table, stack in zip(self.tables, (P, L, F.swapaxes(-1, -2) if self.f_view else F, K)):
             table[nodes] = stack

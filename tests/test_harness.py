@@ -469,8 +469,7 @@ class TestBatchedCore:
             actual = summary[key] if key in summary else getattr(result, key)
             assert np.array_equal(actual, value, equal_nan=True), key
 
-
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=15, deadline=None)
     @given(
         n=st.integers(1, 6),
         m=st.integers(1, 4),

@@ -446,7 +446,7 @@ class _CovarianceMemo:
         # np.empty reserves the tables; only the rows written take memory
         shapes = ((n, n), (m, m), (m, m), (n, m))
         self.tables = [np.empty((_MEMO_NODES, *shape)) for shape in shapes]
-        self.next = np.full((_MEMO_NODES, 2), -1)  # (node, gamma) -> node', -1 while unseen
+        self.next = np.empty((_MEMO_NODES, 2), dtype=int)  # (node, gamma) -> node', -1 while unseen
         self.live = True
         self.lag = 0  # steps computed minus steps served
         self.nodes = None  # node of each slice's P+, when all are known
@@ -499,7 +499,9 @@ class _CovarianceMemo:
         if len(self.index) + len(keys) > _MEMO_NODES:
             self.live = False
             return None
+        known = len(self.index)
         nodes = np.array([self.index.setdefault(key, len(self.index)) for key in keys])
+        self.next[known:len(self.index)] = -1
         P, L, F, K = stacks
         for table, stack in zip(self.tables, (P, L, F.swapaxes(-1, -2) if self.f_view else F, K)):
             table[nodes] = stack

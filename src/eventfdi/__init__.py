@@ -8,14 +8,11 @@ degradation against Monte Carlo runs.
 
 from .analysis import (
     BiasVector,
-    CovarianceTrajectory,
     SweepPoint,
     attacked_covariance_fixed_point,
     attacked_covariance_step,
-    covariance_trajectory,
     mu_sweep,
     open_loop_fixed_point,
-    open_loop_step,
     steady_bias,
 )
 from .attack import (
@@ -25,7 +22,6 @@ from .attack import (
     alarm_probability,
     attack_effect_update,
     feasible_delta_interval,
-    feedback_attack,
     forward_attack,
     solve_optimal_params,
     trigger_probability,
@@ -44,7 +40,6 @@ from .estimator import (
     SteadyState,
     initial_filter_state,
     innovation,
-    mahalanobis_factor,
     measurement_update,
     op_h,
     op_q_tilde,

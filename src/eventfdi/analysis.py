@@ -22,7 +22,8 @@ D = P C^T S^{-1} C P: a sweep takes two solves, whatever its length. Both
 terms are positive semi-definite, so the sum does not cancel, as
 X_open - (2/mu - 1/mu^2) X_W would near mu = 1 for a slow A. The one-step
 maps stay as the recursions' definition and as an independent residual
-check of the solves.
+check of the solves: attacked_covariance_step for the attacked recursion,
+and estimator.op_h, the time update, for the open loop.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from scipy import linalg
 
 from .attack import AttackParams
 from .errors import DivergenceError, DomainError
-from .estimator import SteadyState, _sym, op_h, op_q_tilde
+from .estimator import SteadyState, _sym, op_h
 from .model import SystemModel
 
 
@@ -42,21 +43,6 @@ class BiasVector:
 
     value: np.ndarray
     prior_value: np.ndarray
-
-
-@dataclass(frozen=True)
-class CovarianceTrajectory:
-    """A covariance recursion unrolled over time; kind names the recursion."""
-
-    kind: str
-    entries: tuple  # of (k, P) pairs
-
-    def __post_init__(self):
-        if self.kind not in ("nominal", "attacked", "open_loop"):
-            raise DomainError(f"unknown trajectory kind {self.kind!r}")
-
-    def traces(self):
-        return [(k, float(np.trace(P))) for k, P in self.entries]
 
 
 @dataclass(frozen=True)
@@ -98,9 +84,7 @@ def attacked_covariance_step(
     model: SystemModel,
 ) -> np.ndarray:
     """One step of the attacked-covariance recursion, symmetrized."""
-    return _sym(model.A @ np.asarray(P_a, dtype=float) @ model.A.T + model.Q) - _injection_term(
-        params, steady, model
-    )
+    return op_h(P_a, model) - _injection_term(params, steady, model)
 
 
 def _check_stable(model: SystemModel, name: str) -> None:
@@ -132,40 +116,10 @@ def attacked_covariance_fixed_point(
     )
 
 
-def open_loop_step(P_o: np.ndarray, model: SystemModel) -> np.ndarray:
-    """Lyapunov recursion P <- A P A^T + Q (the estimator with no corrections at all)."""
-    return _sym(model.A @ np.asarray(P_o, dtype=float) @ model.A.T + model.Q)
-
-
 def open_loop_fixed_point(model: SystemModel) -> np.ndarray:
-    """Fixed point of the Lyapunov recursion; exists iff A is stable."""
+    """Fixed point of P <- op_h(P) = A P A^T + Q, the estimator with no
+    corrections at all; exists iff A is stable."""
     return _lyapunov_fixed_point(model, model.Q, "open-loop")
-
-
-def covariance_trajectory(
-    kind: str,
-    n_steps: int,
-    model: SystemModel,
-    steady: SteadyState | None = None,
-    params: AttackParams | None = None,
-    start: np.ndarray | None = None,
-) -> CovarianceTrajectory:
-    """Unroll one of the covariance recursions from `start` (default Q) for n_steps."""
-    P = np.asarray(start, dtype=float) if start is not None else model.Q.copy()
-    entries = [(0, P.copy())]
-    for k in range(1, int(n_steps) + 1):
-        if kind == "open_loop":
-            P = open_loop_step(P, model)
-        elif kind == "attacked":
-            if steady is None or params is None:
-                raise DomainError("attacked trajectory needs steady state and attack params")
-            P = attacked_covariance_step(P, params, steady, model)
-        elif kind == "nominal":
-            P = op_h(op_q_tilde(P, 1.0, model), model)
-        else:
-            raise DomainError(f"unknown trajectory kind {kind!r}")
-        entries.append((k, P.copy()))
-    return CovarianceTrajectory(kind=kind, entries=tuple(entries))
 
 
 def mu_sweep(
@@ -178,11 +132,12 @@ def mu_sweep(
     carries the error instead. The grid must be ascending; the
     resulting traces are checked to be nondecreasing, and every fixed point
     must dominate the mu = 1 point in the positive semi-definite order
-    (eigenvalue tolerance 1e-9).
+    (eigenvalue tolerance 1e-9). Every entry must be >= 1 (nan is not);
+    inf is the open-loop limit.
     """
     mus = [float(mu) for mu in mu_grid]
-    if any(mu < 1.0 for mu in mus):
-        raise DomainError("mu grid entries must be >= 1")
+    if not all(mu >= 1.0 for mu in mus):
+        raise DomainError(f"mu grid entries must be >= 1, got {mus!r}")
     if any(b < a for a, b in zip(mus, mus[1:])):
         raise DomainError("mu grid must be sorted ascending")
 

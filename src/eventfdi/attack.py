@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from .detector import check_thresholds
 from .errors import ConfigError, DomainError
 from .estimator import SteadyState
 from .model import SystemModel
@@ -47,10 +48,10 @@ class AttackParams:
             raise DomainError("delta may have at most one nonzero component")
 
     @classmethod
-    def scalar_bias(cls, mu: float, delta_bar: float, m: int, position: int = 0):
-        """Bias in one component (any position works; the channels are exchangeable)."""
+    def scalar_bias(cls, mu: float, delta_bar: float, m: int):
+        """Bias in the first component (the channels are exchangeable)."""
         delta = np.zeros(int(m))
-        delta[position] = float(delta_bar)
+        delta[0] = float(delta_bar)
         return cls(mu=float(mu), delta=delta)
 
     @classmethod
@@ -84,7 +85,7 @@ class AttackState:
     """Attack-effect bookkeeping: xtilde = xhat_attacked - xhat_nominal.
 
     Starts at zero (the attack begins with the estimator at steady state);
-    the feedback injection follows from it by feedback_attack.
+    the feedback injection is alpha = -C xtilde^-.
     """
 
     x_tilde_prior: np.ndarray
@@ -143,11 +144,6 @@ def attack_effect_update(
     return AttackState(x_tilde_prior=x_prior, x_tilde_post=x_post)
 
 
-def feedback_attack(state: AttackState, model: SystemModel) -> np.ndarray:
-    """Feedback-channel injection alpha = -C xtilde^-, cancelling the forward effect."""
-    return -(model.C @ state.x_tilde_prior)
-
-
 def trigger_probability(params: AttackParams, beta: float, m: int) -> float:
     """Exact Pr(||eps_tilde||_inf > beta) under the forward attack.
 
@@ -196,12 +192,7 @@ def solve_optimal_params(
     """
     beta = float(beta)
     sigma = float(sigma)
-    if not (0.0 <= beta < math.sqrt(sigma)):
-        raise ConfigError(
-            f"solver requires 0 <= beta < sqrt(sigma): beta={beta!r}, "
-            f"sqrt(sigma)={math.sqrt(sigma):.6f}",
-            field="beta",
-        )
+    check_thresholds(beta, sigma)
     if m is None:
         m = dof
     psi_level = criteria.Psi
@@ -258,9 +249,10 @@ def feasible_delta_interval(
     low is the trigger boundary beta + Psi/mu; high is the bias at which the
     Marcum detector boundary is hit. Empty when mu is below the optimum.
     """
-    mu = float(mu)
+    mu, sigma = float(mu), float(sigma)
+    check_thresholds(beta, sigma)
     psi_level = criteria.Psi
-    root_sigma = math.sqrt(float(sigma))
+    root_sigma = math.sqrt(sigma)
     low = beta + psi_level / mu
 
     def gap(delta_bar: float) -> float:

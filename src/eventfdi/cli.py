@@ -35,7 +35,10 @@ EXIT_NUMERIC = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage errors with exit code 1."""
+    """argparse with exit code 1 on usage errors and no abbreviations (--m is not --mu)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -59,7 +62,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_solve(args) -> int:
     criteria = SuccessCriteria(M=args.target_M, Upsilon=args.upsilon)
-    params = solve_optimal_params(args.beta, args.sigma, criteria, args.dof, m=args.m)
+    params = solve_optimal_params(args.beta, args.sigma, criteria, args.dof)
     psi = criteria.Psi
     out = {
         "mu_star": params.mu,
@@ -252,7 +255,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--upsilon", type=float, required=True)
     solve.add_argument("--target-M", dest="target_M", type=float, required=True)
     solve.add_argument("--dof", type=int, required=True)
-    solve.add_argument("--m", type=int, default=None, help="bias vector dimension (default dof)")
     solve.add_argument(
         "--mu", type=float, default=None, help="also report the feasible bias interval at this scaling"
     )

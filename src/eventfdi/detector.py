@@ -44,21 +44,30 @@ def test(g: float, config: DetectorConfig) -> int:
     return 1 if g >= config.sigma else 0
 
 
+def check_thresholds(beta: float, sigma: float) -> None:
+    """Require a positive, finite sigma and 0 <= beta < sqrt(sigma), else raise ConfigError
+    on 'sigma' or 'beta' (with beta >= sqrt(sigma) every transmitted innovation alarms)."""
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ConfigError(f"sigma must be positive and finite, got {sigma!r}", field="sigma")
+    if not (0.0 <= beta < math.sqrt(sigma)):
+        raise ConfigError(
+            f"thresholds must satisfy 0 <= beta < sqrt(sigma): "
+            f"beta={beta!r}, sqrt(sigma)={math.sqrt(sigma):.6f}",
+            field="beta",
+        )
+
+
 def design_threshold(
     upsilon: float, dof: int, beta: float | None = None
 ) -> DetectorConfig:
     """Pick sigma so the central chi-square upper tail at sigma equals upsilon.
 
-    When the scheduler threshold beta is supplied, enforce beta < sqrt(sigma);
-    otherwise every transmitted innovation would alarm.
+    When the scheduler threshold beta is supplied, check it against sigma
+    by check_thresholds.
     """
     sigma = chi2_quantile(upsilon, dof)
-    if beta is not None and beta >= math.sqrt(sigma):
-        raise ConfigError(
-            f"scheduler threshold must satisfy beta < sqrt(sigma): "
-            f"beta={beta!r}, sqrt(sigma)={math.sqrt(sigma):.6f}",
-            field="beta",
-        )
+    if beta is not None:
+        check_thresholds(beta, sigma)
     config = DetectorConfig(sigma=sigma, upsilon=upsilon, dof=dof)
     assert chi2_survival(config.sigma, dof) <= upsilon + 1e-9
     return config

@@ -158,12 +158,6 @@ def factor_stack(S: np.ndarray, failed: np.ndarray):
     return L, np.linalg.inv(L).swapaxes(-1, -2)
 
 
-def mahalanobis_factor(P_prior: np.ndarray, model: SystemModel) -> np.ndarray:
-    """Whitening factor F = L^{-T} with L the lower Cholesky factor of C P^- C^T + R."""
-    S = _sym(model.C @ np.asarray(P_prior, dtype=float) @ model.C.T + model.R)
-    return _factor_pair(S)[1]
-
-
 def _derived(P_prior: np.ndarray, model: SystemModel):
     """S, L, F, K for a prior covariance (K = (P C^T F) F^T = P C^T S^{-1})."""
     PCt = P_prior @ model.C.T
@@ -259,9 +253,11 @@ def measurement_update(
     )
 
 
-def riccati_fixed_point(
-    model: SystemModel, tol: float = 1e-12, max_iter: int = 64
-) -> SteadyState:
+_RICCATI_TOL = 1e-12
+_RICCATI_DOUBLINGS = 64
+
+
+def riccati_fixed_point(model: SystemModel) -> SteadyState:
     """Steady prior covariance, the limit of P <- h(q_tilde(P)), by doubling.
 
     One Riccati step is the map X -> Q + A X (I + G X)^{-1} A^T with
@@ -278,12 +274,10 @@ def riccati_fixed_point(
     (Xi0, or Q when Xi0 is zero), so iterate 2^k follows from k doubling
     steps; H_k alone is the iterate from X = 0, which for an unstable A
     with Q = 0 can be a non-stabilising fixed point. Convergence is the
-    max-norm difference of successive iterates below tol; max_iter counts
-    doubling steps. Non-finite values or non-convergence raise, signalling
-    an effectively undetectable pair.
+    max-norm difference of successive iterates below _RICCATI_TOL within
+    _RICCATI_DOUBLINGS doubling steps. Non-finite values or non-convergence
+    raise, signalling an effectively undetectable pair.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     X0 = model.Xi0 if np.any(model.Xi0) else model.Q
     eye = np.eye(model.n)
     A_k = model.A.T
@@ -291,7 +285,7 @@ def riccati_fixed_point(
     H_k = model.Q
     P = X0
     with np.errstate(all="ignore"):
-        for _ in range(int(max_iter)):
+        for _ in range(_RICCATI_DOUBLINGS):
             try:
                 W_inv = np.linalg.inv(eye + G_k @ H_k)
                 P_next = _sym(H_k + A_k.T @ X0 @ np.linalg.solve(eye + G_k @ X0, A_k))
@@ -299,7 +293,7 @@ def riccati_fixed_point(
                 raise DivergenceError(f"Riccati doubling hit a singular matrix: {exc}") from exc
             if not np.all(np.isfinite(P_next)):
                 raise DivergenceError("Riccati iteration produced non-finite values")
-            if np.max(np.abs(P_next - P)) < tol:
+            if np.max(np.abs(P_next - P)) < _RICCATI_TOL:
                 P = P_next
                 break
             P = P_next
@@ -311,7 +305,7 @@ def riccati_fixed_point(
             )
         else:
             raise DivergenceError(
-                f"Riccati iteration did not converge within {max_iter} doubling steps"
+                f"Riccati iteration did not converge within {_RICCATI_DOUBLINGS} doubling steps"
             )
     S, L, F, K = _derived(P, model)
     return SteadyState(P=P, K=K, F=F, S=S, L=L)

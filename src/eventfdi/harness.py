@@ -76,7 +76,7 @@ from .attack import (
     solve_optimal_params,
     trigger_probability,
 )
-from .detector import DetectorConfig, design_threshold
+from .detector import DetectorConfig, check_thresholds, design_threshold
 from .errors import ConfigError, DivergenceError, DomainError, ModelError, NumericError
 from .estimator import _sym, factor_stack, initial_filter_state, riccati_fixed_point
 from .model import RandomSource, SystemModel
@@ -204,6 +204,13 @@ def _int_field(payload: dict, key: str, minimum: int | None, default=None) -> in
     return value
 
 
+def _number(value, key: str, field: str | None = None) -> float:
+    """A JSON number (a bool is not one) as a float; ConfigError on `field` (default key)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}", field=field or key)
+    return float(value)
+
+
 def config_from_dict(payload: dict) -> ScenarioConfig:
     """Validate and resolve a raw configuration mapping into a ScenarioConfig."""
     unknown = set(payload) - _CONFIG_KEYS
@@ -220,13 +227,11 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
     except (ModelError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}", field="model") from exc
 
-    beta = float(_require(payload, "beta"))
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise ConfigError(f"'beta' must be nonnegative, got {beta!r}", field="beta")
-    upsilon = float(_require(payload, "upsilon"))
+    beta = _number(_require(payload, "beta"), "beta")
+    upsilon = _number(_require(payload, "upsilon"), "upsilon")
     if not (0.0 < upsilon < 1.0):
         raise ConfigError(f"'upsilon' must be in (0, 1), got {upsilon!r}", field="upsilon")
-    target = float(_require(payload, "M"))
+    target = _number(_require(payload, "M"), "M")
     if not (0.0 < target < 1.0):
         raise ConfigError(f"'M' must be in (0, 1), got {target!r}", field="M")
 
@@ -258,15 +263,8 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
     if payload.get("sigma") is None:
         detector = design_threshold(upsilon, solver_dof, beta=beta)
     else:
-        sigma = float(payload["sigma"])
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ConfigError(f"'sigma' must be positive, got {sigma!r}", field="sigma")
-        if beta >= math.sqrt(sigma):
-            raise ConfigError(
-                f"scheduler threshold must satisfy beta < sqrt(sigma): "
-                f"beta={beta}, sqrt(sigma)={math.sqrt(sigma):.6f}",
-                field="beta",
-            )
+        sigma = _number(payload["sigma"], "sigma")
+        check_thresholds(beta, sigma)
         detector = DetectorConfig(sigma=sigma, upsilon=upsilon, dof=solver_dof)
 
     criteria = SuccessCriteria(M=target, Upsilon=upsilon)
@@ -280,9 +278,12 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
                 "'attack_params' must be a mapping with keys ['delta_bar', 'mu']",
                 field="attack_params",
             )
-        attack_params = AttackParams.scalar_bias(
-            float(raw_attack["mu"]), float(raw_attack["delta_bar"]), model.m
-        )
+        mu = _number(raw_attack["mu"], "attack_params.mu", "attack_params")
+        delta_bar = _number(raw_attack["delta_bar"], "attack_params.delta_bar", "attack_params")
+        try:
+            attack_params = AttackParams.scalar_bias(mu, delta_bar, model.m)
+        except DomainError as exc:
+            raise ConfigError(f"invalid attack_params: {exc}", field="attack_params") from exc
     else:
         attack_params = solve_optimal_params(beta, detector.sigma, criteria, solver_dof, m=model.m)
 

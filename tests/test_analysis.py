@@ -10,10 +10,9 @@ from eventfdi import (
     DomainError,
     attacked_covariance_fixed_point,
     attacked_covariance_step,
-    covariance_trajectory,
     mu_sweep,
     open_loop_fixed_point,
-    open_loop_step,
+    op_h,
     op_q_tilde,
     steady_bias,
 )
@@ -56,7 +55,7 @@ class TestDirectFixedPoints:
         stepped = attacked_covariance_step(attacked, params, steady, model)
         assert relative_gap(stepped, attacked) <= 1e-11
         open_fp = open_loop_fixed_point(model)
-        assert relative_gap(open_loop_step(open_fp, model), open_fp) <= 1e-11
+        assert relative_gap(op_h(open_fp, model), open_fp) <= 1e-11
 
         forcing = attacked_covariance_step(np.zeros((n, n)), params, steady, model)  # Q - W
         assert relative_gap(attacked, lyapunov_kron(model.A, forcing)) <= 1e-10
@@ -195,7 +194,7 @@ class TestOpenLoop:
 
     def test_residual(self, paper_model):
         fp = open_loop_fixed_point(paper_model)
-        assert np.max(np.abs(fp - open_loop_step(fp, paper_model))) < 1e-11
+        assert np.max(np.abs(fp - op_h(fp, paper_model))) < 1e-11
 
     def test_matches_kron_solve(self, paper_model):
         fp = open_loop_fixed_point(paper_model)
@@ -256,25 +255,9 @@ class TestMuSweep:
             mu_sweep([2.0, 1.0], steady, paper_model)
         with pytest.raises(DomainError):
             mu_sweep([0.5], steady, paper_model)
-
-
-class TestCovarianceTrajectory:
-    def test_open_loop_kind(self, paper_model):
-        traj = covariance_trajectory("open_loop", 50, paper_model)
-        ks, traces = zip(*traj.traces())
-        assert ks == tuple(range(51))
-        assert traces[-1] == pytest.approx(0.0915, abs=1e-3)
-
-    def test_attacked_kind_converges(self, steady, paper_model, paper_params):
-        traj = covariance_trajectory(
-            "attacked", 200, paper_model, steady=steady, params=paper_params
-        )
-        assert traj.traces()[-1][1] == pytest.approx(0.0732852, abs=1e-5)
-
-    def test_nominal_kind_converges_to_riccati(self, steady, paper_model):
-        traj = covariance_trajectory("nominal", 200, paper_model)
-        assert traj.traces()[-1][1] == pytest.approx(np.trace(steady.P), abs=1e-9)
-
-    def test_unknown_kind(self, paper_model):
         with pytest.raises(DomainError):
-            covariance_trajectory("bogus", 5, paper_model)
+            mu_sweep([2.0, float("nan")], steady, paper_model)
+
+    def test_infinite_mu_is_open_loop(self, steady, paper_model):
+        point = mu_sweep([float("inf")], steady, paper_model)[0]
+        assert point.trace == pytest.approx(np.trace(open_loop_fixed_point(paper_model)), rel=1e-9)

@@ -14,7 +14,6 @@ from eventfdi import (
     alarm_probability,
     attack_effect_update,
     feasible_delta_interval,
-    feedback_attack,
     forward_attack,
     solve_optimal_params,
     trigger_probability,
@@ -166,20 +165,6 @@ class TestAttackEffect:
         assert abs(np.trace(second_moment) - np.trace(steady.S)) / np.trace(steady.S) < 0.05
 
 
-class TestFeedbackAttack:
-    def test_zero_state(self, paper_model):
-        assert np.array_equal(feedback_attack(AttackState.zeros(3), paper_model), np.zeros(2))
-
-    def test_formula(self, paper_model, rng):
-        state = AttackState.zeros(3)
-        state.x_tilde_prior = rng.standard_normal(3)
-        assert np.allclose(
-            feedback_attack(state, paper_model),
-            -paper_model.C @ state.x_tilde_prior,
-            atol=1e-14,
-        )
-
-
 class TestTriggerProbability:
     def test_nominal_paper_rate(self):
         p = trigger_probability(AttackParams.off(2), 1.4, 2)
@@ -278,6 +263,12 @@ class TestFeasibleInterval:
         low, high = feasible_delta_interval(params.mu, 1.4, 11.34, criteria, 3)
         assert low == pytest.approx(params.delta_bar, abs=1e-6)
         assert high == pytest.approx(params.delta_bar, abs=1e-6)
+
+    @pytest.mark.parametrize("sigma, field", [(-1.0, "sigma"), (1.0, "beta")])
+    def test_thresholds_checked(self, criteria, sigma, field):
+        with pytest.raises(ConfigError) as err:
+            feasible_delta_interval(5.0, 1.4, sigma, criteria, 3)
+        assert err.value.field == field
 
     def test_widens_above_optimum(self, criteria):
         params = solve_optimal_params(1.4, 11.34, criteria, 3)

@@ -70,11 +70,40 @@ class TestSolve:
         assert code == 1
         assert "sqrt(sigma)" in err
 
+    def test_negative_sigma_is_validation_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "solve",
+            "--beta", "1.4",
+            "--sigma", "-1",
+            "--upsilon", "0.01",
+            "--target-M", "0.99865",
+            "--dof", "3",
+        )
+        assert code == 1
+        assert err.startswith("error: sigma must be positive")
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--bogus", "1")
         assert code == 1
         assert err.startswith("usage: eventfdi solve")
         assert err.splitlines()[-1].startswith("eventfdi: error: the following arguments are required")
+
+    def test_removed_m_option_is_not_read_as_mu(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--beta", "1.4",
+            "--sigma", "11.34",
+            "--upsilon", "0.01",
+            "--target-M", "0.99865",
+            "--dof", "3",
+            "--m", "5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "eventfdi: error: unrecognized arguments: --m 5"
 
     def test_bad_number_names_the_argument(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--beta", "x")
@@ -111,6 +140,14 @@ class TestSimulate:
         assert code == 0
         assert trace.read_text().splitlines()[0] == ef.trace_header(3, 2)
         assert json.loads(out_file.read_text()) == json.loads(out)
+
+    def test_non_numeric_config_value_is_validation_error(self, capsys, tmp_path):
+        config = small_config_file(tmp_path, beta="x")
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: 'beta' must be a number")
+        assert "Traceback" not in err
 
     def test_missing_config_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
@@ -159,6 +196,12 @@ class TestSweep:
         assert err.splitlines()[-1] == (
             f"eventfdi: error: argument --mu-grid: expected comma-separated numbers, got {grid!r}"
         )
+
+    def test_nan_in_grid_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--config", SCENARIO, "--mu-grid", "2,nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: mu grid entries must be >= 1")
 
     def test_stdout_default(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--config", SCENARIO, "--mu-grid", "1,2")

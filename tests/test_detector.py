@@ -12,6 +12,7 @@ from eventfdi import (
     statistic,
     test as detector_test,
 )
+from eventfdi.detector import check_thresholds
 
 
 class TestStatistic:
@@ -89,6 +90,25 @@ class TestDesignThreshold:
         # sqrt(11.345) ~ 3.368, so beta = 3.4 must be rejected
         with pytest.raises(ConfigError):
             design_threshold(0.01, 3, beta=3.4)
+
+    @pytest.mark.parametrize(
+        "beta, sigma, field",
+        [
+            (1.4, -1.0, "sigma"),
+            (1.4, 0.0, "sigma"),
+            (1.4, float("nan"), "sigma"),
+            (1.4, float("inf"), "sigma"),
+            (-0.1, 11.34, "beta"),
+            (float("nan"), 11.34, "beta"),
+            (4.0, 11.34, "beta"),
+        ],
+    )
+    def test_check_thresholds_rejects(self, beta, sigma, field):
+        with pytest.raises(ConfigError) as err:
+            check_thresholds(beta, sigma)
+        assert err.value.field == field
+        if field == "beta":
+            assert "sqrt(sigma)" in str(err.value)
 
     def test_scheduler_threshold_ok(self):
         config = design_threshold(0.01, 3, beta=1.4)

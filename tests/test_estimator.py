@@ -11,7 +11,6 @@ from eventfdi import (
     initial_filter_state,
     innovation,
     kappa,
-    mahalanobis_factor,
     measurement_update,
     op_h,
     op_q_tilde,
@@ -85,7 +84,7 @@ class TestMahalanobisFactor:
             R=np.eye(2),
             Xi0=np.zeros((2, 2)),
         )
-        F = mahalanobis_factor(np.zeros((2, 2)), model)
+        F = initial_filter_state(model).F
         assert np.allclose(F, np.eye(2), atol=1e-14)
 
     def test_scalar_scaling(self):
@@ -96,11 +95,11 @@ class TestMahalanobisFactor:
             R=4.0 * np.eye(2),
             Xi0=np.zeros((2, 2)),
         )
-        F = mahalanobis_factor(np.zeros((2, 2)), model)
+        F = initial_filter_state(model).F
         assert np.allclose(F, 0.5 * np.eye(2), atol=1e-14)
 
     def test_whitens_steady_covariance(self, paper_model, steady):
-        F = mahalanobis_factor(steady.P, paper_model)
+        F = steady.F
         S_inv = np.linalg.solve(steady.S, np.eye(2))
         assert np.max(np.abs(F @ F.T - S_inv)) < 1e-10
 
@@ -279,9 +278,17 @@ class TestRiccati:
         )
         assert np.max(np.abs(steady.K - K_ref)) < 1e-10
 
-    def test_nonconvergence_raises(self, paper_model):
-        with pytest.raises(DivergenceError):
-            riccati_fixed_point(paper_model, tol=1e-12, max_iter=3)
+    def test_nonconvergence_raises(self):
+        # an unobserved random walk: the iterates double each step and stay finite
+        model = SystemModel(
+            A=np.eye(2),
+            C=np.zeros((1, 2)),
+            Q=0.01 * np.eye(2),
+            R=np.eye(1),
+            Xi0=np.zeros((2, 2)),
+        )
+        with pytest.raises(DivergenceError, match="did not converge within 64 doubling steps"):
+            riccati_fixed_point(model)
 
     # scipy's DARE fails its QZ reordering when A is scaled to a spectral
     # radius near 1e-278, so below 1e-12 only A = 0 itself is drawn

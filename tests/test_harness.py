@@ -26,6 +26,14 @@ SCENARIO = REPO / "scenarios" / "paper_sec5.json"
 SCHEMA = REPO / "docs" / "config_schema.json"
 
 
+def assert_schema_rejects(payload):
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMA) as fh:
+        schema = json.load(fh)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, schema)
+
+
 class TestConfigLoading:
     def test_paper_file_loads(self):
         config = ef.load_config(SCENARIO)
@@ -69,6 +77,44 @@ class TestConfigLoading:
             ef.config_from_dict(dict(paper_payload, beta=4.0))
         assert err.value.field == "beta"
         assert "sqrt(sigma)" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta", "x"),
+            ("beta", None),
+            ("beta", [1]),
+            ("beta", True),
+            ("upsilon", "x"),
+            ("upsilon", None),
+            ("M", [1]),
+            ("M", "0.5"),
+            ("sigma", "11.34"),
+            ("sigma", [1]),
+            ("sigma", True),
+        ],
+    )
+    def test_non_numeric_value(self, paper_payload, key, value):
+        payload = dict(paper_payload, **{key: value})
+        with pytest.raises(ConfigError) as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == key
+        assert_schema_rejects(payload)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"mu": "x", "delta_bar": 2.0},
+            {"mu": 3.0, "delta_bar": None},
+            {"mu": 0.5, "delta_bar": 2.0},
+        ],
+    )
+    def test_bad_attack_params(self, paper_payload, raw):
+        payload = dict(paper_payload, attack_params=raw)
+        with pytest.raises(ConfigError) as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == "attack_params"
+        assert_schema_rejects(payload)
 
     def test_non_psd_covariance(self, paper_payload):
         payload = dict(paper_payload)

@@ -11,9 +11,11 @@ covariance (mu = 1) and the open-loop Lyapunov fixed point (mu -> inf).
 
 Both fixed points are discrete Lyapunov equations P = A P A^T + (Q - W),
 with W the injection term above (W = 0 for the open loop), and are solved
-directly. They exist iff A is stable, which is checked first. The equation
-is linear in its forcing, and 1 - (2/mu - 1/mu^2) = (1 - 1/mu)^2, so across
-scaling values the attacked fixed point is
+directly: vec P = (I - A kron A)^{-1} vec(Q - W), one n^2 x n^2 linear
+solve (for n < 10; see _lyapunov). They exist iff A is stable, which is
+checked first. The equation is linear in its forcing, and
+1 - (2/mu - 1/mu^2) = (1 - 1/mu)^2, so across scaling values the attacked
+fixed point is
 
     P^a(mu) = X_1 + (1 - 1/mu)^2 X_W,
 
@@ -29,7 +31,6 @@ and estimator.op_h, the time update, for the open loop.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .attack import AttackParams
 from .errors import DivergenceError, DomainError
@@ -98,8 +99,25 @@ def _check_stable(model: SystemModel, name: str) -> None:
 
 
 def _lyapunov(model: SystemModel, forcing: np.ndarray) -> np.ndarray:
-    """The P with P = A P A^T + forcing, by a direct solve (A must be stable)."""
-    return _sym(linalg.solve_discrete_lyapunov(model.A, forcing))
+    """The P with P = A P A^T + forcing, symmetrized (A must be stable).
+
+    For n < 10 this is the Kronecker solve (I - A kron A) vec P = vec forcing,
+    the method scipy.linalg.solve_discrete_lyapunov itself picks there. The
+    system is n^2 x n^2, so its memory grows as n^4 and its time as n^6;
+    from n = 10 on, scipy's bilinear solver does the work, imported on first
+    use so that importing the library loads no scipy.linalg.
+    """
+    n = model.n
+    if n >= 10:
+        from scipy import linalg
+
+        return _sym(linalg.solve_discrete_lyapunov(model.A, forcing))
+    lhs = np.eye(n * n) - np.kron(model.A, model.A)
+    try:
+        vec = np.linalg.solve(lhs, forcing.reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise DivergenceError(f"Lyapunov solve failed: {exc}") from exc
+    return _sym(vec.reshape(n, n))
 
 
 def _lyapunov_fixed_point(model: SystemModel, forcing: np.ndarray, name: str) -> np.ndarray:

@@ -14,16 +14,80 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .detector import check_thresholds
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .estimator import SteadyState
 from .model import SystemModel
 from .special import gaussian_q, gaussian_q_inv, marcum_q, noncentral_chi2_survival
 
 _MU_CAP = 1e6
 _ROOT_XTOL = 1e-12
+_ROOT_RTOL = 4.0 * math.ulp(1.0)  # scipy's default and least rtol, 4 eps
+_ROOT_MAX_ITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f on a sign-changing bracket [xa, xb] by Brent's method (Brent 1973).
+
+    A step-for-step port of the C routine behind scipy.optimize.brentq,
+    including its extrapolation formula, at xtol 1e-12, rtol 4 eps and 100
+    iterations: it returns the same bits as scipy on the same bracket. A
+    bracket without a sign change, a non-finite function value and a run
+    that does not converge raise NumericError.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise NumericError(f"root search: function value {fx!r} at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(
+            f"root search: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} have the same sign"
+        )
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NumericError(f"root search did not converge in {_ROOT_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +251,9 @@ def solve_optimal_params(
     detector boundary leaves a single equation
     G(mu) = Q_{dof/2}(mu beta + Psi, mu sqrt(sigma)) - Upsilon = 0,
     bracketed by doubling from mu = 1 (first sign change, hence smallest
-    root) and solved on that bracket by Brent's method to 1e-12. The
-    returned delta vector has dimension m (default dof).
+    root) and solved on that bracket by _brentq, the port of scipy's
+    Brent routine, to 1e-12. The returned delta vector has dimension m
+    (default dof). A root search that fails raises NumericError.
     """
     beta = float(beta)
     sigma = float(sigma)
@@ -220,7 +285,7 @@ def solve_optimal_params(
                 f"no feasible scaling found up to mu = {_MU_CAP:.0e}; "
                 "check beta, sigma, Upsilon and M"
             )
-    mu_star = optimize.brentq(gap, lo, hi, xtol=_ROOT_XTOL)
+    mu_star = _brentq(gap, lo, hi)
     delta_star = beta + psi_level / mu_star
 
     residual = abs(gap(mu_star))
@@ -247,7 +312,8 @@ def feasible_delta_interval(
     """Feasible bias range [low, high] for a fixed scaling mu >= mu*.
 
     low is the trigger boundary beta + Psi/mu; high is the bias at which the
-    Marcum detector boundary is hit. Empty when mu is below the optimum.
+    Marcum detector boundary is hit, bracketed by doubling and solved by
+    _brentq to 1e-12. Empty when mu is below the optimum.
     """
     mu, sigma = float(mu), float(sigma)
     check_thresholds(beta, sigma)
@@ -271,5 +337,5 @@ def feasible_delta_interval(
         hi *= 2.0
         if hi > 1e9:
             raise DomainError("failed to bracket the detector boundary in delta")
-    high = optimize.brentq(gap, lo, hi, xtol=_ROOT_XTOL)
+    high = _brentq(gap, lo, hi)
     return low, high

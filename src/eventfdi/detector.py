@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .special import chi2_quantile, chi2_survival
 
 
@@ -63,11 +63,17 @@ def design_threshold(
     """Pick sigma so the central chi-square upper tail at sigma equals upsilon.
 
     When the scheduler threshold beta is supplied, check it against sigma
-    by check_thresholds.
+    by check_thresholds. A sigma whose tail exceeds upsilon by more than
+    1e-9 raises NumericError.
     """
     sigma = chi2_quantile(upsilon, dof)
     if beta is not None:
         check_thresholds(beta, sigma)
     config = DetectorConfig(sigma=sigma, upsilon=upsilon, dof=dof)
-    assert chi2_survival(config.sigma, dof) <= upsilon + 1e-9
+    survival = chi2_survival(config.sigma, dof)
+    if not survival <= upsilon + 1e-9:
+        raise NumericError(
+            f"designed sigma {sigma!r} gives false-alarm rate {survival!r} "
+            f"above the budget {upsilon!r}"
+        )
     return config

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 import eventfdi as ef
 from eventfdi import (
@@ -10,6 +13,7 @@ from eventfdi import (
     AttackState,
     ConfigError,
     DomainError,
+    NumericError,
     SuccessCriteria,
     alarm_probability,
     attack_effect_update,
@@ -18,6 +22,7 @@ from eventfdi import (
     solve_optimal_params,
     trigger_probability,
 )
+from eventfdi.attack import _ROOT_XTOL, _brentq
 
 from _oracles import ncx2_survival_quad
 
@@ -287,3 +292,87 @@ class TestFeasibleInterval:
     def test_below_optimum_rejected(self, criteria):
         with pytest.raises(DomainError):
             feasible_delta_interval(1.2, 1.4, 11.34, criteria, 3)
+
+
+def scipy_brentq(f, a, b):
+    return optimize.brentq(f, a, b, xtol=_ROOT_XTOL)
+
+
+def solver_brackets(dof, beta, upsilon):
+    """The gap functions and doubling brackets of both solvers for one design.
+
+    Yields (gap, lo, hi) for solve_optimal_params' gap in mu, then for
+    feasible_delta_interval's gap in delta at 1.1, 1.5, 2 and 5 times mu*.
+    """
+    criteria = SuccessCriteria(M=0.99865, Upsilon=upsilon)
+    sigma = ef.design_threshold(upsilon, dof, beta=beta).sigma
+    psi, root_sigma = criteria.Psi, math.sqrt(sigma)
+
+    def mu_gap(mu):
+        return ef.marcum_q(0.5 * dof, mu * beta + psi, mu * root_sigma) - upsilon
+
+    lo, hi = 1.0, 2.0
+    while mu_gap(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    yield mu_gap, lo, hi
+    mu_star = _brentq(mu_gap, lo, hi)
+    for factor in (1.1, 1.5, 2.0, 5.0):
+        mu = factor * mu_star
+
+        def delta_gap(delta_bar, mu=mu):
+            return ef.marcum_q(0.5 * dof, mu * delta_bar, mu * root_sigma) - upsilon
+
+        lo = hi = beta + psi / mu
+        while delta_gap(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        yield delta_gap, lo, hi
+
+
+class TestBrentPort:
+    """_brentq against scipy.optimize.brentq: the same bits, compared with ==."""
+
+    @pytest.mark.parametrize("dof", range(1, 25))
+    def test_solver_gaps_bit_identical(self, dof):
+        count = 0
+        for beta in (0.5, 1.0, 1.4):
+            for upsilon in (0.001, 0.01, 0.05):
+                for gap, lo, hi in solver_brackets(dof, beta, upsilon):
+                    assert _brentq(gap, lo, hi) == scipy_brentq(gap, lo, hi)
+                    count += 1
+        assert count == 45
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        root=st.floats(-10.0, 10.0),
+        scale=st.floats(0.01, 100.0),
+        power=st.integers(0, 3),
+        left=st.floats(1e-3, 20.0),
+        right=st.floats(1e-3, 20.0),
+    )
+    def test_smooth_bracketed_functions_bit_identical(self, root, scale, power, left, right):
+        def f(x):
+            return math.atan(scale * (x - root)) + 0.01 * (x - root) ** (2 * power + 1)
+
+        lo, hi = root - left, root + right
+        assert _brentq(f, lo, hi) == scipy_brentq(f, lo, hi)
+        assert _brentq(f, hi, lo) == scipy_brentq(f, hi, lo)
+
+    def test_paper_roots_exact_bits(self):
+        config = ef.config_from_dict(ef.paper_scenario())
+        assert config.attack_params.mu == 2.770517623768802
+        assert config.attack_params.delta_bar == 2.4828218405708826
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(NumericError, match="same sign"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_raises(self, bad):
+        with pytest.raises(NumericError, match="function value"):
+            _brentq(lambda x: bad if x > 0.5 else x - 0.75, 0.0, 1.0)
+
+    def test_no_convergence_raises(self):
+        # a sign change with no root: the bracket shrinks onto the jump, but
+        # |f| never falls, and 100 iterations cannot bisect [0, 1e300] to 1e-12
+        with pytest.raises(NumericError, match="did not converge"):
+            _brentq(lambda x: 1.0 if x > 1.0 else -1.0, 0.0, 1e300)

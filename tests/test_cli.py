@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,6 +107,22 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1] == "eventfdi: error: unrecognized arguments: --m 5"
+
+    def test_failed_root_search_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("eventfdi.attack.marcum_q", lambda *args: float("nan"))
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--beta", "1.4",
+            "--sigma", "11.34",
+            "--upsilon", "0.01",
+            "--target-M", "0.99865",
+            "--dof", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numeric error: root search")
+        assert "Traceback" not in err
 
     def test_bad_number_names_the_argument(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--beta", "x")
@@ -217,3 +236,22 @@ class TestReproducePaper:
         assert any(line.startswith("PASS  scaling mu*") for line in table)
         assert any(line.startswith("NOTE  published attacked rate") for line in table)
         assert not any(line.startswith("FAIL") for line in table)
+
+
+class TestImportGraph:
+    def test_library_loads_no_scipy_optimize_linalg_or_stats(self):
+        # a fresh interpreter: the tests in this process import scipy.optimize themselves
+        code = (
+            "import sys, eventfdi, eventfdi.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.linalg', 'scipy.stats'))))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        )
+        assert result.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from eventfdi import (
     ConfigError,
     DetectorConfig,
     DomainError,
+    NumericError,
     chi2_survival,
     design_threshold,
     statistic,
@@ -113,6 +114,12 @@ class TestDesignThreshold:
     def test_scheduler_threshold_ok(self):
         config = design_threshold(0.01, 3, beta=1.4)
         assert config.sigma > 1.4**2
+
+    def test_budget_check_survives_optimization(self, monkeypatch):
+        # the check is a raise, not an assert, so python -O keeps it
+        monkeypatch.setattr("eventfdi.detector.chi2_quantile", lambda upsilon, dof: 5.0)
+        with pytest.raises(NumericError, match="above the budget"):
+            design_threshold(0.01, 3)
 
     def test_upsilon_domain(self):
         with pytest.raises(DomainError):

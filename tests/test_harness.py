@@ -55,6 +55,16 @@ class TestConfigLoading:
         with open(SCENARIO) as fh:
             jsonschema.validate(json.load(fh), schema)
 
+    @pytest.mark.parametrize("field", ["sigma", "attack_params"])
+    def test_schema_accepts_null_for_designed_fields(self, field):
+        # config_from_dict reads null as "design the threshold" / "solve the attack"
+        jsonschema = pytest.importorskip("jsonschema")
+        with open(SCHEMA) as fh:
+            schema = json.load(fh)
+        payload = ef.paper_scenario(**{field: None})
+        jsonschema.validate(payload, schema)
+        ef.config_from_dict(payload)
+
     def test_sigma_designed_when_absent(self, paper_payload):
         payload = dict(paper_payload)
         payload.pop("sigma")

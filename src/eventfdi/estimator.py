@@ -275,8 +275,9 @@ def riccati_fixed_point(model: SystemModel) -> SteadyState:
     steps; H_k alone is the iterate from X = 0, which for an unstable A
     with Q = 0 can be a non-stabilising fixed point. Convergence is the
     max-norm difference of successive iterates below _RICCATI_TOL within
-    _RICCATI_DOUBLINGS doubling steps. Non-finite values or non-convergence
-    raise, signalling an effectively undetectable pair.
+    _RICCATI_DOUBLINGS doubling steps; W^{-1} is formed only when another
+    doubling follows. Non-finite iterates or non-convergence raise,
+    signalling an effectively undetectable pair.
     """
     X0 = model.Xi0 if np.any(model.Xi0) else model.Q
     eye = np.eye(model.n)
@@ -287,16 +288,19 @@ def riccati_fixed_point(model: SystemModel) -> SteadyState:
     with np.errstate(all="ignore"):
         for _ in range(_RICCATI_DOUBLINGS):
             try:
-                W_inv = np.linalg.inv(eye + G_k @ H_k)
                 P_next = _sym(H_k + A_k.T @ X0 @ np.linalg.solve(eye + G_k @ X0, A_k))
+                change = np.max(np.abs(P_next - P))
+                if change < _RICCATI_TOL:
+                    P = P_next
+                    break
+                # a nan or inf in P_next makes the change non-finite; finite
+                # iterates whose difference overflows keep iterating
+                if not math.isfinite(change) and not np.all(np.isfinite(P_next)):
+                    raise DivergenceError("Riccati iteration produced non-finite values")
+                P = P_next
+                W_inv = np.linalg.inv(eye + G_k @ H_k)
             except np.linalg.LinAlgError as exc:
                 raise DivergenceError(f"Riccati doubling hit a singular matrix: {exc}") from exc
-            if not np.all(np.isfinite(P_next)):
-                raise DivergenceError("Riccati iteration produced non-finite values")
-            if np.max(np.abs(P_next - P)) < _RICCATI_TOL:
-                P = P_next
-                break
-            P = P_next
             WA = W_inv @ A_k
             H_k, G_k, A_k = (
                 _sym(H_k + A_k.T @ H_k @ WA),

@@ -223,7 +223,7 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
             f"'model' must be a mapping with keys {sorted(_MODEL_KEYS)}", field="model"
         )
     try:
-        model = SystemModel(**{k: np.asarray(raw_model[k], dtype=float) for k in _MODEL_KEYS})
+        model = SystemModel(**{k: raw_model[k] for k in _MODEL_KEYS})
     except (ModelError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}", field="model") from exc
 

@@ -3,8 +3,10 @@
 x_{k+1} = A x_k + w_k,   w_k ~ N(0, Q)
 y_k     = C x_k + v_k,   v_k ~ N(0, R)
 
-with x_0 ~ N(0, Xi0). A SystemModel is immutable after construction and
-validates shapes and definiteness eagerly; each trajectory owns a private
+with x_0 ~ N(0, Xi0). A SystemModel is immutable after construction: it
+validates shapes and definiteness eagerly, holds read-only copies of its
+matrices, and computes what is derived from them (the noise factors and
+the spectral radius of A) once. Each trajectory owns a private
 RandomSource so trajectories can run concurrently without coordination.
 """
 
@@ -21,7 +23,8 @@ _SEED_MASK = (1 << 64) - 1
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    """A float copy of value, so the model never aliases the caller's array."""
+    arr = np.array(value, dtype=float)
     if arr.ndim != 2:
         raise ModelError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -58,7 +61,11 @@ def _sqrt_factor(mat: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Plant matrices A, C, Q, R, Xi0 with dimensions n (state) and m (measurement)."""
+    """Plant matrices A, C, Q, R, Xi0 with dimensions n (state) and m (measurement).
+
+    The matrices are read-only copies of the arguments, so the noise factors
+    and the spectral radius of A, computed once here, stay valid.
+    """
 
     A: np.ndarray
     C: np.ndarray
@@ -83,14 +90,13 @@ class SystemModel:
             raise ModelError(f"R must be {C.shape[0]}x{C.shape[0]}, got shape {R.shape}")
         if Xi0.shape[0] != n:
             raise ModelError(f"Xi0 must be {n}x{n}, got shape {Xi0.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "Xi0", Xi0)
+        for name, mat in (("A", A), ("C", C), ("Q", Q), ("R", R), ("Xi0", Xi0)):
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
         object.__setattr__(self, "_q_factor", _sqrt_factor(Q, "Q"))
         object.__setattr__(self, "_r_factor", _sqrt_factor(R, "R"))
         object.__setattr__(self, "_xi0_factor", _sqrt_factor(Xi0, "Xi0"))
+        object.__setattr__(self, "_rho", float(np.max(np.abs(np.linalg.eigvals(A)))))
 
     @property
     def n(self) -> int:
@@ -101,7 +107,8 @@ class SystemModel:
         return self.C.shape[0]
 
     def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.A))))
+        """Largest eigenvalue modulus of A, computed at construction."""
+        return self._rho
 
 
 @dataclass

@@ -182,6 +182,45 @@ def lyapunov_kron(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return vec.reshape(n, n)
 
 
+def riccati_doubling_reference(model):
+    """(P, K) of the steady filter from a frozen copy of the library's first
+    doubling loop, which formed W^{-1} and checked finiteness on every
+    doubling; riccati_fixed_point must keep its bits. K comes from P through
+    the library's own gain formula. Raises DivergenceError where that loop did.
+    """
+    from eventfdi.errors import DivergenceError
+    from eventfdi.estimator import _derived, _sym
+
+    X0 = model.Xi0 if np.any(model.Xi0) else model.Q
+    eye = np.eye(model.n)
+    A_k = model.A.T
+    G_k = _sym(model.C.T @ np.linalg.solve(model.R, model.C))
+    H_k = model.Q
+    P = X0
+    with np.errstate(all="ignore"):
+        for _ in range(64):
+            try:
+                W_inv = np.linalg.inv(eye + G_k @ H_k)
+                P_next = _sym(H_k + A_k.T @ X0 @ np.linalg.solve(eye + G_k @ X0, A_k))
+            except np.linalg.LinAlgError as exc:
+                raise DivergenceError(f"singular matrix: {exc}") from exc
+            if not np.all(np.isfinite(P_next)):
+                raise DivergenceError("non-finite values")
+            if np.max(np.abs(P_next - P)) < 1e-12:
+                P = P_next
+                break
+            P = P_next
+            WA = W_inv @ A_k
+            H_k, G_k, A_k = (
+                _sym(H_k + A_k.T @ H_k @ WA),
+                _sym(G_k + A_k @ W_inv @ G_k @ A_k.T),
+                A_k @ WA,
+            )
+        else:
+            raise DivergenceError("no convergence")
+    return P, _derived(P, model)[3]
+
+
 def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     G = rng.standard_normal((n, n))
     return scale * (G @ G.T) / n

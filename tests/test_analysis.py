@@ -17,7 +17,8 @@ from eventfdi import (
     op_q_tilde,
     steady_bias,
 )
-from eventfdi.analysis import _lyapunov
+from eventfdi import analysis
+from eventfdi.analysis import _kron_square, _lyapunov
 from eventfdi.estimator import _sym
 from eventfdi.model import SystemModel
 
@@ -82,6 +83,19 @@ class TestDirectFixedPoints:
         for forcing in (model.Q, model.Q - 0.5 * np.eye(n)):
             ref = _sym(linalg.solve_discrete_lyapunov(model.A, forcing))
             assert relative_gap(_lyapunov(model, forcing), ref) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        rho=st.floats(0.0, 0.995),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_broadcast_operator_is_kron_bits(self, n, rho, seed):
+        model = random_stable_model(n, 2, rho, seed)
+        A = model.A
+        assert np.array_equal(_kron_square(A), np.kron(A, A))
+        forcing = model.Q - 0.5 * random_psd(np.random.default_rng(seed), n)
+        assert np.array_equal(_lyapunov(model, forcing), _sym(lyapunov_kron(A, forcing)))
 
     def test_kronecker_solve_paper_bits(self, steady, paper_model):
         for forcing in (paper_model.Q, paper_model.Q - 0.3 * steady.P):
@@ -280,6 +294,18 @@ class TestMuSweep:
             )
             assert relative_gap(point.fixed_point, single) <= 1e-12
             assert point.trace == pytest.approx(np.trace(single), rel=1e-12)
+
+    def test_first_non_dominating_mu_is_named(self, monkeypatch):
+        # an indefinite injection shape D makes X_W = lyap(A, D) = D / 0.75
+        # indefinite with a positive trace, so the traces still rise while
+        # every mu > 1 whose (1 - 1/mu)^2 lifts -X_W's eigenvalue past 1e-9 fails
+        model = SystemModel(
+            A=0.5 * np.eye(2), C=np.eye(2), Q=np.eye(2), R=np.eye(2), Xi0=np.eye(2)
+        )
+        steady = ef.riccati_fixed_point(model)
+        monkeypatch.setattr(analysis, "_injection_shape", lambda *_: np.diag([1.0, -0.5]))
+        with pytest.raises(DivergenceError, match=r"mu=2\.0 does not dominate"):
+            mu_sweep([1.0, 1.0 + 1e-7, 2.0, 3.0], steady, model)
 
     def test_grid_validation(self, steady, paper_model):
         with pytest.raises(DomainError):

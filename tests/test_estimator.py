@@ -27,6 +27,7 @@ from _oracles import (
     random_psd,
     random_stable_model,
     relative_gap,
+    riccati_doubling_reference,
     unstable_model,
 )
 
@@ -304,6 +305,29 @@ class TestRiccati:
         model = random_stable_model(n, m, rho, seed)
         ref = linalg.solve_discrete_are(model.A.T, model.C.T, model.Q, model.R)
         assert relative_gap(riccati_fixed_point(model).P, ref) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        rho=st.one_of(st.floats(0.0, 0.995), st.floats(1.01, 1.6)),
+        zero_start=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_frozen_doubling(self, n, m, rho, zero_start, seed):
+        # rho > 1 gives unstable plants, detectable through a random C
+        model = random_stable_model(n, m, rho, seed)
+        if zero_start:
+            model = SystemModel(model.A, model.C, model.Q, model.R, np.zeros((n, n)))
+        try:
+            P_ref, K_ref = riccati_doubling_reference(model)
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
+                riccati_fixed_point(model)
+            return
+        steady = riccati_fixed_point(model)
+        assert np.array_equal(steady.P, P_ref)
+        assert np.array_equal(steady.K, K_ref)
 
     def test_unstable_plant_matches_scipy_dare(self):
         model = unstable_model()

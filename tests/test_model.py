@@ -58,6 +58,17 @@ class TestSystemModel:
         with pytest.raises(ModelError):
             make_model(A=np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
+    def test_owns_read_only_matrices(self):
+        A = np.array([[0.5, 0.1], [0.0, 0.8]])
+        model = make_model(A=A)
+        rho = model.spectral_radius()
+        A[0, 0] = 5.0
+        assert model.A[0, 0] == 0.5
+        assert model.spectral_radius() == rho == 0.8
+        for name in ("A", "C", "Q", "R", "Xi0"):
+            with pytest.raises(ValueError):
+                getattr(model, name)[0, 0] = 1.0
+
     def test_singular_Q_allowed(self):
         model = make_model(Q=np.array([[0.04, 0.0], [0.0, 0.0]]))
         assert model.Q[1, 1] == 0.0

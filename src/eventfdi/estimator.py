@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DivergenceError, DomainError, NumericError
 from .model import SystemModel
@@ -117,17 +118,18 @@ def _factor_pair(S: np.ndarray):
     return L, np.linalg.inv(L).T
 
 
-def factor_stack(S: np.ndarray, failed: np.ndarray):
+def factor_stack(S: np.ndarray):
     """`_factor_pair` over a (T, m, m) stack; returns (L, F) stacks.
 
-    Each slice gets the same bits `_factor_pair` gives it. For m <= 2 the
-    closed forms run elementwise, and a slice that is not positive
-    definite gets nan or inf factors instead of raising (its whitened
-    innovation, hence its statistic, is then non-finite). For m >= 3 a
-    stacked Cholesky raises for the whole stack if one slice fails, so
-    slices already flagged in `failed` are replaced by the identity before
-    it runs; a slice that makes it fail is flagged (in place) and replaced
-    the same way.
+    Each slice that is positive definite gets the bits `_factor_pair` gives
+    it: closed forms run elementwise for m <= 2, and for m >= 3 the stacked
+    LAPACK kernels that np.linalg.cholesky and np.linalg.inv call run
+    without those wrappers, which raise for the whole stack. A slice that
+    is not positive definite gets non-finite factors instead, for every m
+    (all nan for m >= 3; the closed forms keep their structural zeros), so
+    its whitened innovation, hence its statistic, is non-finite; no other
+    slice is touched. Such a slice sets the invalid flag, so the caller's
+    np.errstate decides whether it warns.
     """
     m = S.shape[-1]
     if m == 1:
@@ -143,19 +145,8 @@ def factor_stack(S: np.ndarray, failed: np.ndarray):
         F = np.zeros(S.shape)
         F[:, 0, 0], F[:, 0, 1], F[:, 1, 1] = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
         return L, F
-    eye = np.eye(m)
-    if failed.any():
-        S = np.where(failed[:, None, None], eye, S)
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        for t, slice_ in enumerate(S):
-            try:
-                np.linalg.cholesky(slice_)
-            except np.linalg.LinAlgError:
-                failed[t] = True
-        L = np.linalg.cholesky(np.where(failed[:, None, None], eye, S))
-    return L, np.linalg.inv(L).swapaxes(-1, -2)
+    L = _umath_linalg.cholesky_lo(S, signature="d->d")
+    return L, _umath_linalg.inv(L, signature="d->d").swapaxes(-1, -2)
 
 
 def _derived(P_prior: np.ndarray, model: SystemModel):

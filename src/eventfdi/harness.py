@@ -31,34 +31,35 @@ functions produces (tests/_oracles.py keeps that loop as the reference).
 That holds because every product is a stacked np.matmul, which runs the
 same kernel per slice as the 2-D product, and everything else is an
 elementwise ufunc or np.where; einsum, `X @ A.T` rewrites and `sum`
-contractions change the rounding and are not used. S is factorized in
-closed form elementwise for m <= 2 and by a stacked Cholesky for m >= 3.
+contractions change the rounding and are not used. estimator.factor_stack
+factorizes S, in closed form elementwise for m <= 2 and by the stacked
+LAPACK Cholesky for m >= 3, and gives every slice whose S is not positive
+definite non-finite factors instead of raising, whatever m is.
 
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching
 P+ bits it reached before. On attacked steps (k >= attack_start) the run's
 _CovarianceMemo serves the prior (P, L, F, K) and the next P+ when it has
 seen every slice's (P+, gamma) before, and computes the step as above
-otherwise. It is exact: those values are functions of the P+ bits and
-gamma alone, F is served in the layout factor_stack gives it (np.matmul
-picks its kernel by strides), and the memo stops once a slice is flagged
-`failed`, whose identity factor is no function of P+. The attack-off path
-and the steps before the attack run no memo code.
+otherwise. It is exact: those values, non-finite factors included, are
+functions of the P+ bits and gamma alone, and F is served in the layout
+factor_stack gives it (np.matmul picks its kernel by strides). The
+attack-off path and the steps before the attack run no memo code.
 
-A trajectory diverges when its plant path or its estimates go non-finite
-or its innovation covariance stops being positive definite. It is masked,
-not raised: its slice carries nan without warnings, no operation mixes
-slices, and it is left out of the aggregates and the trace.
+A trajectory diverges when its plant path or its estimates go non-finite;
+an innovation covariance that stops being positive definite gets there
+through its non-finite factors. It is masked, not raised: its slice
+carries nan without warnings, no operation mixes slices, and it is left
+out of the aggregates and the trace.
 
 Memory: the measurements and every per-step record of every trajectory
 are kept until the run ends, T * steps * (3n + 5m + 1) doubles; the
 noise block is freed before the filter loop, and the summary's reductions
-hold one or two window-sized temporaries at a time. The paper's 50 x 4200
-run peaks at about 37 MB, where a loop over one trajectory at a time
-needed about 1 MB. The memo holds at most _MEMO_NODES nodes of
+hold one or two window-sized temporaries at a time: about 37 MB for the
+paper's 50 x 4200 run. The memo holds at most _MEMO_NODES nodes of
 n^2 + 2m^2 + nm doubles each, plus an n^2-double key: the paper's
 attacked runs make about 450 nodes at 10 x 700, 2,200 at 50 x 4200 and
-7,400 at 200 x 700, about 1 MB and 2 MB of peak memory for the last two.
+7,400 at 200 x 700. Measured peaks are in CHANGES.md and BENCH_*.json.
 """
 
 import itertools
@@ -434,14 +435,14 @@ class _CovarianceMemo:
     the layout factor_stack gives it, since np.matmul picks its kernel by
     strides: for m >= 3 that is a transposed view, so the table holds F^T.
 
-    The memo stops for the rest of the run when a slice is flagged
-    `failed` (factor_stack gave it the identity, which is no function of
-    P+), when the table would pass _MEMO_NODES, or when it has computed
-    _MEMO_GRACE more steps than it served (paths that rarely repeat).
+    A slice whose S is not positive definite is no exception: factor_stack
+    gives it non-finite factors, which are as much a function of P+ as any.
+    The memo stops for the rest of the run when the table would pass
+    _MEMO_NODES, or when it has computed _MEMO_GRACE more steps than it
+    served (paths that rarely repeat).
     """
 
-    def __init__(self, n: int, m: int, failed: np.ndarray):
-        self.failed = failed
+    def __init__(self, n: int, m: int):
         self.f_view = m >= 3
         self.index = {}  # P+ bytes -> node
         # np.empty reserves the tables; only the rows written take memory
@@ -469,7 +470,7 @@ class _CovarianceMemo:
         if nodes is None:
             self.stacks = compute(P_post)
             self.lag += 1
-            self.live = self.live and self.lag <= _MEMO_GRACE and not self.failed.any()
+            self.live = self.live and self.lag <= _MEMO_GRACE
             if self.live:
                 nodes = self._add(keys, self.stacks)
         else:
@@ -543,7 +544,6 @@ def _simulate(config: ScenarioConfig) -> _Records:
     P, L, F, K = (np.broadcast_to(a, (T, *a.shape)) for a in (filt.P_prior, filt.L, filt.F, filt.K))
     x_prior = np.zeros((T, n, 1))
     x_post = xn_post = xt_post = x_prior
-    failed = np.zeros(T, dtype=bool)  # innovation covariance lost definiteness (m >= 3)
     gammas = np.empty((T, steps), dtype=bool)
     xns, xas = np.empty((T, steps, n, 1)), np.empty((T, steps, n, 1))
     zs, zns, epss, epsts = (np.empty((T, steps, m, 1)) for _ in range(4))
@@ -551,10 +551,10 @@ def _simulate(config: ScenarioConfig) -> _Records:
     def prior(P_post):
         P = _sym(A @ P_post @ At + Q)
         PCt = P @ Ct
-        L, F = factor_stack(_sym(C @ PCt + R), failed)
+        L, F = factor_stack(_sym(C @ PCt + R))
         return P, L, F, (PCt @ F) @ F.swapaxes(-1, -2)
 
-    memo = _CovarianceMemo(n, m, failed) if attacked else None
+    memo = _CovarianceMemo(n, m) if attacked else None
     for k in range(steps):
         active = attacked and k >= config.attack_start
         if k > 0:
@@ -617,7 +617,7 @@ def _simulate(config: ScenarioConfig) -> _Records:
         zn=zns[..., 0],
         eps=epss[..., 0],
         epst=epsts[..., 0],
-        diverged=failed | ~plant_finite | ~np.array(estimate_finite),
+        diverged=~plant_finite | ~np.array(estimate_finite),
     )
 
 

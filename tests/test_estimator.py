@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,39 +116,46 @@ class TestFactorStack:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_each_slice_matches_factor_pair_bitwise(self, m, rng):
         S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(6)])
-        failed = np.zeros(6, dtype=bool)
-        L, F = factor_stack(S, failed)
+        L, F = factor_stack(S)
         for t in range(6):
             L_t, F_t = _factor_pair(S[t])
             assert L[t].tobytes() == L_t.tobytes()
             assert F[t].tobytes() == F_t.tobytes()
-        assert not failed.any()
 
-    def test_indefinite_slice_masked_before_stacked_cholesky(self, rng):
-        S = np.stack([random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(4)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_closed_form_leaves_indefinite_slice_non_finite(self, m, rng):
+        """Every m: a slice that is not positive definite gets non-finite factors (all
+        nan for m >= 3; the closed forms keep their structural zeros), with nothing but
+        the invalid flag raised, and every other slice keeps its bits."""
+        S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(4)])
         S[2] = -S[2]
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(S)
-        failed = np.zeros(4, dtype=bool)
-        L, F = factor_stack(S, failed)
-        assert failed.tolist() == [False, False, True, False]
-        assert np.array_equal(L[2], np.eye(3)) and np.array_equal(F[2], np.eye(3))
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L, F = factor_stack(S)
+        lower = np.tril_indices(m)
+        assert not np.isfinite(L[2][lower]).any() and not np.isfinite(F[2].T[lower]).any()
+        if m >= 3:
+            assert np.isnan(L[2]).all() and np.isnan(F[2]).all()
         for t in (0, 1, 3):
             L_t, F_t = _factor_pair(S[t])
             assert L[t].tobytes() == L_t.tobytes() and F[t].tobytes() == F_t.tobytes()
-        # a flagged slice stays masked even once its covariance is valid again
-        S[2] = np.eye(3)
-        factor_stack(S, failed)
-        assert failed.tolist() == [False, False, True, False]
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_closed_form_leaves_indefinite_slice_non_finite(self, m, rng):
-        S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(3)])
-        S[1] = -S[1]
-        with np.errstate(invalid="ignore"):
-            L, F = factor_stack(S, np.zeros(3, dtype=bool))
-        assert not np.all(np.isfinite(F[1]))
-        assert np.all(np.isfinite(F[[0, 2]]))
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_factors_of_a_slice_depend_on_that_slice_alone(self, m, rng):
+        """Where np.linalg.cholesky rejects the whole stack, each slice still gets the
+        factors it gets on its own, and a slice that was indefinite on one call is
+        factored normally on the next."""
+        S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(4)])
+        S[2] = -S[2]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(S)
+        for stack in (S, np.where(np.arange(4)[:, None, None] == 2, np.eye(m), S)):
+            with np.errstate(invalid="ignore"):
+                L, F = factor_stack(stack)
+                alone = [factor_stack(stack[t : t + 1]) for t in range(4)]
+            for t, (L_t, F_t) in enumerate(alone):
+                assert L[t].tobytes() == L_t[0].tobytes() and F[t].tobytes() == F_t[0].tobytes()
+        assert np.array_equal(L[2], np.eye(m)) and np.array_equal(F[2], np.eye(m))
 
 
 class TestInnovationAndTransform:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -324,18 +325,19 @@ def _three_channel_payload(paper_payload) -> dict:
 
 
 class TestDivergence:
-    def _assert_only_trajectory_1_masked(self, config, tmp_path, monkeypatch, name, fault):
+    def _assert_only_masked(self, config, tmp_path, monkeypatch, name, fault, masked=(1,)):
         clean_path, faulty_path = tmp_path / "clean.csv", tmp_path / "faulty.csv"
         clean = ef.run_scenario(config, trace_path=clean_path)
         monkeypatch.setattr(harness, name, fault)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # masked slices warn about nothing
             result = ef.run_scenario(config, trace_path=faulty_path)
-        assert result.diverged == [1]
-        assert result.summary.trajectory_count == 2
+        survivors = [t for t in range(config.trajectories) if t not in masked]
+        assert result.diverged == list(masked)
+        assert result.summary.trajectory_count == len(survivors)
         clean_rows = _trace_rows_by_trajectory(clean_path)
-        assert _trace_rows_by_trajectory(faulty_path) == {0: clean_rows[0], 2: clean_rows[2]}
-        assert np.array_equal(result.traj_bias_means, clean.traj_bias_means[[0, 2]])
+        assert _trace_rows_by_trajectory(faulty_path) == {t: clean_rows[t] for t in survivors}
+        assert np.array_equal(result.traj_bias_means, clean.traj_bias_means[survivors])
 
     def test_partial_divergence_flag(self, paper_payload, tmp_path, monkeypatch):
         real = harness._noise
@@ -347,52 +349,76 @@ class TestDivergence:
             return draws
 
         config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=3))
-        self._assert_only_trajectory_1_masked(config, tmp_path, monkeypatch, "_noise", poisoned)
+        self._assert_only_masked(config, tmp_path, monkeypatch, "_noise", poisoned)
 
     def test_indefinite_innovation_covariance_masked(self, paper_payload, tmp_path, monkeypatch):
         real = harness.factor_stack
         calls = []
 
-        def corrupting(S, failed):
+        def corrupting(S):
             calls.append(None)
             if len(calls) == 50:
                 S = S.copy()
                 S[1] = -S[1]
-            return real(S, failed)
+            return real(S)
 
         config = ef.config_from_dict(_three_channel_payload(paper_payload))
         assert config.model.m == 3
-        self._assert_only_trajectory_1_masked(
-            config, tmp_path, monkeypatch, "factor_stack", corrupting
-        )
+        self._assert_only_masked(config, tmp_path, monkeypatch, "factor_stack", corrupting)
 
-    def test_failed_slice_stops_the_memo(self, paper_payload, tmp_path, monkeypatch):
-        """Slice 1's S turns indefinite in the attack window on a step where it shares
-        its P+ node with slice 0 but not with slice 2. Its prior is then no function
-        of P+, so the memo must stop rather than record it under that node."""
-        config = ef.config_from_dict(dict(_three_channel_payload(paper_payload), seed=12))
+    def test_memo_serves_an_indefinite_pattern_exactly(self, paper_payload, tmp_path, monkeypatch):
+        """The fault is a function of the S bits: every slice whose S equals one bit
+        pattern of the attack window, reached by some trajectories but not all, is
+        negated. Its non-finite factors are then as much a function of P+ as any other,
+        so the memo stays live, exactly the trajectories that reach the pattern are
+        masked, and every other trajectory keeps its records and trace rows."""
+        config = ef.config_from_dict(
+            dict(_three_channel_payload(paper_payload), trajectories=4, seed=0)
+        )
+        clean_records = harness._simulate(config)
+
+        # every slice's S on every step, with the memo stopped so that each step is computed
+        real, seen = harness.factor_stack, []
+
+        def spy(S):
+            seen.append([s.tobytes() for s in S])
+            return real(S)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_MEMO_GRACE", -1)
+            patch.setattr(harness, "factor_stack", spy)
+            harness._simulate(config)
+        assert len(seen) == config.steps - 1
+        reach = {}
+        for keys in seen:
+            for traj, key in enumerate(keys):
+                reach.setdefault(key, set()).add(traj)
+        pattern = next(
+            key
+            for keys in seen[config.attack_start - 1 :]  # call k - 1 factors step k
+            for key in keys
+            if 2 <= len(reach[key]) < config.trajectories
+        )
+        masked = sorted(reach[pattern])
+
+        def negated(S):
+            hit = np.array([s.tobytes() == pattern for s in S])
+            return real(np.where(hit[:, None, None], -S, S))
+
         memo_class, memos = harness._CovarianceMemo, []
         monkeypatch.setattr(
             harness, "_CovarianceMemo", lambda *args: memos.append(memo_class(*args)) or memos[-1]
         )
-        real, calls, corrupted = harness.factor_stack, [], []
+        self._assert_only_masked(config, tmp_path, monkeypatch, "factor_stack", negated, masked)
+        for memo in memos:  # the clean run's and the faulty run's
+            assert memo.live and memo.lag < 0  # each served more steps than it computed
 
-        def corrupting(S, failed):
-            calls.append(None)
-            in_window = len(calls) >= config.attack_start  # one call per step until then
-            if in_window and not corrupted and _same_bits(S[0], S[1]) and not _same_bits(S[1], S[2]):
-                corrupted.append(len(calls))
-                S = S.copy()
-                S[1] = -S[1]
-            return real(S, failed)
-
-        self._assert_only_trajectory_1_masked(
-            config, tmp_path, monkeypatch, "factor_stack", corrupting
-        )
-        clean, faulty = memos
-        assert corrupted
-        assert clean.live and clean.lag < 0  # it served more steps than it computed
-        assert not faulty.live
+        faulty_records = harness._simulate(config)
+        survivors = np.flatnonzero(~faulty_records.diverged)
+        assert survivors.tolist() == [t for t in range(config.trajectories) if t not in masked]
+        for item in dataclasses.fields(harness._Records):
+            faulty, clean = (getattr(r, item.name)[survivors] for r in (faulty_records, clean_records))
+            assert np.array_equal(faulty, clean), item.name
 
     def test_unstable_plant_detected(self, tmp_path):
         payload = {
@@ -417,10 +443,6 @@ class TestDivergence:
         with pytest.raises(NumericError):
             ef.run_scenario(config, trace_path=tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
-
-
-def _same_bits(a, b) -> bool:
-    return a.tobytes() == b.tobytes()
 
 
 def _random_stable_payload(n, m, trajectories, mode, seed) -> dict:

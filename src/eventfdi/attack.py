@@ -238,6 +238,21 @@ def alarm_probability(params: AttackParams, sigma: float, dof: int) -> float:
     return noncentral_chi2_survival(params.mu**2 * sigma, dof, params.xi)
 
 
+def _target_below_bound(beta: float, psi_level: float, M: float) -> str | None:
+    """Why M is out of reach of the trigger boundary, or None when it is not.
+
+    The boundary delta = beta + Psi/mu enters the Marcum detector boundary
+    as the argument mu beta + Psi, which must be nonnegative for every
+    mu >= 1: beta + Psi >= 0, that is M >= Q(beta).
+    """
+    if beta + psi_level >= 0.0:
+        return None
+    return (
+        f"attack target M = {M!r} is below Q(beta) = {gaussian_q(beta):.6g} at beta = {beta!r}: "
+        f"the trigger boundary beta + Psi/mu is negative at mu = 1 (Psi = {psi_level:.6g})"
+    )
+
+
 def solve_optimal_params(
     beta: float,
     sigma: float,
@@ -253,7 +268,8 @@ def solve_optimal_params(
     bracketed by doubling from mu = 1 (first sign change, hence smallest
     root) and solved on that bracket by _brentq, the port of scipy's
     Brent routine, to 1e-12. The returned delta vector has dimension m
-    (default dof). A root search that fails raises NumericError.
+    (default dof). A target M below Q(beta) raises ConfigError on field
+    "M"; a root search that fails raises NumericError.
     """
     beta = float(beta)
     sigma = float(sigma)
@@ -261,6 +277,9 @@ def solve_optimal_params(
     if m is None:
         m = dof
     psi_level = criteria.Psi
+    reason = _target_below_bound(beta, psi_level, criteria.M)
+    if reason:
+        raise ConfigError(reason, field="M")
     root_sigma = math.sqrt(sigma)
 
     def gap(mu: float) -> float:
@@ -313,11 +332,15 @@ def feasible_delta_interval(
 
     low is the trigger boundary beta + Psi/mu; high is the bias at which the
     Marcum detector boundary is hit, bracketed by doubling and solved by
-    _brentq to 1e-12. Empty when mu is below the optimum.
+    _brentq to 1e-12. Empty when mu is below the optimum; a target M
+    below Q(beta), which has no optimum, raises DomainError.
     """
     mu, sigma = float(mu), float(sigma)
     check_thresholds(beta, sigma)
     psi_level = criteria.Psi
+    reason = _target_below_bound(beta, psi_level, criteria.M)
+    if reason:
+        raise DomainError(reason)
     root_sigma = math.sqrt(sigma)
     low = beta + psi_level / mu
 

@@ -6,11 +6,14 @@ with optional trace), analyze (bias and covariance fixed points), sweep
 experiment end to end with a pass/fail table).
 
 Exit codes: 0 success, 1 validation/configuration error, 2 numeric failure.
+A reader that closes stdout early (`| head`) ends the command quietly with
+exit code 0.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -290,7 +293,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is still buffered, and the flush
+        # at interpreter exit, to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     except NumericError as exc:

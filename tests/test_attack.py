@@ -262,6 +262,23 @@ class TestSolver:
         assert any("inactive" in str(w.message) for w in caught)
 
 
+    @pytest.mark.parametrize("M", [0.05, 0.01])
+    def test_target_below_q_beta_names_M(self, M):
+        """Below Q(beta) = 0.0808 at beta = 1.4, beta + Psi < 0 and the trigger
+        boundary is negative at mu = 1; the error names M and the bound."""
+        with pytest.raises(ConfigError) as err:
+            solve_optimal_params(1.4, 11.34, SuccessCriteria(M=M, Upsilon=0.01), 3)
+        assert err.value.field == "M"
+        assert f"M = {M!r}" in str(err.value) and "Q(beta) = 0.0807567" in str(err.value)
+
+    def test_target_just_above_q_beta_solves(self):
+        just_above = SuccessCriteria(M=ef.gaussian_q(1.4) * (1 + 1e-9), Upsilon=0.01)
+        params = solve_optimal_params(1.4, 11.34, just_above, 3)
+        assert params.mu >= 1.0 and params.delta_bar >= 0.0
+        low, high = feasible_delta_interval(1.5 * params.mu, 1.4, 11.34, just_above, 3)
+        assert 0.0 <= low < high
+
+
 class TestFeasibleInterval:
     def test_degenerate_at_optimum(self, criteria):
         params = solve_optimal_params(1.4, 11.34, criteria, 3)
@@ -292,6 +309,14 @@ class TestFeasibleInterval:
     def test_below_optimum_rejected(self, criteria):
         with pytest.raises(DomainError):
             feasible_delta_interval(1.2, 1.4, 11.34, criteria, 3)
+
+    @pytest.mark.parametrize("M, mu", [(0.05, 1.1), (0.05, 2.0), (0.01, 4.0)])
+    def test_target_below_q_beta_rejected(self, M, mu):
+        """No optimum exists below Q(beta), so no mu is above it, whether or not
+        beta + Psi/mu is negative at this mu (it is at 1.1 and not at 2 or 4)."""
+        with pytest.raises(DomainError) as err:
+            feasible_delta_interval(mu, 1.4, 11.34, SuccessCriteria(M=M, Upsilon=0.01), 3)
+        assert f"M = {M!r}" in str(err.value) and "Q(beta) = 0.0807567" in str(err.value)
 
 
 def scipy_brentq(f, a, b):

@@ -73,6 +73,19 @@ class TestSolve:
         assert code == 1
         assert "sqrt(sigma)" in err
 
+    def test_target_below_q_beta_is_validation_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--beta", "1.4",
+            "--sigma", "11.34",
+            "--upsilon", "0.01",
+            "--target-M", "0.05",
+            "--dof", "3",
+        )
+        assert code == 1 and out == ""
+        assert "M = 0.05" in err and "Q(beta)" in err and "Traceback" not in err
+
     def test_negative_sigma_is_validation_error(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -255,3 +268,26 @@ class TestImportGraph:
             env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         )
         assert result.stdout.strip() == "[]"
+
+
+class TestClosedStdout:
+    def test_reader_closing_stdout_leaves_no_traceback(self):
+        """The reader closes stdout after the first line of an output far larger than a
+        pipe holds, so the rest of the write meets a closed pipe. stdout is buffered, as
+        it is by default: unbuffered, a write cut short by the close returns its count
+        and drops the rest without raising."""
+        grid = ",".join(str(mu) for mu in range(1, 15001))  # about 390 kB of CSV
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eventfdi.cli", "sweep", "--mu-grid", grid],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=REPO,
+            env=dict(env, PYTHONPATH=str(REPO / "src")),
+        )
+        assert proc.stdout.readline() == b"mu,trace\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

@@ -36,6 +36,12 @@ def assert_schema_rejects(payload):
 
 
 class TestConfigLoading:
+    @pytest.mark.parametrize("M", [0.05, 0.01])
+    def test_target_below_q_beta_names_M(self, M):
+        with pytest.raises(ConfigError) as err:
+            ef.config_from_dict(ef.paper_scenario(M=M))
+        assert err.value.field == "M" and "Q(beta)" in str(err.value)
+
     def test_paper_file_loads(self):
         config = ef.load_config(SCENARIO)
         assert config.detector.sigma == 11.34

@@ -31,10 +31,9 @@ functions produces (tests/_oracles.py keeps that loop as the reference).
 That holds because every product is a stacked np.matmul, which runs the
 same kernel per slice as the 2-D product, and everything else is an
 elementwise ufunc or np.where; einsum, `X @ A.T` rewrites and `sum`
-contractions change the rounding and are not used. estimator.factor_stack
-factorizes S, in closed form elementwise for m <= 2 and by the stacked
-LAPACK Cholesky for m >= 3, and gives every slice whose S is not positive
-definite non-finite factors instead of raising, whatever m is.
+contractions change the rounding and are not used. S is factorized in
+closed form elementwise for m <= 2 and by a stacked Cholesky for m >= 3;
+for every m, a slice that is not positive definite gets non-finite factors.
 
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching
@@ -46,11 +45,10 @@ functions of the P+ bits and gamma alone, and F is served in the layout
 factor_stack gives it (np.matmul picks its kernel by strides). The
 attack-off path and the steps before the attack run no memo code.
 
-A trajectory diverges when its plant path or its estimates go non-finite;
-an innovation covariance that stops being positive definite gets there
-through its non-finite factors. It is masked, not raised: its slice
-carries nan without warnings, no operation mixes slices, and it is left
-out of the aggregates and the trace.
+A trajectory diverges when its plant path or its estimates go non-finite,
+as the factors of an S that is not positive definite make them. It is
+masked, not raised: its slice carries nan without warnings, no operation
+mixes slices, and it is left out of the aggregates and the trace.
 
 Memory: the measurements and every per-step record of every trajectory
 are kept until the run ends, T * steps * (3n + 5m + 1) doubles; the
@@ -431,12 +429,12 @@ class _CovarianceMemo:
     A node is one bit pattern of the posterior covariance P+ and owns the
     prior computed from it, the next step's (P, L, F, K); (node, gamma) ->
     node' is the P+ that step leaves. Each is a function of the P+ bits and
-    gamma alone, so a served step has the bits of a computed one. F keeps
-    the layout factor_stack gives it, since np.matmul picks its kernel by
-    strides: for m >= 3 that is a transposed view, so the table holds F^T.
+    gamma alone, the non-finite factors of an S that is not positive
+    definite included, so a served step has the bits of a computed one. F
+    keeps the layout factor_stack gives it, since np.matmul picks its
+    kernel by strides: for m >= 3 that is a transposed view, so the table
+    holds F^T.
 
-    A slice whose S is not positive definite is no exception: factor_stack
-    gives it non-finite factors, which are as much a function of P+ as any.
     The memo stops for the rest of the run when the table would pass
     _MEMO_NODES, or when it has computed _MEMO_GRACE more steps than it
     served (paths that rarely repeat).

@@ -112,11 +112,11 @@ def _indefinite_innovation():
     """Slice 1 of the 50th factorization is negated, so it is not positive definite."""
     real, calls = harness.factor_stack, itertools.count(1)
 
-    def negated(S, *rest):
+    def negated(S):
         if next(calls) == 50:
             S = S.copy()
             S[1] = -S[1]
-        return real(S, *rest)
+        return real(S)
 
     return mock.patch.object(harness, "factor_stack", negated)
 
@@ -146,10 +146,7 @@ def _run_entries(name: str, payload: dict, fault, tmp: Path) -> dict:
     entries = {f"run/{name}/summary": _hash(json.dumps(result.summary.to_dict()))}
     for item in dataclasses.fields(result):
         if item.name != "summary":
-            value = getattr(result, item.name)
-            if isinstance(value, (np.ndarray, np.generic)):
-                value = np.asarray(value)
-            entries[f"run/{name}/{item.name}"] = _hash(value)
+            entries[f"run/{name}/{item.name}"] = _hash(getattr(result, item.name))
     entries[f"run/{name}/trace"] = _hash(trace.read_bytes())
     return entries
 
@@ -282,7 +279,8 @@ def main(argv) -> int:
     recorded = load()["digests"] if DIGESTS.exists() else {}
     diff = changed(recorded, current)
     for name in diff:
-        print(f"{'changed' if name in recorded and name in current else 'added' if name in current else 'removed'}: {name}")
+        status = "removed" if name not in current else "changed" if name in recorded else "added"
+        print(f"{status}: {name}")
     if update:
         DIGESTS.parent.mkdir(exist_ok=True)
         with open(DIGESTS, "w", encoding="utf-8", newline="\n") as handle:

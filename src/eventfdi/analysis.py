@@ -32,6 +32,7 @@ and estimator.op_h, the time update, for the open loop.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .attack import AttackParams
 from .errors import DivergenceError, DomainError
@@ -66,13 +67,14 @@ def steady_bias(
             "the attacked estimate diverges"
         )
     rhs = steady.K @ (steady.L @ params.delta)  # K F^{-T} delta
-    value = np.linalg.solve(np.eye(model.n) - model.A, rhs)
+    value = _umath_linalg.solve1(np.eye(model.n) - model.A, rhs, signature="dd->d")
     return BiasVector(value=value, prior_value=model.A @ value)
 
 
 def _injection_shape(steady: SteadyState, model: SystemModel) -> np.ndarray:
     """D = P C^T S^{-1} C P, the injection term before its weight 2/mu - 1/mu^2."""
-    return _sym(steady.P @ model.C.T @ np.linalg.solve(steady.S, model.C @ steady.P))
+    CP = model.C @ steady.P
+    return _sym(steady.P @ model.C.T @ _umath_linalg.solve(steady.S, CP, signature="dd->d"))
 
 
 def _injection_term(params: AttackParams, steady: SteadyState, model: SystemModel):
@@ -114,6 +116,10 @@ def _lyapunov(model: SystemModel, forcing: np.ndarray) -> np.ndarray:
     system is n^2 x n^2, so its memory grows as n^4 and its time as n^6;
     from n = 10 on, scipy's bilinear solver does the work, imported on first
     use so that importing the library loads no scipy.linalg.
+
+    The Kronecker solve calls the LAPACK gufunc behind np.linalg.solve
+    directly (same bits): a singular or non-finite system gives nan, not
+    LinAlgError, and any non-finite result raises DivergenceError.
     """
     n = model.n
     if n >= 10:
@@ -121,10 +127,10 @@ def _lyapunov(model: SystemModel, forcing: np.ndarray) -> np.ndarray:
 
         return _sym(linalg.solve_discrete_lyapunov(model.A, forcing))
     lhs = np.eye(n * n) - _kron_square(model.A)
-    try:
-        vec = np.linalg.solve(lhs, forcing.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise DivergenceError(f"Lyapunov solve failed: {exc}") from exc
+    with np.errstate(invalid="ignore"):  # a singular system: nan, caught below
+        vec = _umath_linalg.solve1(lhs, forcing.reshape(-1), signature="dd->d")
+    if not np.isfinite(vec).all():
+        raise DivergenceError("Lyapunov solve failed: singular or non-finite system")
     return _sym(vec.reshape(n, n))
 
 

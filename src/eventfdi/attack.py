@@ -19,7 +19,13 @@ from .detector import check_thresholds
 from .errors import ConfigError, DomainError, NumericError
 from .estimator import SteadyState
 from .model import SystemModel
-from .special import gaussian_q, gaussian_q_inv, marcum_q, noncentral_chi2_survival
+from .special import (
+    _check_order,
+    _ncx2_survival,
+    gaussian_q,
+    gaussian_q_inv,
+    noncentral_chi2_survival,
+)
 
 _MU_CAP = 1e6
 _ROOT_XTOL = 1e-12
@@ -267,9 +273,11 @@ def solve_optimal_params(
     G(mu) = Q_{dof/2}(mu beta + Psi, mu sqrt(sigma)) - Upsilon = 0,
     bracketed by doubling from mu = 1 (first sign change, hence smallest
     root) and solved on that bracket by _brentq, the port of scipy's
-    Brent routine, to 1e-12. The returned delta vector has dimension m
-    (default dof). A target M below Q(beta) raises ConfigError on field
-    "M"; a root search that fails raises NumericError.
+    Brent routine, to 1e-12. The order dof/2 is checked once per call, and
+    each gap evaluates the survival function behind marcum_q directly: its
+    arguments are finite and >= 0 by construction. The returned delta
+    vector has dimension m (default dof). A target M below Q(beta) raises
+    ConfigError on field "M"; a root search that fails raises NumericError.
     """
     beta = float(beta)
     sigma = float(sigma)
@@ -281,9 +289,11 @@ def solve_optimal_params(
     if reason:
         raise ConfigError(reason, field="M")
     root_sigma = math.sqrt(sigma)
+    two_nu = 2.0 * _check_order(0.5 * dof)
 
     def gap(mu: float) -> float:
-        return marcum_q(0.5 * dof, mu * beta + psi_level, mu * root_sigma) - criteria.Upsilon
+        a, b = mu * beta + psi_level, mu * root_sigma
+        return _ncx2_survival(b * b, two_nu, a * a) - criteria.Upsilon
 
     if gap(1.0) <= 0.0:
         # Detector constraint already slack at the mu >= 1 boundary.
@@ -332,20 +342,25 @@ def feasible_delta_interval(
 
     low is the trigger boundary beta + Psi/mu; high is the bias at which the
     Marcum detector boundary is hit, bracketed by doubling and solved by
-    _brentq to 1e-12. Empty when mu is below the optimum; a target M
-    below Q(beta), which has no optimum, raises DomainError.
+    _brentq to 1e-12. Empty when mu is below the optimum; a mu that is
+    not finite or is below 1, and a target M below Q(beta), which has no
+    optimum, raise DomainError.
     """
     mu, sigma = float(mu), float(sigma)
+    if not (math.isfinite(mu) and mu >= 1.0):  # also keeps the gap's arguments >= 0
+        raise DomainError(f"mu must be >= 1, got {mu!r}")
     check_thresholds(beta, sigma)
     psi_level = criteria.Psi
     reason = _target_below_bound(beta, psi_level, criteria.M)
     if reason:
         raise DomainError(reason)
     root_sigma = math.sqrt(sigma)
+    two_nu = 2.0 * _check_order(0.5 * dof)
     low = beta + psi_level / mu
 
     def gap(delta_bar: float) -> float:
-        return marcum_q(0.5 * dof, mu * delta_bar, mu * root_sigma) - criteria.Upsilon
+        a, b = mu * delta_bar, mu * root_sigma
+        return _ncx2_survival(b * b, two_nu, a * a) - criteria.Upsilon
 
     boundary = gap(low)
     if boundary > 0.0:

@@ -58,6 +58,28 @@ def _mu_grid(text: str) -> list:
         ) from None
 
 
+def _scaling(text: str) -> float:
+    """A --mu value: a finite scaling >= 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 1.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 1, got {text!r}")
+    return value
+
+
+def _dof(text: str) -> int:
+    """A --dof value: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -257,9 +279,9 @@ def _build_parser() -> _Parser:
     solve.add_argument("--sigma", type=float, required=True)
     solve.add_argument("--upsilon", type=float, required=True)
     solve.add_argument("--target-M", dest="target_M", type=float, required=True)
-    solve.add_argument("--dof", type=int, required=True)
+    solve.add_argument("--dof", type=_dof, required=True)
     solve.add_argument(
-        "--mu", type=float, default=None, help="also report the feasible bias interval at this scaling"
+        "--mu", type=_scaling, default=None, help="also report the feasible bias interval at this scaling"
     )
     solve.set_defaults(func=_cmd_solve)
 
@@ -273,7 +295,7 @@ def _build_parser() -> _Parser:
 
     ana = sub.add_parser("analyze", help="bias law and covariance fixed points")
     ana.add_argument("--config", default=None)
-    ana.add_argument("--mu", type=float, default=None, help="override the scaling parameter")
+    ana.add_argument("--mu", type=_scaling, default=None, help="override the scaling parameter")
     ana.set_defaults(func=_cmd_analyze)
 
     swp = sub.add_parser("sweep", help="attacked-covariance fixed-point trace per scaling value")

@@ -267,31 +267,33 @@ def riccati_fixed_point(model: SystemModel) -> SteadyState:
     with Q = 0 can be a non-stabilising fixed point. Convergence is the
     max-norm difference of successive iterates below _RICCATI_TOL within
     _RICCATI_DOUBLINGS doubling steps; W^{-1} is formed only when another
-    doubling follows. Non-finite iterates or non-convergence raise,
-    signalling an effectively undetectable pair.
+    doubling follows. The solves and the inverse call the LAPACK gufuncs
+    behind np.linalg.solve and np.linalg.inv directly, with the same bits
+    and without the wrappers' checks: a singular or non-finite matrix gives
+    nan entries, not LinAlgError, and the iterates carry them. Non-finite
+    iterates or non-convergence raise DivergenceError, signalling an
+    effectively undetectable pair.
     """
     X0 = model.Xi0 if np.any(model.Xi0) else model.Q
     eye = np.eye(model.n)
     A_k = model.A.T
-    G_k = _sym(model.C.T @ np.linalg.solve(model.R, model.C))
+    G_k = _sym(model.C.T @ _umath_linalg.solve(model.R, model.C, signature="dd->d"))
     H_k = model.Q
     P = X0
     with np.errstate(all="ignore"):
         for _ in range(_RICCATI_DOUBLINGS):
-            try:
-                P_next = _sym(H_k + A_k.T @ X0 @ np.linalg.solve(eye + G_k @ X0, A_k))
-                change = np.max(np.abs(P_next - P))
-                if change < _RICCATI_TOL:
-                    P = P_next
-                    break
-                # a nan or inf in P_next makes the change non-finite; finite
-                # iterates whose difference overflows keep iterating
-                if not math.isfinite(change) and not np.all(np.isfinite(P_next)):
-                    raise DivergenceError("Riccati iteration produced non-finite values")
+            step = _umath_linalg.solve(eye + G_k @ X0, A_k, signature="dd->d")
+            P_next = _sym(H_k + A_k.T @ X0 @ step)
+            change = np.abs(P_next - P).max()
+            if change < _RICCATI_TOL:
                 P = P_next
-                W_inv = np.linalg.inv(eye + G_k @ H_k)
-            except np.linalg.LinAlgError as exc:
-                raise DivergenceError(f"Riccati doubling hit a singular matrix: {exc}") from exc
+                break
+            # a nan or inf in P_next makes the change non-finite; finite
+            # iterates whose difference overflows keep iterating
+            if not math.isfinite(change) and not np.all(np.isfinite(P_next)):
+                raise DivergenceError("Riccati iteration produced non-finite values")
+            P = P_next
+            W_inv = _umath_linalg.inv(eye + G_k @ H_k, signature="d->d")
             WA = W_inv @ A_k
             H_k, G_k, A_k = (
                 _sym(H_k + A_k.T @ H_k @ WA),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from eventfdi import analysis
 from eventfdi.analysis import _kron_square, _lyapunov
 from eventfdi.estimator import _sym
 from eventfdi.model import SystemModel
+from numpy.linalg import _umath_linalg
 
 from _oracles import (
     lyapunov_kron,
@@ -107,6 +110,22 @@ class TestDirectFixedPoints:
         ref = _sym(linalg.solve_discrete_lyapunov(model.A, model.Q))
         assert np.array_equal(_lyapunov(model, model.Q), ref)
         assert relative_gap(_lyapunov(model, model.Q), lyapunov_kron(model.A, model.Q)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "solve",
+        [attacked_covariance_fixed_point, lambda params, steady, model: open_loop_fixed_point(model)],
+        ids=["attacked", "open_loop"],
+    )
+    def test_singular_kronecker_system_diverges_quietly(
+        self, solve, steady, paper_model, paper_params, monkeypatch
+    ):
+        """The gufunc gives a singular system nan, not LinAlgError; the solve reports
+        that as DivergenceError and leaks no RuntimeWarning."""
+        monkeypatch.setattr(analysis, "_kron_square", lambda A: np.eye(A.size))  # I - I = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="Lyapunov solve failed"):
+                solve(paper_params, steady, paper_model)
 
     def test_unstable_A_attacked_diverges(self):
         model = unstable_model()
@@ -318,3 +337,33 @@ class TestMuSweep:
     def test_infinite_mu_is_open_loop(self, steady, paper_model):
         point = mu_sweep([float("inf")], steady, paper_model)[0]
         assert point.trace == pytest.approx(np.trace(open_loop_fixed_point(paper_model)), rel=1e-9)
+
+
+class TestGufuncBits:
+    """The analysis path calls the LAPACK gufuncs without the np.linalg wrappers;
+    on nonsingular input each call gives the wrapper's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 9), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_solve_solve1_inv_match_wrappers(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)  # diagonally weighted: well conditioned
+        b, b1 = rng.standard_normal((n, k)), rng.standard_normal(n)
+        solved = _umath_linalg.solve(a, b, signature="dd->d")
+        assert solved.tobytes() == np.linalg.solve(a, b).tobytes()
+        solved1 = _umath_linalg.solve1(a, b1, signature="dd->d")
+        assert solved1.tobytes() == np.linalg.solve(a, b1).tobytes()
+        assert _umath_linalg.inv(a, signature="d->d").tobytes() == np.linalg.inv(a).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        rho=st.floats(0.0, 0.995),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kronecker_solve_matches_wrapper(self, n, rho, seed):
+        model = random_stable_model(n, 2, rho, seed)
+        lhs = np.eye(n * n) - _kron_square(model.A)  # up to 81 x 81
+        rhs = (model.Q - 0.5 * random_psd(np.random.default_rng(seed), n)).reshape(-1)
+        solved = _umath_linalg.solve1(lhs, rhs, signature="dd->d")
+        assert solved.tobytes() == np.linalg.solve(lhs, rhs).tobytes()

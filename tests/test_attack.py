@@ -22,6 +22,7 @@ from eventfdi import (
     solve_optimal_params,
     trigger_probability,
 )
+from eventfdi import attack, special
 from eventfdi.attack import _ROOT_XTOL, _brentq
 
 from _oracles import ncx2_survival_quad
@@ -310,6 +311,13 @@ class TestFeasibleInterval:
         with pytest.raises(DomainError):
             feasible_delta_interval(1.2, 1.4, 11.34, criteria, 3)
 
+    @pytest.mark.parametrize("mu", [0.0, -5.0, float("nan"), 0.5])
+    def test_scaling_below_one_rejected_before_the_search(self, criteria, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="mu must be >= 1"):
+                feasible_delta_interval(mu, 1.4, 11.34, criteria, 3)
+
     @pytest.mark.parametrize("M, mu", [(0.05, 1.1), (0.05, 2.0), (0.01, 4.0)])
     def test_target_below_q_beta_rejected(self, M, mu):
         """No optimum exists below Q(beta), so no mu is above it, whether or not
@@ -351,6 +359,67 @@ def solver_brackets(dof, beta, upsilon):
         while delta_gap(hi) < 0.0:
             lo, hi = hi, 2.0 * hi
         yield delta_gap, lo, hi
+
+
+class TestSolverGaps:
+    """Both solvers evaluate their gaps through the ufunc helper that marcum_q
+    wraps, with the order checked once per call: the same bits as marcum_q."""
+
+    @staticmethod
+    def _library_gaps(monkeypatch, dof, beta, upsilon):
+        """The gap functions the two solvers hand to _brentq, in solver_brackets' order."""
+        gaps = []
+
+        def spy(f, xa, xb):
+            gaps.append(f)
+            return _brentq(f, xa, xb)
+
+        monkeypatch.setattr(attack, "_brentq", spy)
+        criteria = SuccessCriteria(M=0.99865, Upsilon=upsilon)
+        sigma = ef.design_threshold(upsilon, dof, beta=beta).sigma
+        mu_star = solve_optimal_params(beta, sigma, criteria, dof).mu
+        for factor in (1.1, 1.5, 2.0, 5.0):
+            feasible_delta_interval(factor * mu_star, beta, sigma, criteria, dof)
+        return gaps
+
+    @pytest.mark.parametrize("dof", range(1, 25))
+    def test_gaps_equal_marcum_gaps(self, dof, monkeypatch):
+        count = 0
+        for beta in (0.5, 1.0, 1.4):
+            for upsilon in (0.001, 0.01, 0.05):
+                library = self._library_gaps(monkeypatch, dof, beta, upsilon)
+                reference = list(solver_brackets(dof, beta, upsilon))
+                assert len(library) == len(reference) == 5
+                for gap, (marcum_gap, lo, hi) in zip(library, reference):
+                    root = _brentq(marcum_gap, lo, hi)
+                    for x in (*np.linspace(lo, hi, 9), root):
+                        assert gap(float(x)) == marcum_gap(float(x))
+                        count += 1
+        assert count == 9 * 5 * 10
+
+    def test_order_checked_once_per_call(self, criteria, monkeypatch):
+        calls = []
+        check = special._check_order
+
+        def counting(nu):
+            calls.append(nu)
+            return check(nu)
+
+        # both names: the solvers' own import and the one marcum_q looks up
+        monkeypatch.setattr(attack, "_check_order", counting)
+        monkeypatch.setattr(special, "_check_order", counting)
+        mu_star = solve_optimal_params(1.4, 11.34, criteria, 3).mu
+        assert calls == [1.5]
+        feasible_delta_interval(2.0 * mu_star, 1.4, 11.34, criteria, 3)
+        assert calls == [1.5, 1.5]
+
+    def test_order_still_validated(self, criteria):
+        for solve in (
+            lambda: solve_optimal_params(1.4, 11.34, criteria, 0),
+            lambda: feasible_delta_interval(5.0, 1.4, 11.34, criteria, 0),
+        ):
+            with pytest.raises(DomainError, match="Marcum order"):
+                solve()
 
 
 class TestBrentPort:

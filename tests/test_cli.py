@@ -122,7 +122,7 @@ class TestSolve:
         assert err.splitlines()[-1] == "eventfdi: error: unrecognized arguments: --m 5"
 
     def test_failed_root_search_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("eventfdi.attack.marcum_q", lambda *args: float("nan"))
+        monkeypatch.setattr("eventfdi.attack._ncx2_survival", lambda *args: float("nan"))
         code, out, err = run_cli(
             capsys,
             "solve",
@@ -142,6 +142,29 @@ class TestSolve:
         assert code == 1
         assert err.startswith("usage: eventfdi solve")
         assert err.splitlines()[-1] == "eventfdi: error: argument --beta: invalid float value: 'x'"
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--mu", "0", "expected a finite number >= 1, got '0'"),
+            ("--mu", "-5", "expected a finite number >= 1, got '-5'"),
+            ("--mu", "nan", "expected a finite number >= 1, got 'nan'"),
+            ("--dof", "0", "expected an integer >= 1, got '0'"),
+        ],
+    )
+    def test_bad_scaling_or_dof_names_the_argument(self, capsys, option, value, message):
+        argv = {
+            "--beta": "1.4",
+            "--sigma": "11.34",
+            "--upsilon": "0.01",
+            "--target-M": "0.99865",
+            "--dof": "3",
+            option: value,
+        }
+        code, out, err = run_cli(capsys, "solve", *[t for pair in argv.items() for t in pair])
+        assert code == 1 and out == ""
+        assert err.startswith("usage: eventfdi solve")
+        assert err.splitlines()[-1] == f"eventfdi: error: argument {option}: {message}"
 
 
 class TestSimulate:

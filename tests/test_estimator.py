@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from eventfdi import (
     time_update,
     transform_innovation,
 )
+from eventfdi import estimator
 from eventfdi.estimator import _factor_pair, factor_stack
 from eventfdi.model import SystemModel
 
@@ -366,6 +368,20 @@ class TestRiccati:
         )
         with pytest.raises(DivergenceError):
             riccati_fixed_point(model)
+
+    def test_singular_doubling_matrix_diverges_quietly(self, paper_model, monkeypatch):
+        """The inverse gufunc gives a singular W nan, not LinAlgError; the next
+        iterate carries it into DivergenceError, and no RuntimeWarning leaks."""
+        real = estimator._umath_linalg
+        singular = SimpleNamespace(
+            solve=real.solve,
+            inv=lambda a, signature: real.inv(np.zeros_like(a), signature=signature),
+        )
+        monkeypatch.setattr(estimator, "_umath_linalg", singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite values"):
+                riccati_fixed_point(paper_model)
 
     def test_covariance_converges_under_always_fire(self, paper_model, steady):
         # Assumption-4 regime: repeated gamma=1 updates land on the fixed point

@@ -73,7 +73,6 @@ from .special import (
     gaussian_q_inv,
     kappa,
     marcum_q,
-    noncentral_chi2_survival,
 )
 
 __version__ = "0.1.0"

@@ -19,13 +19,7 @@ from .detector import check_thresholds
 from .errors import ConfigError, DomainError, NumericError
 from .estimator import SteadyState
 from .model import SystemModel
-from .special import (
-    _check_order,
-    _ncx2_survival,
-    gaussian_q,
-    gaussian_q_inv,
-    noncentral_chi2_survival,
-)
+from .special import _check_dof, _check_order, _ncx2_survival, gaussian_q, gaussian_q_inv
 
 _MU_CAP = 1e6
 _ROOT_XTOL = 1e-12
@@ -237,11 +231,16 @@ def alarm_probability(params: AttackParams, sigma: float, dof: int) -> float:
 
     g_tilde >= sigma is V >= mu^2 sigma for the chi-square variable
     V = mu^2 ||eps_tilde||^2 with dof degrees of freedom and noncentrality
-    xi = mu^2 phi^2.
+    xi = mu^2 phi^2. dof must be a positive integer and sigma positive and
+    finite, and mu^2 sigma and xi must not overflow, else DomainError.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    return noncentral_chi2_survival(params.mu**2 * sigma, dof, params.xi)
+    _check_dof(dof)
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
+    x, xi = params.mu**2 * sigma, params.xi
+    if not (math.isfinite(x) and math.isfinite(xi)):
+        raise DomainError(f"alarm_probability overflows: mu^2 sigma = {x!r}, xi = {xi!r}")
+    return _ncx2_survival(x, float(dof), xi)
 
 
 def _target_below_bound(beta: float, psi_level: float, M: float) -> str | None:

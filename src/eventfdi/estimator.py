@@ -10,8 +10,10 @@ traces are bit-reproducible.
 The per-step updates run millions of times in Monte Carlo loops, so the
 filter carries the Cholesky factor L of S alongside F = L^{-T}: every
 F^{-T} application is then a small matrix product instead of a solve, and
-the gain is K = (P^- C^T F) F^T. For 1x1 and 2x2 innovation covariances the
-factorization is done in closed form.
+the gain is K = (P^- C^T F) F^T. factor_stack is the one factorization of
+S, for one matrix or for harness's stack of them: closed forms for 1x1 and
+2x2, LAPACK for larger. An S that is not positive definite gets non-finite
+factors; the scalar functions here raise NumericError on them.
 """
 
 import math
@@ -89,71 +91,50 @@ def op_q_tilde(X: np.ndarray, lam: float, model: SystemModel) -> np.ndarray:
     return _sym(X - lam * correction)
 
 
-def _factor_pair(S: np.ndarray):
-    """Lower Cholesky factor L of S and F = L^{-T}; closed forms for m <= 2."""
-    m = S.shape[0]
-    if m == 1:
-        s = S[0, 0]
-        if not s > 0.0:
-            raise NumericError("innovation covariance not positive definite")
-        root = math.sqrt(s)
-        return np.array([[root]]), np.array([[1.0 / root]])
-    if m == 2:
-        a, b, c = S[0, 0], S[1, 0], S[1, 1]
-        if not a > 0.0:
-            raise NumericError("innovation covariance not positive definite")
-        l11 = math.sqrt(a)
-        l21 = b / l11
-        rest = c - l21 * l21
-        if not rest > 0.0:
-            raise NumericError("innovation covariance not positive definite")
-        l22 = math.sqrt(rest)
-        L = np.array([[l11, 0.0], [l21, l22]])
-        F = np.array([[1.0 / l11, -l21 / (l11 * l22)], [0.0, 1.0 / l22]])
-        return L, F
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"innovation covariance not positive definite: {exc}") from exc
-    return L, np.linalg.inv(L).T
-
-
 def factor_stack(S: np.ndarray):
-    """`_factor_pair` over a (T, m, m) stack; returns (L, F) stacks.
+    """Lower Cholesky factor L of S and F = L^{-T}, for one (m, m) matrix or a
+    (..., m, m) stack; returns (L, F) of S's shape.
 
-    Each slice that is positive definite gets the bits `_factor_pair` gives
-    it: closed forms run elementwise for m <= 2, and for m >= 3 the stacked
-    LAPACK kernels that np.linalg.cholesky and np.linalg.inv call run
-    without those wrappers, which raise for the whole stack. A slice that
-    is not positive definite gets non-finite factors instead, for every m
-    (all nan for m >= 3; the closed forms keep their structural zeros), so
-    its whitened innovation, hence its statistic, is non-finite; no other
-    slice is touched. Such a slice sets the invalid flag, so the caller's
-    np.errstate decides whether it warns.
+    The closed forms run elementwise for m <= 2; for m >= 3 the LAPACK
+    kernels behind np.linalg.cholesky and np.linalg.inv run without those
+    wrappers, which raise for the whole stack, and F is the transposed view
+    of the inverse. A matrix that is not positive definite gets non-finite
+    factors instead, for every m (all nan for m >= 3; the closed forms keep
+    their structural zeros), so its whitened innovation, hence its
+    statistic, is non-finite; no other slice of a stack is touched. Such a
+    matrix sets the invalid or divide flag, so the caller's np.errstate
+    decides whether it warns.
     """
     m = S.shape[-1]
     if m == 1:
         root = np.sqrt(S)
         return root, 1.0 / root
     if m == 2:
-        a, b, c = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
+        a, b, c = S[..., 0, 0], S[..., 1, 0], S[..., 1, 1]
         l11 = np.sqrt(a)
         l21 = b / l11
         l22 = np.sqrt(c - l21 * l21)
         L = np.zeros(S.shape)
-        L[:, 0, 0], L[:, 1, 0], L[:, 1, 1] = l11, l21, l22
+        L[..., 0, 0], L[..., 1, 0], L[..., 1, 1] = l11, l21, l22
         F = np.zeros(S.shape)
-        F[:, 0, 0], F[:, 0, 1], F[:, 1, 1] = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
+        F[..., 0, 0], F[..., 0, 1], F[..., 1, 1] = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
         return L, F
     L = _umath_linalg.cholesky_lo(S, signature="d->d")
     return L, _umath_linalg.inv(L, signature="d->d").swapaxes(-1, -2)
 
 
 def _derived(P_prior: np.ndarray, model: SystemModel):
-    """S, L, F, K for a prior covariance (K = (P C^T F) F^T = P C^T S^{-1})."""
+    """S, L, F, K for a prior covariance (K = (P C^T F) F^T = P C^T S^{-1}).
+
+    Raises NumericError, with no warning, when S is not positive definite:
+    factor_stack's factors are then not finite.
+    """
     PCt = P_prior @ model.C.T
     S = _sym(model.C @ PCt + model.R)
-    L, F = _factor_pair(S)
+    with np.errstate(all="ignore"):
+        L, F = factor_stack(S)
+        if not (np.isfinite(L).all() and np.isfinite(F).all()):
+            raise NumericError("innovation covariance not positive definite")
     K = (PCt @ F) @ F.T
     return S, L, F, K
 

@@ -31,9 +31,12 @@ functions produces (tests/_oracles.py keeps that loop as the reference).
 That holds because every product is a stacked np.matmul, which runs the
 same kernel per slice as the 2-D product, and everything else is an
 elementwise ufunc or np.where; einsum, `X @ A.T` rewrites and `sum`
-contractions change the rounding and are not used. S is factorized in
-closed form elementwise for m <= 2 and by a stacked Cholesky for m >= 3;
-for every m, a slice that is not positive definite gets non-finite factors.
+contractions change the rounding and are not used. S is factorized by
+estimator.factor_stack, the factorization the scalar functions use: in
+closed form elementwise for m <= 2 and by a stacked Cholesky for m >= 3,
+each slice with the bits it gets alone. For every m, a slice that is not
+positive definite gets non-finite factors, where the scalar functions
+raise NumericError.
 
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching

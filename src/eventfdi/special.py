@@ -1,10 +1,12 @@
 """Scalar special functions for the probabilistic machinery.
 
 Everything here is a pure function of its arguments: the Gaussian tail
-Q(x) and its inverse, the scheduler covariance factor kappa(beta), central
-and noncentral chi-square survival functions, and the Marcum Q-function
-Q_nu(a, b) = Pr(V >= b^2) for V noncentral chi-square with 2*nu degrees of
-freedom and noncentrality a^2.
+Q(x) and its inverse, the scheduler covariance factor kappa(beta), the
+central chi-square survival function and quantile, and the Marcum
+Q-function Q_nu(a, b) = Pr(V >= b^2) for V noncentral chi-square with 2*nu
+degrees of freedom and noncentrality a^2. marcum_q is the one public entry
+to the noncentral survival; attack.alarm_probability and the attack
+solvers check their own domains and call its helper _ncx2_survival.
 
 The noncentral survival, and with it every Marcum order, integer or
 half-integer, is Boost's noncentral chi-square complement as scipy ships it
@@ -124,14 +126,18 @@ def _check_order(nu: float) -> float:
 
 
 def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
-    """Pr(V >= x) from the ufunc, clipped to [0, 1].
+    """Pr(V >= x) from the ufunc, clipped to [0, 1]; nan stays nan.
 
     The ufunc returns -0.0 at x = 0, where the value is 1; at any x > 0,
-    however small, it is within 2e-16 of a 50-digit sum.
+    however small, it is within 2e-16 of a 50-digit sum. It returns nan for
+    a nan or infinite argument, which the clip would read as 0.
     """
     if x == 0.0:
         return 1.0
-    return min(1.0, max(0.0, float(_ncx2_sf(x, dof, noncentrality))))
+    value = float(_ncx2_sf(x, dof, noncentrality))
+    if math.isnan(value):
+        return value
+    return min(1.0, max(0.0, value))
 
 
 def marcum_q(nu: float, a: float, b: float) -> float:
@@ -150,17 +156,3 @@ def marcum_q(nu: float, a: float, b: float) -> float:
     if not math.isfinite(b) or b < 0.0:
         raise DomainError(f"marcum_q requires b >= 0, got {b!r}")
     return _ncx2_survival(b * b, 2.0 * nu, a * a)
-
-
-def noncentral_chi2_survival(x: float, dof: int, noncentrality: float) -> float:
-    """Pr(V >= x) for V noncentral chi-square with `dof` dof and the given noncentrality."""
-    _check_dof(dof)
-    x = float(x)
-    noncentrality = float(noncentrality)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"noncentral_chi2_survival requires x >= 0, got {x!r}")
-    if not math.isfinite(noncentrality) or noncentrality < 0.0:
-        raise DomainError(
-            f"noncentral_chi2_survival requires noncentrality >= 0, got {noncentrality!r}"
-        )
-    return _ncx2_survival(x, float(dof), noncentrality)

@@ -25,7 +25,7 @@ from eventfdi import (
 from eventfdi import attack, special
 from eventfdi.attack import _ROOT_XTOL, _brentq
 
-from _oracles import ncx2_survival_quad
+from _oracles import marcum_quad, ncx2_survival_quad
 
 PAPER_MU = 2.7705
 PAPER_DELTA = 2.4828
@@ -202,6 +202,39 @@ class TestAlarmProbability:
 
     def test_vanishes_for_large_sigma(self, paper_params):
         assert alarm_probability(paper_params, 4e4, 3) == pytest.approx(0.0, abs=1e-12)
+
+    def test_paper_alarm_boundary(self):
+        params = AttackParams.scalar_bias(2.7705, 2.4828, 2)
+        assert alarm_probability(params, 11.34, 3) == pytest.approx(0.0100, abs=2e-4)
+
+    def test_zero_noncentrality_reduces_to_central(self):
+        for dof in (1, 2, 3, 4):
+            for sigma in (0.5, 4.0, 11.34):
+                assert alarm_probability(AttackParams.off(2), sigma, dof) == pytest.approx(
+                    ef.chi2_survival(sigma, dof), abs=1e-10
+                )
+
+    def test_matches_quadrature(self):
+        params = AttackParams.scalar_bias(1.0, math.sqrt(47.3), 2)
+        assert alarm_probability(params, 30.0, 2) == pytest.approx(
+            marcum_quad(1.0, math.sqrt(47.3), math.sqrt(30.0)), abs=1e-9
+        )
+
+    @pytest.mark.parametrize("dof", [0, -1, 1.5, True])
+    def test_rejects_bad_dof(self, paper_params, dof):
+        with pytest.raises(DomainError, match="degrees of freedom"):
+            alarm_probability(paper_params, 11.34, dof)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_sigma(self, paper_params, sigma):
+        with pytest.raises(DomainError, match="sigma must be positive and finite"):
+            alarm_probability(paper_params, sigma, 3)
+
+    @pytest.mark.parametrize("mu, delta_bar", [(1e154, 1.0), (2.0, 1e154)])
+    def test_rejects_overflow(self, mu, delta_bar):
+        params = AttackParams.scalar_bias(mu, delta_bar, 2)
+        with pytest.raises(DomainError, match="overflows"):
+            alarm_probability(params, 11.34, 3)
 
     def test_monte_carlo_agreement_channel_dof(self, paper_params, rng):
         eps = rng.standard_normal((200_000, 2))
@@ -420,6 +453,30 @@ class TestSolverGaps:
         ):
             with pytest.raises(DomainError, match="Marcum order"):
                 solve()
+
+
+class TestNanSurvival:
+    """A nan from the survival ufunc stays nan, so a solver's gap is nan and _brentq
+    raises NumericError; read as 0 it was a finite gap of -Upsilon."""
+
+    def test_gap_with_nan_argument_raises(self):
+        mu, root_sigma = math.nan, math.sqrt(11.34)
+
+        def gap(delta_bar):
+            a, b = mu * delta_bar, mu * root_sigma
+            return special._ncx2_survival(b * b, 3.0, a * a) - 0.01
+
+        with pytest.raises(NumericError, match="function value nan"):
+            _brentq(gap, 1.0, 2.0)
+
+    def test_solvers_raise_on_nan_ufunc(self, criteria, monkeypatch):
+        monkeypatch.setattr(special, "_ncx2_sf", lambda *args: math.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="function value nan"):
+                solve_optimal_params(1.4, 11.34, criteria, 3)
+            with pytest.raises(NumericError, match="function value nan"):
+                feasible_delta_interval(5.0, 1.4, 11.34, criteria, 3)
 
 
 class TestBrentPort:

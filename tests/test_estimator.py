@@ -11,6 +11,7 @@ import eventfdi as ef
 from eventfdi import (
     DivergenceError,
     DomainError,
+    NumericError,
     initial_filter_state,
     innovation,
     kappa,
@@ -23,7 +24,7 @@ from eventfdi import (
     transform_innovation,
 )
 from eventfdi import estimator
-from eventfdi.estimator import _factor_pair, factor_stack
+from eventfdi.estimator import factor_stack
 from eventfdi.model import SystemModel
 
 from _oracles import (
@@ -116,13 +117,29 @@ class TestMahalanobisFactor:
 
 class TestFactorStack:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_each_slice_matches_factor_pair_bitwise(self, m, rng):
-        S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(6)])
+    @settings(max_examples=30, deadline=None)
+    @given(T=st.integers(1, 5), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_each_slice_matches_the_matrix_alone_and_linalg(self, m, T, scale, seed):
+        """Each slice of a stack gets the bits and strides the matrix gets on its own,
+        and F = L^{-T} with L the lower Cholesky factor: np.linalg's bits for m >= 3,
+        where both call the same kernels, and its values for the closed forms (against
+        a triangular solve, since inv's pivoting fills in F's structural zero)."""
+        rng = np.random.default_rng(seed)
+        S = np.stack([random_psd(rng, m, scale) + 0.1 * scale * np.eye(m) for _ in range(T)])
         L, F = factor_stack(S)
-        for t in range(6):
-            L_t, F_t = _factor_pair(S[t])
-            assert L[t].tobytes() == L_t.tobytes()
-            assert F[t].tobytes() == F_t.tobytes()
+        for t in range(T):
+            L_t, F_t = factor_stack(S[t])
+            for got, alone in ((L[t], L_t), (F[t], F_t)):
+                assert got.tobytes() == alone.tobytes() and got.strides == alone.strides
+            L_ref = np.linalg.cholesky(S[t])
+            F_ref = np.linalg.inv(L_ref).T
+            if m >= 3:
+                assert L_t.tobytes() == L_ref.tobytes() and F_t.tobytes() == F_ref.tobytes()
+                assert F_t.strides == F_ref.strides
+            else:
+                F_ref = linalg.solve_triangular(L_ref, np.eye(m), lower=True).T
+                assert np.allclose(L_t, L_ref, rtol=1e-13, atol=0.0)
+                assert np.allclose(F_t, F_ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_closed_form_leaves_indefinite_slice_non_finite(self, m, rng):
@@ -139,7 +156,7 @@ class TestFactorStack:
         if m >= 3:
             assert np.isnan(L[2]).all() and np.isnan(F[2]).all()
         for t in (0, 1, 3):
-            L_t, F_t = _factor_pair(S[t])
+            L_t, F_t = factor_stack(S[t])
             assert L[t].tobytes() == L_t.tobytes() and F[t].tobytes() == F_t.tobytes()
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -158,6 +175,50 @@ class TestFactorStack:
             for t, (L_t, F_t) in enumerate(alone):
                 assert L[t].tobytes() == L_t[0].tobytes() and F[t].tobytes() == F_t[0].tobytes()
         assert np.array_equal(L[2], np.eye(m)) and np.array_equal(F[2], np.eye(m))
+
+
+def _nan_entry(S):
+    S = S.copy()
+    S[-1, 0] = S[0, -1] = np.nan
+    return S
+
+
+def _inf_diagonal(S):
+    """F stays finite here (a zero where L has inf), so only L shows the fault."""
+    S = S.copy()
+    S[-1, -1] = np.inf
+    return S
+
+
+class TestScalarCallersRejectBadS:
+    """initial_filter_state, time_update and riccati_fixed_point factor S with
+    factor_stack and raise NumericError when the factors are not finite; the flags
+    that factorization sets leak no RuntimeWarning."""
+
+    CORRUPT = {
+        "negated": np.negative,
+        "zero": np.zeros_like,
+        "nan_entry": _nan_entry,
+        "inf_diagonal": _inf_diagonal,
+    }
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPT))
+    @pytest.mark.parametrize("caller", ["initial_filter_state", "time_update", "riccati_fixed_point"])
+    def test_raises_numeric_error(self, caller, corrupt, m, monkeypatch):
+        model = random_stable_model(3, m, 0.9, seed=m)
+        prev = initial_filter_state(model)
+        call = {
+            "initial_filter_state": lambda: initial_filter_state(model),
+            "time_update": lambda: time_update(prev, model),
+            "riccati_fixed_point": lambda: riccati_fixed_point(model),
+        }[caller]
+        real = estimator.factor_stack
+        monkeypatch.setattr(estimator, "factor_stack", lambda S: real(self.CORRUPT[corrupt](S)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="not positive definite"):
+                call()
 
 
 class TestInnovationAndTransform:

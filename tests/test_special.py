@@ -14,8 +14,8 @@ from eventfdi import (
     gaussian_q_inv,
     kappa,
     marcum_q,
-    noncentral_chi2_survival,
 )
+from eventfdi.special import _ncx2_sf, _ncx2_survival
 
 from _oracles import chi2_quantile_mpmath, gaussian_tail_quad, marcum_mpmath, marcum_quad
 
@@ -133,7 +133,14 @@ class TestChi2:
 class TestMarcumQ:
     def test_survival_at_zero(self):
         for nu in (0.5, 1.0, 1.5, 2.5):
-            assert marcum_q(nu, 3.3, 0.0) == 1.0
+            for a in (3.3, math.sqrt(5.0)):
+                assert marcum_q(nu, a, 0.0) == 1.0
+
+    def test_zero_noncentrality_reduces_to_central(self):
+        for x in (0.5, 4.0, 11.34):
+            assert marcum_q(1.0, 0.0, math.sqrt(x)) == pytest.approx(
+                chi2_survival(x, 2), abs=1e-10
+            )
 
     def test_paper_active_constraint(self):
         # detector boundary at the solved attack parameters, 3-dof design
@@ -259,22 +266,28 @@ class TestMarcumQ:
         assert 0.0 <= marcum_q(nu, a, b) <= 1.0
 
 
-class TestNoncentralChi2:
-    def test_zero_noncentrality_reduces_to_central(self):
-        for x in (0.5, 4.0, 11.34):
-            assert noncentral_chi2_survival(x, 2, 0.0) == pytest.approx(
-                chi2_survival(x, 2), abs=1e-10
-            )
+class TestNcx2Survival:
+    """The helper behind marcum_q and attack.alarm_probability: the ufunc's value
+    clipped to [0, 1], and nan where the ufunc gives nan."""
 
-    def test_survival_at_zero(self):
-        assert noncentral_chi2_survival(0.0, 2, 5.0) == 1.0
+    @pytest.mark.parametrize(
+        "args", [(1.0, 2.0, math.nan), (math.nan, 2.0, 1.0), (1.0, math.nan, 1.0)]
+    )
+    def test_nan_stays_nan(self, args):
+        assert math.isnan(_ncx2_survival(*args))
 
-    def test_paper_alarm_boundary(self):
-        mu, phi, sigma = 2.7705, 2.4828, 11.34
-        value = noncentral_chi2_survival(mu**2 * sigma, 3, mu**2 * phi**2)
-        assert value == pytest.approx(0.0100, abs=2e-4)
+    # x from 1e-4: below that, with a large noncentrality, the ufunc raises
+    # OverflowError from Boost's tgamma, with or without the clip
+    @settings(max_examples=200)
+    @given(
+        st.one_of(st.just(0.0), st.floats(1e-4, 2e3)),
+        st.sampled_from([1.0, 2.0, 3.0, 5.0, 24.0, 48.0]),
+        st.floats(0.0, 2e3),
+    )
+    def test_clip_keeps_bits(self, x, dof, lam):
+        raw = float(_ncx2_sf(x, dof, lam))
+        got = _ncx2_survival(x, dof, lam)
+        assert got == (1.0 if x == 0.0 else min(1.0, max(0.0, raw)))
+        assert math.copysign(1.0, got) == 1.0  # the ufunc's -0.0 comes out as 0.0
 
-    def test_matches_quadrature(self):
-        assert noncentral_chi2_survival(30.0, 2, 47.3) == pytest.approx(
-            marcum_quad(1.0, math.sqrt(47.3), math.sqrt(30.0)), abs=1e-9
-        )
+

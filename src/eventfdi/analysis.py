@@ -78,7 +78,12 @@ def _injection_shape(steady: SteadyState, model: SystemModel) -> np.ndarray:
 
 
 def _injection_term(params: AttackParams, steady: SteadyState, model: SystemModel):
-    return (2.0 / params.mu - 1.0 / params.mu**2) * _injection_shape(steady, model)
+    mu = params.mu
+    try:
+        weight = 2.0 / mu - 1.0 / mu**2
+    except OverflowError:  # mu^2 overflows: 1/mu^2 is below half an ulp of 2/mu
+        weight = 2.0 / mu
+    return weight * _injection_shape(steady, model)
 
 
 def attacked_covariance_step(

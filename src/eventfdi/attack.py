@@ -3,10 +3,12 @@
 The forward channel rescales and biases the whitened innovation,
 eps_tilde = eps / mu + delta, inflating the trigger probability while
 compressing the detector statistic; the feedback channel injects
-alpha = -C xtilde^- so the sensor keeps seeing a nominal innovation. The
-solver finds the smallest scaling mu for which both success constraints
-hold with equality: the Marcum detector boundary and the Gaussian trigger
-boundary mu*(delta - beta) = Psi.
+alpha = -C xtilde^- so the sensor keeps seeing a nominal innovation. As in
+the paper, the attack is the pair (mu, delta_bar), the bias sitting on one
+of the m channels. The solver finds the smallest scaling mu for which both
+success constraints hold with equality: the Marcum detector boundary and
+the Gaussian trigger boundary mu*(delta - beta) = Psi. It and the feasible
+bias interval share their setup and their root search.
 """
 
 import math
@@ -92,48 +94,39 @@ def _brentq(f, xa: float, xb: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class AttackParams:
-    """Time-invariant forward-attack parameters.
+    """Forward-attack scaling mu >= 1 and bias delta_bar on m channels, else DomainError.
 
-    delta carries at most one nonzero component (the scheduler triggers on
-    the sup norm, so a single biased channel is enough); derived norms:
-    phi = ||delta||_2, psi = ||delta||_inf, noncentrality xi = mu^2 phi^2.
+    The bias sits in the first channel (the scheduler triggers on the sup
+    norm and the channels are exchangeable): delta = delta_bar e_1, a
+    read-only vector. phi = ||delta|| = |delta_bar|; noncentrality
+    xi = mu^2 phi^2.
     """
 
     mu: float
-    delta: np.ndarray
+    delta_bar: float
+    m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=float).ravel())
-        if not (math.isfinite(self.mu) and self.mu >= 1.0):
+        mu, delta_bar, m = float(self.mu), float(self.delta_bar), self.m
+        if not (math.isfinite(mu) and mu >= 1.0):
             raise DomainError(f"mu must be >= 1, got {self.mu!r}")
-        if not np.all(np.isfinite(self.delta)):
-            raise DomainError("delta must have finite entries")
-        if np.count_nonzero(self.delta) > 1:
-            raise DomainError("delta may have at most one nonzero component")
-
-    @classmethod
-    def scalar_bias(cls, mu: float, delta_bar: float, m: int):
-        """Bias in the first component (the channels are exchangeable)."""
-        delta = np.zeros(int(m))
-        delta[0] = float(delta_bar)
-        return cls(mu=float(mu), delta=delta)
+        if not math.isfinite(delta_bar):
+            raise DomainError(f"delta_bar must be finite, got {self.delta_bar!r}")
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise DomainError(f"m must be a positive integer, got {m!r}")
+        delta = np.zeros(m)
+        delta[0] = delta_bar
+        delta.setflags(write=False)
+        for name, value in (("mu", mu), ("delta_bar", delta_bar), ("delta", delta)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def off(cls, m: int):
-        return cls(mu=1.0, delta=np.zeros(int(m)))
-
-    @property
-    def delta_bar(self) -> float:
-        nz = self.delta[self.delta != 0.0]
-        return float(nz[0]) if nz.size else 0.0
+        return cls(1.0, 0.0, m)
 
     @property
     def phi(self) -> float:
-        return float(np.linalg.norm(self.delta))
-
-    @property
-    def psi(self) -> float:
-        return float(np.max(np.abs(self.delta))) if self.delta.size else 0.0
+        return abs(self.delta_bar)
 
     @property
     def xi(self) -> float:
@@ -141,7 +134,7 @@ class AttackParams:
 
     @property
     def is_off(self) -> bool:
-        return self.mu == 1.0 and not np.any(self.delta)
+        return self.mu == 1.0 and self.delta_bar == 0.0
 
 
 @dataclass
@@ -208,8 +201,8 @@ def attack_effect_update(
     return AttackState(x_tilde_prior=x_prior, x_tilde_post=x_post)
 
 
-def trigger_probability(params: AttackParams, beta: float, m: int) -> float:
-    """Exact Pr(||eps_tilde||_inf > beta) under the forward attack.
+def trigger_probability(params: AttackParams, beta: float) -> float:
+    """Exact Pr(||eps_tilde||_inf > beta) under the forward attack on params.m channels.
 
     With the bias in one component and Phi = 1 - Q:
     1 - [Phi(mu (beta - delta)) - Phi(-mu (beta + delta))]
@@ -218,12 +211,10 @@ def trigger_probability(params: AttackParams, beta: float, m: int) -> float:
     beta = float(beta)
     if beta < 0.0:
         raise DomainError(f"beta must be nonnegative, got {beta!r}")
-    if m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
     mu, db = params.mu, params.delta_bar
     biased_inside = gaussian_q(-mu * (beta + db)) - gaussian_q(mu * (beta - db))
     clean_inside = 1.0 - 2.0 * gaussian_q(mu * beta)
-    return 1.0 - biased_inside * clean_inside ** (m - 1)
+    return 1.0 - biased_inside * clean_inside ** (params.m - 1)
 
 
 def alarm_probability(params: AttackParams, sigma: float, dof: int) -> float:
@@ -237,25 +228,47 @@ def alarm_probability(params: AttackParams, sigma: float, dof: int) -> float:
     _check_dof(dof)
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
-    x, xi = params.mu**2 * sigma, params.xi
+    try:
+        x, xi = params.mu**2 * sigma, params.xi
+    except OverflowError:  # a float ** raises where * gives inf
+        x = xi = math.inf
     if not (math.isfinite(x) and math.isfinite(xi)):
         raise DomainError(f"alarm_probability overflows: mu^2 sigma = {x!r}, xi = {xi!r}")
     return _ncx2_survival(x, float(dof), xi)
 
 
-def _target_below_bound(beta: float, psi_level: float, M: float) -> str | None:
-    """Why M is out of reach of the trigger boundary, or None when it is not.
+def _solver_setup(beta: float, sigma: float, criteria: SuccessCriteria, dof: int, target_error):
+    """(Psi, sqrt(sigma), 2 nu) for both solvers, after the checks they share.
 
-    The boundary delta = beta + Psi/mu enters the Marcum detector boundary
-    as the argument mu beta + Psi, which must be nonnegative for every
-    mu >= 1: beta + Psi >= 0, that is M >= Q(beta).
+    check_thresholds rules on beta and sigma, and the order nu = dof/2 is
+    checked once per solve. The trigger boundary delta = beta + Psi/mu
+    enters the detector boundary as the argument mu beta + Psi, which must
+    be nonnegative for every mu >= 1: beta + Psi >= 0, that is M >= Q(beta).
+    A target below that raises target_error(reason).
     """
-    if beta + psi_level >= 0.0:
-        return None
-    return (
-        f"attack target M = {M!r} is below Q(beta) = {gaussian_q(beta):.6g} at beta = {beta!r}: "
-        f"the trigger boundary beta + Psi/mu is negative at mu = 1 (Psi = {psi_level:.6g})"
-    )
+    check_thresholds(beta, sigma)
+    psi_level = criteria.Psi
+    if beta + psi_level < 0.0:
+        raise target_error(
+            f"attack target M = {criteria.M!r} is below Q(beta) = {gaussian_q(beta):.6g} "
+            f"at beta = {beta!r}: the trigger boundary beta + Psi/mu is negative at mu = 1 "
+            f"(Psi = {psi_level:.6g})"
+        )
+    return psi_level, math.sqrt(sigma), 2.0 * _check_order(0.5 * dof)
+
+
+def _first_root(f, sign: float, lo: float, hi: float, cap: float, failure: Exception) -> float:
+    """Root of f at its first sign change past lo, where f has the given sign.
+
+    hi doubles, lo following it, while sign * f(hi) > 0; a hi past cap
+    raises failure. _brentq then solves on [lo, hi].
+    """
+    while sign * f(hi) > 0.0:
+        lo = hi
+        hi *= 2.0
+        if hi > cap:
+            raise failure
+    return _brentq(f, lo, hi)
 
 
 def solve_optimal_params(
@@ -272,23 +285,18 @@ def solve_optimal_params(
     G(mu) = Q_{dof/2}(mu beta + Psi, mu sqrt(sigma)) - Upsilon = 0,
     bracketed by doubling from mu = 1 (first sign change, hence smallest
     root) and solved on that bracket by _brentq, the port of scipy's
-    Brent routine, to 1e-12. The order dof/2 is checked once per call, and
-    each gap evaluates the survival function behind marcum_q directly: its
-    arguments are finite and >= 0 by construction. The returned delta
-    vector has dimension m (default dof). A target M below Q(beta) raises
-    ConfigError on field "M"; a root search that fails raises NumericError.
+    Brent routine, to 1e-12. Each gap evaluates the survival function
+    behind marcum_q directly: its arguments are finite and >= 0 by
+    construction. The returned parameters have m channels (default dof).
+    A target M below Q(beta) raises ConfigError on field "M"; a root
+    search that fails raises NumericError.
     """
-    beta = float(beta)
-    sigma = float(sigma)
-    check_thresholds(beta, sigma)
+    beta, sigma = float(beta), float(sigma)
+    psi_level, root_sigma, two_nu = _solver_setup(
+        beta, sigma, criteria, dof, lambda reason: ConfigError(reason, field="M")
+    )
     if m is None:
         m = dof
-    psi_level = criteria.Psi
-    reason = _target_below_bound(beta, psi_level, criteria.M)
-    if reason:
-        raise ConfigError(reason, field="M")
-    root_sigma = math.sqrt(sigma)
-    two_nu = 2.0 * _check_order(0.5 * dof)
 
     def gap(mu: float) -> float:
         a, b = mu * beta + psi_level, mu * root_sigma
@@ -301,19 +309,12 @@ def solve_optimal_params(
             RuntimeWarning,
             stacklevel=2,
         )
-        return AttackParams.scalar_bias(1.0, beta + psi_level, m)
+        return AttackParams(1.0, beta + psi_level, m)
 
-    lo = 1.0
-    hi = 2.0
-    while gap(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > _MU_CAP:
-            raise ConfigError(
-                f"no feasible scaling found up to mu = {_MU_CAP:.0e}; "
-                "check beta, sigma, Upsilon and M"
-            )
-    mu_star = _brentq(gap, lo, hi)
+    no_root = ConfigError(
+        f"no feasible scaling found up to mu = {_MU_CAP:.0e}; check beta, sigma, Upsilon and M"
+    )
+    mu_star = _first_root(gap, 1.0, 1.0, 2.0, _MU_CAP, no_root)
     delta_star = beta + psi_level / mu_star
 
     residual = abs(gap(mu_star))
@@ -327,7 +328,7 @@ def solve_optimal_params(
             RuntimeWarning,
             stacklevel=2,
         )
-    return AttackParams.scalar_bias(mu_star, delta_star, m)
+    return AttackParams(mu_star, delta_star, m)
 
 
 def feasible_delta_interval(
@@ -348,13 +349,7 @@ def feasible_delta_interval(
     mu, sigma = float(mu), float(sigma)
     if not (math.isfinite(mu) and mu >= 1.0):  # also keeps the gap's arguments >= 0
         raise DomainError(f"mu must be >= 1, got {mu!r}")
-    check_thresholds(beta, sigma)
-    psi_level = criteria.Psi
-    reason = _target_below_bound(beta, psi_level, criteria.M)
-    if reason:
-        raise DomainError(reason)
-    root_sigma = math.sqrt(sigma)
-    two_nu = 2.0 * _check_order(0.5 * dof)
+    psi_level, root_sigma, two_nu = _solver_setup(beta, sigma, criteria, dof, DomainError)
     low = beta + psi_level / mu
 
     def gap(delta_bar: float) -> float:
@@ -368,11 +363,6 @@ def feasible_delta_interval(
         raise DomainError(
             f"empty feasible interval: mu = {mu!r} is below the optimal scaling"
         )
-    lo, hi = low, max(low, 1e-6)
-    while gap(hi) < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise DomainError("failed to bracket the detector boundary in delta")
-    high = _brentq(gap, lo, hi)
+    no_root = DomainError("failed to bracket the detector boundary in delta")
+    high = _first_root(gap, -1.0, low, max(low, 1e-6), 1e9, no_root)
     return low, high

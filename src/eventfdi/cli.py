@@ -136,7 +136,7 @@ def _cmd_analyze(args) -> int:
     steady = riccati_fixed_point(model)
     params = config.attack_params
     if args.mu is not None:
-        params = AttackParams.scalar_bias(args.mu, params.delta_bar, model.m)
+        params = AttackParams(args.mu, params.delta_bar, model.m)
     bias = analysis.steady_bias(params, steady, model)
     attacked_fp = analysis.attacked_covariance_fixed_point(params, steady, model)
     open_fp = analysis.open_loop_fixed_point(model)
@@ -149,7 +149,7 @@ def _cmd_analyze(args) -> int:
             "attacked_cov_trace": float(np.trace(attacked_fp)),
             "kalman_prior_cov_trace": float(np.trace(steady.P)),
             "open_loop_cov_trace": float(np.trace(open_fp)),
-            "analytic_trigger": trigger_probability(params, config.beta, model.m),
+            "analytic_trigger": trigger_probability(params, config.beta),
             "analytic_alarm": alarm_probability(params, config.detector.sigma, model.m),
         }
     )
@@ -243,7 +243,7 @@ def _cmd_reproduce(args) -> int:
         f"{bias_run.summary.comm_rate:.4f} audited >= 0.995)",
     )
 
-    mu_large = AttackParams.scalar_bias(1e4, params.delta_bar, model.m)
+    mu_large = AttackParams(1e4, params.delta_bar, model.m)
     large_trace = float(
         np.trace(analysis.attacked_covariance_fixed_point(mu_large, steady, model))
     )

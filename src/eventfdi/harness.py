@@ -283,7 +283,7 @@ def config_from_dict(payload: dict) -> ScenarioConfig:
         mu = _number(raw_attack["mu"], "attack_params.mu", "attack_params")
         delta_bar = _number(raw_attack["delta_bar"], "attack_params.delta_bar", "attack_params")
         try:
-            attack_params = AttackParams.scalar_bias(mu, delta_bar, model.m)
+            attack_params = AttackParams(mu, delta_bar, model.m)
         except DomainError as exc:
             raise ConfigError(f"invalid attack_params: {exc}", field="attack_params") from exc
     else:
@@ -706,7 +706,7 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         emp_cov_trace=sum(err_sq.tolist()) / total,
         theory_bias=theory_bias,
         theory_cov_trace=theory_cov_trace,
-        analytic_trigger=trigger_probability(params, config.beta, model.m),
+        analytic_trigger=trigger_probability(params, config.beta),
         analytic_alarm=alarm_probability(params, config.detector.sigma, model.m),
         step_count=count,
         trajectory_count=survivors.size,

@@ -21,7 +21,7 @@ import math
 
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 try:
     from scipy.special._ufuncs import _ncx2_sf
@@ -131,10 +131,31 @@ def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
     The ufunc returns -0.0 at x = 0, where the value is 1; at any x > 0,
     however small, it is within 2e-16 of a 50-digit sum. It returns nan for
     a nan or infinite argument, which the clip would read as 0.
+
+    For a tiny x and a moderate noncentrality the ufunc raises
+    OverflowError from Boost's tgamma. The value is then 1 when a bound on
+    the CDF is below half the spacing of the doubles below 1, 2^-54. With
+    k = dof and lam = noncentrality, the density is e^(-lam/2) f_k(t) times
+    sum_j (lam t/4)^j / (j! (k/2)_j), and (k/2)_j >= (1/2)_j puts that sum
+    at most cosh(sqrt(lam t)) <= e^sqrt(lam x) for t <= x, so
+    Pr(V < x) <= e^(-lam/2 + sqrt(lam x)) Pr(chi2_k < x). Where the bound
+    does not settle it, NumericError.
     """
     if x == 0.0:
         return 1.0
-    value = float(_ncx2_sf(x, dof, noncentrality))
+    try:
+        value = float(_ncx2_sf(x, dof, noncentrality))
+    except OverflowError as exc:
+        central = float(sp.gammainc(0.5 * dof, 0.5 * x))
+        log_cdf_bound = -0.5 * noncentrality + math.sqrt(noncentrality * x) + (
+            math.log(central) if central > 0.0 else -math.inf
+        )
+        if log_cdf_bound < -38.0:  # e^-38 < 2^-54
+            return 1.0
+        raise NumericError(
+            f"noncentral chi-square survival failed at x = {x!r}, dof = {dof!r}, "
+            f"noncentrality = {noncentrality!r}: {exc}"
+        ) from exc
     if math.isnan(value):
         return value
     return min(1.0, max(0.0, value))

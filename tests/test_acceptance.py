@@ -163,7 +163,7 @@ class TestC09OpenLoopLimit:
     def test_open_loop_limit(self, steady, paper_model):
         open_trace = float(np.trace(ef.open_loop_fixed_point(paper_model)))
         assert open_trace == pytest.approx(0.0915, abs=5e-4)
-        params = ef.AttackParams.scalar_bias(1e4, 2.4828, 2)
+        params = ef.AttackParams(1e4, 2.4828, 2)
         large = float(
             np.trace(ef.attacked_covariance_fixed_point(params, steady, paper_model))
         )

@@ -39,7 +39,7 @@ PAPER_DELTA = 2.4828
 
 @pytest.fixture(scope="module")
 def paper_params():
-    return AttackParams.scalar_bias(PAPER_MU, PAPER_DELTA, 2)
+    return AttackParams(PAPER_MU, PAPER_DELTA, 2)
 
 
 class TestDirectFixedPoints:
@@ -56,7 +56,7 @@ class TestDirectFixedPoints:
     def test_residual_through_step_maps(self, n, m, rho, mu, seed):
         model = random_stable_model(n, m, rho, seed)
         steady = ef.riccati_fixed_point(model)
-        params = AttackParams.scalar_bias(mu, 1.0, m)
+        params = AttackParams(mu, 1.0, m)
 
         attacked = attacked_covariance_fixed_point(params, steady, model)
         stepped = attacked_covariance_step(attacked, params, steady, model)
@@ -130,7 +130,7 @@ class TestDirectFixedPoints:
     def test_unstable_A_attacked_diverges(self):
         model = unstable_model()
         steady = ef.riccati_fixed_point(model)
-        for params in (AttackParams.off(2), AttackParams.scalar_bias(3.0, 1.0, 2)):
+        for params in (AttackParams.off(2), AttackParams(3.0, 1.0, 2)):
             with pytest.raises(DivergenceError, match="spectral radius"):
                 attacked_covariance_fixed_point(params, steady, model)
 
@@ -168,8 +168,8 @@ class TestSteadyBias:
         assert np.allclose(bias.prior_value, 0.0, atol=1e-15)
 
     def test_linear_in_delta(self, steady, paper_model):
-        one = steady_bias(AttackParams.scalar_bias(2.0, 1.0, 2), steady, paper_model)
-        two = steady_bias(AttackParams.scalar_bias(2.0, 2.0, 2), steady, paper_model)
+        one = steady_bias(AttackParams(2.0, 1.0, 2), steady, paper_model)
+        two = steady_bias(AttackParams(2.0, 2.0, 2), steady, paper_model)
         assert np.allclose(two.value, 2.0 * one.value, atol=1e-12)
 
     def test_defining_equation(self, steady, paper_model, paper_params):
@@ -189,7 +189,7 @@ class TestSteadyBias:
         )
         local = ef.riccati_fixed_point(model)
         with pytest.raises(DomainError):
-            steady_bias(AttackParams.scalar_bias(2.0, 1.0, 2), local, model)
+            steady_bias(AttackParams(2.0, 1.0, 2), local, model)
 
     def test_monte_carlo_agreement(self, bias_run):
         # empirical mean of xhat_a - xhat across 200 independent trajectories
@@ -208,7 +208,7 @@ class TestAttackedCovariance:
         assert np.max(np.abs(fp - posterior)) < 1e-9
 
     def test_large_mu_approaches_open_loop(self, steady, paper_model):
-        params = AttackParams.scalar_bias(1e4, PAPER_DELTA, 2)
+        params = AttackParams(1e4, PAPER_DELTA, 2)
         fp = attacked_covariance_fixed_point(params, steady, paper_model)
         open_fp = open_loop_fixed_point(paper_model)
         assert abs(np.trace(fp) - np.trace(open_fp)) < 1e-3
@@ -222,6 +222,17 @@ class TestAttackedCovariance:
     def test_regression_anchor(self, steady, paper_model, paper_params):
         fp = attacked_covariance_fixed_point(paper_params, steady, paper_model)
         assert np.trace(fp) == pytest.approx(0.0732852, abs=2e-6)
+
+    @pytest.mark.parametrize("mu", [1e154, 1e200, 1e300])
+    def test_weight_where_mu_squared_overflows(self, steady, paper_model, mu):
+        """A float ** raises where mu^2 overflows; 1/mu^2 is then below half an
+        ulp of 2/mu, so the weight is exactly 2/mu."""
+        params = AttackParams(mu, PAPER_DELTA, 2)
+        term = analysis._injection_term(params, steady, paper_model)
+        shape = analysis._injection_shape(steady, paper_model)
+        assert np.array_equal(term, (2.0 / mu) * shape)
+        fp = attacked_covariance_fixed_point(params, steady, paper_model)
+        assert np.trace(fp) == pytest.approx(np.trace(open_loop_fixed_point(paper_model)))
 
     def test_step_is_one_recursion(self, steady, paper_model, paper_params, rng):
         X = random_psd(rng, 3)
@@ -309,7 +320,7 @@ class TestMuSweep:
         steady = ef.riccati_fixed_point(model)
         for point in mu_sweep([1.0, mu, 10.0 * mu], steady, model):
             single = attacked_covariance_fixed_point(
-                AttackParams(mu=point.mu, delta=np.zeros(m)), steady, model
+                AttackParams(point.mu, 0.0, m), steady, model
             )
             assert relative_gap(point.fixed_point, single) <= 1e-12
             assert point.trace == pytest.approx(np.trace(single), rel=1e-12)

@@ -38,23 +38,39 @@ def criteria():
 
 @pytest.fixture(scope="module")
 def paper_params():
-    return AttackParams.scalar_bias(PAPER_MU, PAPER_DELTA, 2)
+    return AttackParams(PAPER_MU, PAPER_DELTA, 2)
 
 
 class TestAttackParams:
     def test_derived_norms(self, paper_params):
         assert paper_params.delta_bar == PAPER_DELTA
         assert paper_params.phi == pytest.approx(PAPER_DELTA)
-        assert paper_params.psi == pytest.approx(PAPER_DELTA)
         assert paper_params.xi == pytest.approx(PAPER_MU**2 * PAPER_DELTA**2)
 
-    def test_single_nonzero_component(self):
-        with pytest.raises(DomainError):
-            AttackParams(mu=2.0, delta=np.array([1.0, 1.0]))
+    def test_bias_sits_in_the_first_channel_read_only(self):
+        params = AttackParams(2.0, -1.5, 3)
+        assert params.m == 3 and params.phi == 1.5
+        assert params.delta.tolist() == [-1.5, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            params.delta[1] = 1.0
 
-    def test_mu_lower_bound(self):
-        with pytest.raises(DomainError):
-            AttackParams(mu=0.5, delta=np.zeros(2))
+    def test_phi_is_exact_where_the_squared_norm_overflows(self):
+        assert AttackParams(1.0, 1e200, 2).phi == 1e200
+
+    @pytest.mark.parametrize("mu", [0.5, math.nan, math.inf])
+    def test_mu_domain(self, mu):
+        with pytest.raises(DomainError, match="mu must be >= 1"):
+            AttackParams(mu, 0.0, 2)
+
+    @pytest.mark.parametrize("delta_bar", [math.nan, math.inf, -math.inf])
+    def test_delta_bar_must_be_finite(self, delta_bar):
+        with pytest.raises(DomainError, match="delta_bar must be finite"):
+            AttackParams(2.0, delta_bar, 2)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.0, True, None])
+    def test_m_must_be_a_positive_int(self, m):
+        with pytest.raises(DomainError, match="m must be a positive integer"):
+            AttackParams(2.0, 1.0, m)
 
     def test_off_params(self):
         off = AttackParams.off(2)
@@ -173,21 +189,21 @@ class TestAttackEffect:
 
 class TestTriggerProbability:
     def test_nominal_paper_rate(self):
-        p = trigger_probability(AttackParams.off(2), 1.4, 2)
+        p = trigger_probability(AttackParams.off(2), 1.4)
         assert p == pytest.approx(0.29694, abs=1e-5)
 
     def test_attacked_paper_rate(self, paper_params):
-        p = trigger_probability(paper_params, 1.4, 2)
+        p = trigger_probability(paper_params, 1.4)
         assert p == pytest.approx(0.99865, abs=1e-4)
 
     def test_zero_threshold_triggers(self, paper_params):
-        assert trigger_probability(paper_params, 0.0, 2) == 1.0
+        assert trigger_probability(paper_params, 0.0) == 1.0
 
     def test_monte_carlo_agreement(self, paper_params, rng):
         eps = rng.standard_normal((200_000, 2))
         out = eps / paper_params.mu + paper_params.delta
         emp = (np.abs(out).max(axis=1) > 1.4).mean()
-        p = trigger_probability(paper_params, 1.4, 2)
+        p = trigger_probability(paper_params, 1.4)
         assert emp == pytest.approx(p, abs=3 * math.sqrt(p * (1 - p) / len(out)))
 
 
@@ -204,7 +220,7 @@ class TestAlarmProbability:
         assert alarm_probability(paper_params, 4e4, 3) == pytest.approx(0.0, abs=1e-12)
 
     def test_paper_alarm_boundary(self):
-        params = AttackParams.scalar_bias(2.7705, 2.4828, 2)
+        params = AttackParams(2.7705, 2.4828, 2)
         assert alarm_probability(params, 11.34, 3) == pytest.approx(0.0100, abs=2e-4)
 
     def test_zero_noncentrality_reduces_to_central(self):
@@ -215,7 +231,7 @@ class TestAlarmProbability:
                 )
 
     def test_matches_quadrature(self):
-        params = AttackParams.scalar_bias(1.0, math.sqrt(47.3), 2)
+        params = AttackParams(1.0, math.sqrt(47.3), 2)
         assert alarm_probability(params, 30.0, 2) == pytest.approx(
             marcum_quad(1.0, math.sqrt(47.3), math.sqrt(30.0)), abs=1e-9
         )
@@ -230,9 +246,9 @@ class TestAlarmProbability:
         with pytest.raises(DomainError, match="sigma must be positive and finite"):
             alarm_probability(paper_params, sigma, 3)
 
-    @pytest.mark.parametrize("mu, delta_bar", [(1e154, 1.0), (2.0, 1e154)])
+    @pytest.mark.parametrize("mu, delta_bar", [(1e154, 1.0), (2.0, 1e154), (1e200, 1.0)])
     def test_rejects_overflow(self, mu, delta_bar):
-        params = AttackParams.scalar_bias(mu, delta_bar, 2)
+        params = AttackParams(mu, delta_bar, 2)
         with pytest.raises(DomainError, match="overflows"):
             alarm_probability(params, 11.34, 3)
 
@@ -279,7 +295,7 @@ class TestSolver:
 
     def test_constraints_hold_as_inequalities(self, criteria):
         params = solve_optimal_params(1.4, 11.34, criteria, 3, m=2)
-        assert trigger_probability(params, 1.4, 2) >= criteria.M - 1e-9
+        assert trigger_probability(params, 1.4) >= criteria.M - 1e-9
         assert alarm_probability(params, 11.34, 3) <= criteria.Upsilon + 1e-9
 
     def test_invalid_beta(self, criteria):
@@ -336,8 +352,8 @@ class TestFeasibleInterval:
         mu = 1.5 * params.mu
         low, high = feasible_delta_interval(mu, 1.4, 11.34, criteria, 3)
         for delta_bar in np.linspace(low, high, 7):
-            candidate = AttackParams.scalar_bias(mu, float(delta_bar), 3)
-            assert trigger_probability(candidate, 1.4, 3) >= criteria.M - 1e-9
+            candidate = AttackParams(mu, float(delta_bar), 3)
+            assert trigger_probability(candidate, 1.4) >= criteria.M - 1e-9
             assert alarm_probability(candidate, 11.34, 3) <= criteria.Upsilon + 1e-9
 
     def test_below_optimum_rejected(self, criteria):

@@ -227,6 +227,22 @@ class TestAnalyze:
         assert payload["mu"] == pytest.approx(2.7705, abs=5e-3)
         assert len(payload["bias"]) == 3
 
+    def test_overflowing_scaling_is_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--config", SCENARIO, "--mu", "1e200")
+        assert code == 1 and out == ""
+        assert "alarm_probability overflows: mu^2 sigma = inf" in err
+        assert "Traceback" not in err
+
+    def test_tiny_sigma_alarm_is_one(self, capsys, tmp_path):
+        # the alarm's ufunc overflows at x = mu^2 sigma = 4e-28, noncentrality 400
+        path = small_config_file(
+            tmp_path, beta=0.0, sigma=1e-30, attack_params={"mu": 20.0, "delta_bar": 1.0}
+        )
+        code, out, err = run_cli(capsys, "analyze", "--config", path)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["analytic_alarm"] == 1.0 and payload["analytic_trigger"] == 1.0
+
 
 class TestSweep:
     def test_csv_output(self, capsys, tmp_path):

@@ -267,7 +267,7 @@ class TestSummary:
         s = attacked_big.summary
         params = paper_config.attack_params
         assert s.analytic_trigger == pytest.approx(
-            ef.trigger_probability(params, 1.4, 2), abs=1e-12
+            ef.trigger_probability(params, 1.4), abs=1e-12
         )
         assert s.analytic_alarm == pytest.approx(
             ef.alarm_probability(params, 11.34, 2), abs=1e-12
@@ -577,6 +577,22 @@ class TestBatchedCore:
         revisit = _first_revisit(config, records.gamma)
         assume(revisit is not None and revisit < config.attack_start + harness._MEMO_GRACE)
         assert spy.call_count < config.steps - 1
+
+    def test_memo_capacity_stop_keeps_the_summary(self, paper_payload, monkeypatch):
+        """A memo too small for the run stops at its capacity, once, and the
+        summary keeps its bits (every step it no longer serves is computed)."""
+        config = ef.config_from_dict(dict(paper_payload, steps=700, trajectories=10))
+        expected = json.dumps(ef.run_scenario(config).summary.to_dict())
+        real_add, added = harness._CovarianceMemo._add, []
+
+        def spy(memo, keys, stacks):
+            added.append(real_add(memo, keys, stacks))
+            return added[-1]
+
+        monkeypatch.setattr(harness, "_MEMO_NODES", 16)
+        monkeypatch.setattr(harness._CovarianceMemo, "_add", spy)
+        assert json.dumps(ef.run_scenario(config).summary.to_dict()) == expected
+        assert [nodes is None for nodes in added].count(True) == 1
 
     @pytest.mark.parametrize("mode", harness.ATTACK_MODES)
     def test_memo_runs_only_in_the_attack_window(self, paper_payload, mode):

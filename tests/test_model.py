@@ -50,6 +50,23 @@ class TestSystemModel:
         with pytest.raises(ModelError):
             make_model(Q=np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("Q", 0.04 * np.eye(3), "Q must be 2x2"),
+            ("R", 0.25 * np.eye(2), "R must be 1x1"),
+            ("Xi0", np.eye(1), "Xi0 must be 2x2"),
+        ],
+    )
+    def test_rejects_wrong_covariance_size(self, name, value, message):
+        with pytest.raises(ModelError, match=message):
+            make_model(**{name: value})
+
+    def test_rejects_unfactorable_Q(self):
+        # -5e-11 is within the semi-definiteness tolerance but not the factor's clamp
+        with pytest.raises(ModelError, match="cannot factor Q: negative eigenvalue"):
+            make_model(Q=np.diag([1.0, -5e-11]))
+
     def test_rejects_semidefinite_R(self):
         with pytest.raises(ModelError):
             make_model(R=np.array([[0.0]]))

@@ -8,6 +8,7 @@ from scipy import optimize
 
 from eventfdi import (
     DomainError,
+    NumericError,
     chi2_quantile,
     chi2_survival,
     gaussian_q,
@@ -15,6 +16,7 @@ from eventfdi import (
     kappa,
     marcum_q,
 )
+from eventfdi import special
 from eventfdi.special import _ncx2_sf, _ncx2_survival
 
 from _oracles import chi2_quantile_mpmath, gaussian_tail_quad, marcum_mpmath, marcum_quad
@@ -277,7 +279,7 @@ class TestNcx2Survival:
         assert math.isnan(_ncx2_survival(*args))
 
     # x from 1e-4: below that, with a large noncentrality, the ufunc raises
-    # OverflowError from Boost's tgamma, with or without the clip
+    # OverflowError from Boost's tgamma (see the two tests after this one)
     @settings(max_examples=200)
     @given(
         st.one_of(st.just(0.0), st.floats(1e-4, 2e3)),
@@ -290,4 +292,20 @@ class TestNcx2Survival:
         assert got == (1.0 if x == 0.0 else min(1.0, max(0.0, raw)))
         assert math.copysign(1.0, got) == 1.0  # the ufunc's -0.0 comes out as 0.0
 
+    @pytest.mark.parametrize(
+        "nu, a, b",
+        [(0.5, 18.5, 1e-5), (1.0, 18.5, 1e-19), (0.5, math.sqrt(341.0), math.sqrt(1.18e-38))],
+    )
+    def test_ufunc_overflow_is_one_where_the_cdf_bound_is_negligible(self, nu, a, b):
+        with pytest.raises(OverflowError):
+            _ncx2_sf(b * b, 2.0 * nu, a * a)
+        assert marcum_q(nu, a, b) == marcum_mpmath(nu, a, b) == 1.0
 
+    def test_ufunc_overflow_outside_the_bound_is_numeric_error(self, monkeypatch):
+        def overflowing(x, dof, lam):
+            raise OverflowError("tgamma")
+
+        monkeypatch.setattr(special, "_ncx2_sf", overflowing)
+        with pytest.raises(NumericError, match="noncentrality = 1.0: tgamma"):
+            _ncx2_survival(1.0, 2.0, 1.0)
+        assert _ncx2_survival(1e-10, 2.0, 341.0) == 1.0

@@ -13,10 +13,11 @@ Both fixed points are discrete Lyapunov equations P = A P A^T + (Q - W),
 with W the injection term above (W = 0 for the open loop), and are solved
 directly: vec P = (I - A kron A)^{-1} vec(Q - W), one n^2 x n^2 linear
 solve (for n < 10; see _lyapunov), with A kron A built by broadcasting.
-They exist iff A is stable, which is checked first against the spectral
-radius the model computed once at construction. The equation is linear in
-its forcing, and 1 - (2/mu - 1/mu^2) = (1 - 1/mu)^2, so across scaling
-values the attacked fixed point is
+They and the steady bias exist iff A is stable, the one rule
+_check_stable checks against the spectral radius the model computed once
+at construction. The equation is linear in its forcing, and
+1 - (2/mu - 1/mu^2) = (1 - 1/mu)^2, so across scaling values the attacked
+fixed point is
 
     P^a(mu) = X_1 + (1 - 1/mu)^2 X_W,
 
@@ -56,16 +57,19 @@ class SweepPoint:
     error: str | None = None
 
 
+def _check_stable(model: SystemModel, name: str) -> None:
+    """Raise DivergenceError unless A is stable: a direct solve on an unstable A
+    still returns a matrix, so the spectral radius is checked before any solve."""
+    rho = model.spectral_radius()
+    if rho >= 1.0:
+        raise DivergenceError(f"{name} diverges; A has spectral radius {rho:.6f} >= 1")
+
+
 def steady_bias(
     params: AttackParams, steady: SteadyState, model: SystemModel
 ) -> BiasVector:
-    """Solve (I - A) E = K F^{-T} delta; requires a stable A (otherwise the bias is unbounded)."""
-    rho = model.spectral_radius()
-    if rho >= 1.0:
-        raise DomainError(
-            f"steady bias undefined for unstable A (spectral radius {rho:.6f}); "
-            "the attacked estimate diverges"
-        )
+    """Solve (I - A) E = K F^{-T} delta; an unstable A (unbounded bias) raises DivergenceError."""
+    _check_stable(model, "steady bias")
     rhs = steady.K @ (steady.L @ params.delta)  # K F^{-T} delta
     value = _umath_linalg.solve1(np.eye(model.n) - model.A, rhs, signature="dd->d")
     return BiasVector(value=value, prior_value=model.A @ value)
@@ -78,12 +82,8 @@ def _injection_shape(steady: SteadyState, model: SystemModel) -> np.ndarray:
 
 
 def _injection_term(params: AttackParams, steady: SteadyState, model: SystemModel):
-    mu = params.mu
-    try:
-        weight = 2.0 / mu - 1.0 / mu**2
-    except OverflowError:  # mu^2 overflows: 1/mu^2 is below half an ulp of 2/mu
-        weight = 2.0 / mu
-    return weight * _injection_shape(steady, model)
+    mu = params.mu  # AttackParams keeps mu^2 finite
+    return (2.0 / mu - 1.0 / mu**2) * _injection_shape(steady, model)
 
 
 def attacked_covariance_step(
@@ -94,16 +94,6 @@ def attacked_covariance_step(
 ) -> np.ndarray:
     """One step of the attacked-covariance recursion, symmetrized."""
     return op_h(P_a, model) - _injection_term(params, steady, model)
-
-
-def _check_stable(model: SystemModel, name: str) -> None:
-    """Raise unless A is stable: a direct Lyapunov solve on an unstable A still
-    returns a matrix, so the spectral radius is checked before any solve."""
-    rho = model.spectral_radius()
-    if rho >= 1.0:
-        raise DivergenceError(
-            f"{name} covariance diverges; A has spectral radius {rho:.6f} >= 1"
-        )
 
 
 def _kron_square(A: np.ndarray) -> np.ndarray:
@@ -149,14 +139,14 @@ def attacked_covariance_fixed_point(
 ) -> np.ndarray:
     """Fixed point of the attacked recursion: the Lyapunov equation with forcing Q - W."""
     return _lyapunov_fixed_point(
-        model, model.Q - _injection_term(params, steady, model), "attacked"
+        model, model.Q - _injection_term(params, steady, model), "attacked covariance"
     )
 
 
 def open_loop_fixed_point(model: SystemModel) -> np.ndarray:
     """Fixed point of P <- op_h(P) = A P A^T + Q, the estimator with no
     corrections at all; exists iff A is stable."""
-    return _lyapunov_fixed_point(model, model.Q, "open-loop")
+    return _lyapunov_fixed_point(model, model.Q, "open-loop covariance")
 
 
 def mu_sweep(
@@ -179,7 +169,7 @@ def mu_sweep(
         raise DomainError("mu grid must be sorted ascending")
 
     try:
-        _check_stable(model, "attacked")
+        _check_stable(model, "attacked covariance")
     except DivergenceError as exc:
         return [SweepPoint(mu=mu, trace=float("nan"), error=str(exc)) for mu in mus]
     shape = _injection_shape(steady, model)

@@ -5,9 +5,10 @@ eps_tilde = eps / mu + delta, inflating the trigger probability while
 compressing the detector statistic; the feedback channel injects
 alpha = -C xtilde^- so the sensor keeps seeing a nominal innovation. As in
 the paper, the attack is the pair (mu, delta_bar), the bias sitting on one
-of the m channels. The solver finds the smallest scaling mu for which both
-success constraints hold with equality: the Marcum detector boundary and
-the Gaussian trigger boundary mu*(delta - beta) = Psi. It and the feasible
+of the m channels; AttackParams is the one home of its numeric domain.
+The solver finds the smallest scaling mu for which both success
+constraints hold with equality: the Marcum detector boundary and the
+Gaussian trigger boundary mu*(delta - beta) = Psi. It and the feasible
 bias interval share their setup and their root search.
 """
 
@@ -99,7 +100,8 @@ class AttackParams:
     The bias sits in the first channel (the scheduler triggers on the sup
     norm and the channels are exchangeable): delta = delta_bar e_1, a
     read-only vector. phi = ||delta|| = |delta_bar|; noncentrality
-    xi = mu^2 phi^2.
+    xi = mu^2 phi^2. mu^2 and xi must be finite, so every analysis of the
+    parameters can evaluate them.
     """
 
     mu: float
@@ -114,6 +116,12 @@ class AttackParams:
             raise DomainError(f"delta_bar must be finite, got {self.delta_bar!r}")
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise DomainError(f"m must be a positive integer, got {m!r}")
+        try:
+            xi = mu**2 * delta_bar**2
+        except OverflowError:  # a float ** raises where * gives inf
+            xi = math.inf
+        if not math.isfinite(xi):  # then mu^2 is finite too: mu**2 raises otherwise
+            raise DomainError(f"attack parameters overflow: mu = {mu!r}, delta_bar = {delta_bar!r}")
         delta = np.zeros(m)
         delta[0] = delta_bar
         delta.setflags(write=False)
@@ -222,19 +230,17 @@ def alarm_probability(params: AttackParams, sigma: float, dof: int) -> float:
 
     g_tilde >= sigma is V >= mu^2 sigma for the chi-square variable
     V = mu^2 ||eps_tilde||^2 with dof degrees of freedom and noncentrality
-    xi = mu^2 phi^2. dof must be a positive integer and sigma positive and
-    finite, and mu^2 sigma and xi must not overflow, else DomainError.
+    xi = mu^2 phi^2, both finite by AttackParams. dof must be a positive
+    integer, sigma positive and finite, and mu^2 sigma must not overflow,
+    else DomainError.
     """
     _check_dof(dof)
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
-    try:
-        x, xi = params.mu**2 * sigma, params.xi
-    except OverflowError:  # a float ** raises where * gives inf
-        x = xi = math.inf
-    if not (math.isfinite(x) and math.isfinite(xi)):
-        raise DomainError(f"alarm_probability overflows: mu^2 sigma = {x!r}, xi = {xi!r}")
-    return _ncx2_survival(x, float(dof), xi)
+    x = params.mu**2 * sigma
+    if not math.isfinite(x):
+        raise DomainError(f"alarm_probability overflows: mu^2 sigma = {x!r}")
+    return _ncx2_survival(x, float(dof), params.xi)
 
 
 def _solver_setup(beta: float, sigma: float, criteria: SuccessCriteria, dof: int, target_error):
@@ -342,19 +348,24 @@ def feasible_delta_interval(
 
     low is the trigger boundary beta + Psi/mu; high is the bias at which the
     Marcum detector boundary is hit, bracketed by doubling and solved by
-    _brentq to 1e-12. Empty when mu is below the optimum; a mu that is
-    not finite or is below 1, and a target M below Q(beta), which has no
+    _brentq to 1e-12. Empty when mu is below the optimum, and (low, low)
+    at mu* up to solver rounding; a mu that is not finite or is below 1 or
+    whose mu^2 sigma overflows, and a target M below Q(beta), which has no
     optimum, raise DomainError.
     """
     mu, sigma = float(mu), float(sigma)
     if not (math.isfinite(mu) and mu >= 1.0):  # also keeps the gap's arguments >= 0
         raise DomainError(f"mu must be >= 1, got {mu!r}")
     psi_level, root_sigma, two_nu = _solver_setup(beta, sigma, criteria, dof, DomainError)
+    b = mu * root_sigma
+    x = b * b  # the detector boundary mu^2 sigma, fixed for the search
+    if not math.isfinite(x):
+        raise DomainError(f"mu^2 sigma overflows: mu = {mu!r}, sigma = {sigma!r}")
     low = beta + psi_level / mu
 
     def gap(delta_bar: float) -> float:
-        a, b = mu * delta_bar, mu * root_sigma
-        return _ncx2_survival(b * b, two_nu, a * a) - criteria.Upsilon
+        a = mu * delta_bar
+        return _ncx2_survival(x, two_nu, a * a) - criteria.Upsilon
 
     boundary = gap(low)
     if boundary > 0.0:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
-from .special import chi2_quantile, chi2_survival
+from .special import _check_dof, chi2_quantile, chi2_survival
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class DetectorConfig:
             raise DomainError(f"sigma must be positive, got {self.sigma!r}")
         if not (0.0 < self.upsilon < 1.0):
             raise DomainError(f"upsilon must be in (0, 1), got {self.upsilon!r}")
-        if self.dof < 1:
-            raise DomainError(f"dof must be a positive integer, got {self.dof!r}")
+        _check_dof(self.dof)
 
 
 def statistic(eps_received: np.ndarray) -> float:

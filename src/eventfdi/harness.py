@@ -645,9 +645,12 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         theory_cov_trace = float(
             np.trace(analysis.attacked_covariance_fixed_point(params, steady, model))
         )
-    except (DomainError, DivergenceError):
+    except DivergenceError:
         theory_bias = np.full(model.n, np.nan)
         theory_cov_trace = float("nan")
+    # before the run, so that a domain error costs no simulation
+    analytic_trigger = trigger_probability(params, config.beta)
+    analytic_alarm = alarm_probability(params, config.detector.sigma, model.m)
 
     records = _simulate(config)
     survivors = np.flatnonzero(~records.diverged)
@@ -706,8 +709,8 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         emp_cov_trace=sum(err_sq.tolist()) / total,
         theory_bias=theory_bias,
         theory_cov_trace=theory_cov_trace,
-        analytic_trigger=trigger_probability(params, config.beta),
-        analytic_alarm=alarm_probability(params, config.detector.sigma, model.m),
+        analytic_trigger=analytic_trigger,
+        analytic_alarm=analytic_alarm,
         step_count=count,
         trajectory_count=survivors.size,
     )

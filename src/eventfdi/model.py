@@ -6,8 +6,10 @@ y_k     = C x_k + v_k,   v_k ~ N(0, R)
 with x_0 ~ N(0, Xi0). A SystemModel is immutable after construction: it
 validates shapes and definiteness eagerly, holds read-only copies of its
 matrices, and computes what is derived from them (the noise factors and
-the spectral radius of A) once. Each trajectory owns a private
-RandomSource so trajectories can run concurrently without coordination.
+the spectral radius of A) once: Q and Xi0 must be symmetric positive
+semi-definite and R positive definite, to a relative tolerance of 1e-10.
+Each trajectory owns a private RandomSource so trajectories can run
+concurrently without coordination.
 """
 
 import math
@@ -18,7 +20,6 @@ import numpy as np
 from .errors import DomainError, ModelError, NumericError
 
 _SYM_TOL = 1e-10
-_CLAMP = 1e-12
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -32,31 +33,25 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-def _check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> np.ndarray:
+def _check_symmetric_psd(mat: np.ndarray, name: str, definite: bool = False) -> tuple:
+    """(symmetric part, its symmetric square root) from one eigh, else ModelError.
+
+    Eigenvalues within the PSD tolerance are clamped to zero in the root, so
+    singular covariances (Xi0 = 0, rank-deficient Q) factor cleanly.
+    """
     if mat.shape[0] != mat.shape[1]:
         raise ModelError(f"{name} must be square, got shape {mat.shape}")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.max(np.abs(mat - mat.T)) > _SYM_TOL * scale:
         raise ModelError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    sym = 0.5 * (mat + mat.T)
+    eigs, vecs = np.linalg.eigh(sym)
     if definite:
         if eigs.min() <= _SYM_TOL * scale:
             raise ModelError(f"{name} must be positive definite (min eig {eigs.min():.3e})")
     elif eigs.min() < -_SYM_TOL * scale:
         raise ModelError(f"{name} must be positive semi-definite (min eig {eigs.min():.3e})")
-    return 0.5 * (mat + mat.T)
-
-
-def _sqrt_factor(mat: np.ndarray, name: str) -> np.ndarray:
-    """Symmetric square root tolerant of semi-definiteness.
-
-    Eigenvalues in [-1e-12, 0) are clamped to zero so singular covariances
-    (Xi0 = 0, rank-deficient Q) factor cleanly.
-    """
-    eigs, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if eigs.min() < -_CLAMP * max(1.0, float(eigs.max(initial=1.0))):
-        raise ModelError(f"cannot factor {name}: negative eigenvalue {eigs.min():.3e}")
-    return vecs @ np.diag(np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
+    return sym, vecs @ np.diag(np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +76,9 @@ class SystemModel:
         C = _as_matrix(self.C, "C")
         if C.shape[1] != n:
             raise ModelError(f"C must have {n} columns, got shape {C.shape}")
-        Q = _check_symmetric_psd(_as_matrix(self.Q, "Q"), "Q")
-        R = _check_symmetric_psd(_as_matrix(self.R, "R"), "R", definite=True)
-        Xi0 = _check_symmetric_psd(_as_matrix(self.Xi0, "Xi0"), "Xi0")
+        Q, q_factor = _check_symmetric_psd(_as_matrix(self.Q, "Q"), "Q")
+        R, r_factor = _check_symmetric_psd(_as_matrix(self.R, "R"), "R", definite=True)
+        Xi0, xi0_factor = _check_symmetric_psd(_as_matrix(self.Xi0, "Xi0"), "Xi0")
         if Q.shape[0] != n:
             raise ModelError(f"Q must be {n}x{n}, got shape {Q.shape}")
         if R.shape[0] != C.shape[0]:
@@ -93,9 +88,9 @@ class SystemModel:
         for name, mat in (("A", A), ("C", C), ("Q", Q), ("R", R), ("Xi0", Xi0)):
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
-        object.__setattr__(self, "_q_factor", _sqrt_factor(Q, "Q"))
-        object.__setattr__(self, "_r_factor", _sqrt_factor(R, "R"))
-        object.__setattr__(self, "_xi0_factor", _sqrt_factor(Xi0, "Xi0"))
+        object.__setattr__(self, "_q_factor", q_factor)
+        object.__setattr__(self, "_r_factor", r_factor)
+        object.__setattr__(self, "_xi0_factor", xi0_factor)
         object.__setattr__(self, "_rho", float(np.max(np.abs(np.linalg.eigvals(A)))))
 
     @property

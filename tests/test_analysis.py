@@ -188,7 +188,7 @@ class TestSteadyBias:
             Xi0=np.eye(2),
         )
         local = ef.riccati_fixed_point(model)
-        with pytest.raises(DomainError):
+        with pytest.raises(DivergenceError, match="steady bias diverges; A has spectral radius"):
             steady_bias(AttackParams(2.0, 1.0, 2), local, model)
 
     def test_monte_carlo_agreement(self, bias_run):
@@ -224,13 +224,17 @@ class TestAttackedCovariance:
         assert np.trace(fp) == pytest.approx(0.0732852, abs=2e-6)
 
     @pytest.mark.parametrize("mu", [1e154, 1e200, 1e300])
-    def test_weight_where_mu_squared_overflows(self, steady, paper_model, mu):
-        """A float ** raises where mu^2 overflows; 1/mu^2 is then below half an
-        ulp of 2/mu, so the weight is exactly 2/mu."""
-        params = AttackParams(mu, PAPER_DELTA, 2)
+    def test_scaling_whose_square_overflows_is_rejected(self, steady, paper_model, mu):
+        """AttackParams refuses a mu whose mu^2 delta_bar^2 overflows, so the weight
+        2/mu - 1/mu^2 is always evaluable. Far below that bound, at mu = 1e150, 1/mu^2
+        is under half an ulp of 2/mu: the weight is 2/mu and the fixed point the open
+        loop's."""
+        with pytest.raises(DomainError, match="attack parameters overflow"):
+            AttackParams(mu, PAPER_DELTA, 2)
+        params = AttackParams(1e150, PAPER_DELTA, 2)
         term = analysis._injection_term(params, steady, paper_model)
         shape = analysis._injection_shape(steady, paper_model)
-        assert np.array_equal(term, (2.0 / mu) * shape)
+        assert np.array_equal(term, (2.0 / 1e150) * shape)
         fp = attacked_covariance_fixed_point(params, steady, paper_model)
         assert np.trace(fp) == pytest.approx(np.trace(open_loop_fixed_point(paper_model)))
 

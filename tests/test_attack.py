@@ -54,8 +54,21 @@ class TestAttackParams:
         with pytest.raises(ValueError):
             params.delta[1] = 1.0
 
-    def test_phi_is_exact_where_the_squared_norm_overflows(self):
-        assert AttackParams(1.0, 1e200, 2).phi == 1e200
+    def test_phi_and_xi_are_exact_up_to_the_overflow_bound(self):
+        assert AttackParams(1.0, 1e154, 2).phi == 1e154
+        assert AttackParams(1.0, 1e154, 2).xi == AttackParams(1e154, 1.0, 2).xi == 1e154**2
+        with pytest.raises(DomainError, match="attack parameters overflow"):
+            AttackParams(1.0, 1e200, 2)
+
+    @pytest.mark.parametrize(
+        "mu, delta_bar",
+        [(1e200, 0.0), (1e200, 1.0), (2.0, 1e154), (1.0, 1e200), (1e100, 1e60), (1e154, -2.0)],
+    )
+    def test_rejects_overflowing_noncentrality(self, mu, delta_bar):
+        """mu^2 or xi = mu^2 delta_bar^2 overflows, whether a float ** raises
+        OverflowError or the product is inf."""
+        with pytest.raises(DomainError, match="attack parameters overflow"):
+            AttackParams(mu, delta_bar, 2)
 
     @pytest.mark.parametrize("mu", [0.5, math.nan, math.inf])
     def test_mu_domain(self, mu):
@@ -246,11 +259,12 @@ class TestAlarmProbability:
         with pytest.raises(DomainError, match="sigma must be positive and finite"):
             alarm_probability(paper_params, sigma, 3)
 
-    @pytest.mark.parametrize("mu, delta_bar", [(1e154, 1.0), (2.0, 1e154), (1e200, 1.0)])
-    def test_rejects_overflow(self, mu, delta_bar):
-        params = AttackParams(mu, delta_bar, 2)
-        with pytest.raises(DomainError, match="overflows"):
-            alarm_probability(params, 11.34, 3)
+    @pytest.mark.parametrize("mu, sigma", [(1e154, 11.34), (2.0, 1e308)])
+    def test_rejects_overflow(self, mu, sigma):
+        """xi is finite for every AttackParams; mu^2 sigma is this function's own."""
+        params = AttackParams(mu, 1.0, 2)
+        with pytest.raises(DomainError, match="alarm_probability overflows: mu\\^2 sigma = inf"):
+            alarm_probability(params, sigma, 3)
 
     def test_monte_carlo_agreement_channel_dof(self, paper_params, rng):
         eps = rng.standard_normal((200_000, 2))
@@ -331,10 +345,44 @@ class TestSolver:
 
 class TestFeasibleInterval:
     def test_degenerate_at_optimum(self, criteria):
+        """At the paper's mu* the detector gap at delta* is -2.4e-15, so the search
+        runs, and its root is delta* itself."""
         params = solve_optimal_params(1.4, 11.34, criteria, 3)
-        low, high = feasible_delta_interval(params.mu, 1.4, 11.34, criteria, 3)
-        assert low == pytest.approx(params.delta_bar, abs=1e-6)
-        assert high == pytest.approx(params.delta_bar, abs=1e-6)
+        assert (params.mu, params.delta_bar) == (2.770517623768802, 2.4828218405708826)
+        assert feasible_delta_interval(params.mu, 1.4, 11.34, criteria, 3) == (
+            2.4828218405708826,
+            2.4828218405708826,
+        )
+
+    @pytest.mark.parametrize("dof, beta", [(1, 0.5), (2, 2.0), (20, 0.5)])
+    def test_degenerate_interval_without_a_search(self, criteria, monkeypatch, dof, beta):
+        """Where the gap at the solved delta* rounds above 0 (by less than 1e-9),
+        the interval is (delta*, delta*) and no root search runs."""
+        sigma = ef.design_threshold(0.01, dof, beta=beta).sigma
+        params = solve_optimal_params(beta, sigma, criteria, dof)
+
+        def no_search(*args):
+            raise AssertionError("root search ran")
+
+        monkeypatch.setattr(attack, "_first_root", no_search)
+        interval = feasible_delta_interval(params.mu, beta, sigma, criteria, dof)
+        assert interval == (params.delta_bar, params.delta_bar)
+
+    def test_interval_at_every_solved_optimum_is_a_point(self, criteria):
+        """Over dof 1-24 and beta in {0.5, 1, 1.4, 2}, low is delta* bit for bit
+        and high is within 2e-12 of it."""
+        for dof in range(1, 25):
+            for beta in (0.5, 1.0, 1.4, 2.0):
+                sigma = ef.design_threshold(0.01, dof, beta=beta).sigma
+                params = solve_optimal_params(beta, sigma, criteria, dof)
+                low, high = feasible_delta_interval(params.mu, beta, sigma, criteria, dof)
+                assert low == params.delta_bar
+                assert 0.0 <= high - low <= 2e-12
+
+    @pytest.mark.parametrize("mu", [1e154, 1e160, 1e200])
+    def test_scaling_whose_boundary_overflows_rejected(self, criteria, mu):
+        with pytest.raises(DomainError, match="mu\\^2 sigma overflows"):
+            feasible_delta_interval(mu, 1.4, 11.34, criteria, 3)
 
     @pytest.mark.parametrize("sigma, field", [(-1.0, "sigma"), (1.0, "beta")])
     def test_thresholds_checked(self, criteria, sigma, field):

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eventfdi as ef
+from eventfdi import harness
 from eventfdi.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -137,6 +139,21 @@ class TestSolve:
         assert err.startswith("numeric error: root search")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mu", ["1e160", "1e200"])
+    def test_overflowing_scaling_is_validation_error(self, capsys, mu):
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--beta", "1.4",
+            "--sigma", "11.34",
+            "--upsilon", "0.01",
+            "--target-M", "0.99865",
+            "--dof", "3",
+            "--mu", mu,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: mu^2 sigma overflows: mu = {float(mu)!r}, sigma = 11.34\n"
+
     def test_bad_number_names_the_argument(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--beta", "x")
         assert code == 1
@@ -204,6 +221,35 @@ class TestSimulate:
         assert err.startswith("error: 'beta' must be a number")
         assert "Traceback" not in err
 
+    def test_diverged_trajectory_is_reported_with_exit_2(self, capsys, tmp_path, monkeypatch):
+        real = harness._noise
+
+        def poisoned(config, traj):
+            draws = real(config, traj)
+            if traj == 1:
+                draws[len(draws) // 2] = np.nan
+            return draws
+
+        monkeypatch.setattr(harness, "_noise", poisoned)
+        out_file = tmp_path / "summary.json"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--config", small_config_file(tmp_path), "--out", str(out_file)
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["divergence"] == [1] and payload["trajectory_count"] == 1
+        assert json.loads(out_file.read_text()) == payload
+
+    def test_overflowing_attack_params_fail_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def no_run(config):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(harness, "_simulate", no_run)
+        config = small_config_file(tmp_path, attack_params={"mu": 1e200, "delta_bar": 1.0})
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid attack_params: attack parameters overflow")
+
     def test_missing_config_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
         assert code == 1
@@ -230,7 +276,7 @@ class TestAnalyze:
     def test_overflowing_scaling_is_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--config", SCENARIO, "--mu", "1e200")
         assert code == 1 and out == ""
-        assert "alarm_probability overflows: mu^2 sigma = inf" in err
+        assert err.startswith("error: attack parameters overflow: mu = 1e+200, delta_bar = 2.48")
         assert "Traceback" not in err
 
     def test_tiny_sigma_alarm_is_one(self, capsys, tmp_path):

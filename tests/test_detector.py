@@ -31,6 +31,13 @@ class TestStatistic:
         assert result.g_mean == pytest.approx(2.0, rel=0.03)
 
 
+class TestDetectorConfig:
+    @pytest.mark.parametrize("dof", [0, -1, 2.5, 3.0, True, "3"])
+    def test_dof_must_be_a_positive_integer(self, dof):
+        with pytest.raises(DomainError, match="degrees of freedom must be a positive integer"):
+            DetectorConfig(sigma=11.34, upsilon=0.01, dof=dof)
+
+
 class TestHypothesisTest:
     def test_zero_statistic_silent(self):
         config = DetectorConfig(sigma=11.34, upsilon=0.01, dof=3)

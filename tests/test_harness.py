@@ -174,6 +174,89 @@ class TestConfigLoading:
             ef.config_from_dict(dict(paper_payload, attack_mode="sideways"))
         assert err.value.field == "attack_mode"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("steps", 0),
+            ("steps", 10.5),
+            ("steps", True),
+            ("trajectories", 0),
+            ("trajectories", "3"),
+            ("burn_in", -1),
+            ("attack_start", -1),
+            ("seed", 1.5),
+            ("seed", None),
+            ("solver_dof", 0),
+            ("solver_dof", False),
+        ],
+    )
+    def test_bad_integer_field(self, paper_payload, key, value):
+        payload = dict(paper_payload, **{key: value})
+        with pytest.raises(ConfigError, match=f"'{key}' must be a") as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == key
+        assert_schema_rejects(payload)
+
+    def test_integral_float_is_not_an_integer(self, paper_payload):
+        """JSON Schema counts 50.0 as an integer, so the schema cannot state this rule."""
+        with pytest.raises(ConfigError, match="'attack_start' must be a nonnegative integer") as err:
+            ef.config_from_dict(dict(paper_payload, attack_start=50.0))
+        assert err.value.field == "attack_start"
+
+    @pytest.mark.parametrize("change", ["not a mapping", "missing key", "extra key"])
+    def test_model_must_be_a_mapping_of_the_five_matrices(self, paper_payload, change):
+        model = dict(paper_payload["model"])
+        if change == "not a mapping":
+            model = [model["A"]]
+        elif change == "missing key":
+            model.pop("Xi0")
+        else:
+            model["B"] = model["A"]
+        payload = dict(paper_payload, model=model)
+        with pytest.raises(ConfigError, match="'model' must be a mapping") as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == "model"
+        assert_schema_rejects(payload)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("upsilon", 0.0), ("upsilon", 1.0), ("upsilon", -0.5), ("M", 0.0), ("M", 1.0), ("M", 2.0)],
+    )
+    def test_probability_out_of_range(self, paper_payload, key, value):
+        payload = dict(paper_payload, **{key: value})
+        with pytest.raises(ConfigError, match=f"'{key}' must be in \\(0, 1\\)") as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == key
+        assert_schema_rejects(payload)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[3.0, 2.0], {"mu": 3.0}, {"mu": 3.0, "delta_bar": 2.0, "m": 2}],
+    )
+    def test_attack_params_must_be_a_mapping_of_mu_and_delta_bar(self, paper_payload, raw):
+        payload = dict(paper_payload, attack_params=raw)
+        with pytest.raises(ConfigError, match="'attack_params' must be a mapping") as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == "attack_params"
+        assert_schema_rejects(payload)
+
+    @pytest.mark.parametrize("mu, delta_bar", [(1e200, 1.0), (1.0, 1e200), (1e154, 2.0)])
+    def test_overflowing_attack_params_rejected_at_resolve(self, paper_payload, mu, delta_bar):
+        """The schema cannot state the overflow rule; config_from_dict does."""
+        payload = dict(paper_payload, attack_params={"mu": mu, "delta_bar": delta_bar})
+        with pytest.raises(ConfigError, match="attack parameters overflow") as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == "attack_params"
+
+    @pytest.mark.parametrize("root", [[1, 2], "scenario", 3, None])
+    def test_config_root_must_be_an_object(self, tmp_path, root):
+        path = tmp_path / "root.json"
+        path.write_text(json.dumps(root))
+        with pytest.raises(ConfigError, match="config root must be a JSON object") as err:
+            ef.load_config(path)
+        assert err.value.field is None
+        assert_schema_rejects(root)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ef.load_config(tmp_path / "missing.json")
@@ -449,6 +532,44 @@ class TestDivergence:
         with pytest.raises(NumericError):
             ef.run_scenario(config, trace_path=tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
+
+
+class TestDomainBeforeTheRun:
+    def test_alarm_overflow_costs_no_run(self, paper_payload, monkeypatch):
+        """mu^2 sigma overflows for an explicit sigma near the float maximum; the
+        analytic values are computed before the Monte Carlo, so none of it runs."""
+        payload = dict(
+            paper_payload, steps=240, trajectories=2, sigma=1e308,
+            attack_params={"mu": 2.0, "delta_bar": 1.0},
+        )
+        config = ef.config_from_dict(payload)
+
+        def no_run(config):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(harness, "_simulate", no_run)
+        with pytest.raises(ef.DomainError, match="alarm_probability overflows"):
+            ef.run_scenario(config)
+
+    def test_unstable_plant_leaves_the_theory_nan(self):
+        """An unstable A has no steady bias and no attacked fixed point: both raise
+        DivergenceError, and the run reports nan for them."""
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        payload = {
+            "model": {"A": [[1.05, 0.0], [0.0, 1.05]], "C": eye, "Q": eye, "R": eye, "Xi0": eye},
+            "beta": 1.4,
+            "upsilon": 0.01,
+            "M": 0.99865,
+            "sigma": 11.34,
+            "steps": 120,
+            "trajectories": 2,
+            "burn_in": 60,
+            "seed": 1,
+            "attack_mode": "two_channel",
+        }
+        summary = ef.run_scenario(ef.config_from_dict(payload)).summary
+        assert summary.trajectory_count == 2
+        assert np.isnan(summary.theory_bias).all() and math.isnan(summary.theory_cov_trace)
 
 
 def _random_stable_payload(n, m, trajectories, mode, seed) -> dict:

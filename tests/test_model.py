@@ -62,10 +62,14 @@ class TestSystemModel:
         with pytest.raises(ModelError, match=message):
             make_model(**{name: value})
 
-    def test_rejects_unfactorable_Q(self):
-        # -5e-11 is within the semi-definiteness tolerance but not the factor's clamp
-        with pytest.raises(ModelError, match="cannot factor Q: negative eigenvalue"):
-            make_model(Q=np.diag([1.0, -5e-11]))
+    def test_clamps_Q_within_the_semidefinite_tolerance(self):
+        """-5e-11 is within the tolerance 1e-10: Q is kept as given and its
+        eigenvalue is clamped to zero in the noise factor; -2e-10 is not."""
+        model = make_model(Q=np.diag([1.0, -5e-11]))
+        assert np.array_equal(model.Q, np.diag([1.0, -5e-11]))
+        assert np.array_equal(model._q_factor, np.diag([1.0, 0.0]))
+        with pytest.raises(ModelError, match="Q must be positive semi-definite"):
+            make_model(Q=np.diag([1.0, -2e-10]))
 
     def test_rejects_semidefinite_R(self):
         with pytest.raises(ModelError):

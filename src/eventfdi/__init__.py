@@ -53,6 +53,7 @@ from .harness import (
     ScenarioConfig,
     SimulationSummary,
     config_from_dict,
+    config_schema,
     load_config,
     paper_scenario,
     run_scenario,

@@ -294,8 +294,9 @@ def solve_optimal_params(
     Brent routine, to 1e-12. Each gap evaluates the survival function
     behind marcum_q directly: its arguments are finite and >= 0 by
     construction. The returned parameters have m channels (default dof).
-    A target M below Q(beta) raises ConfigError on field "M"; a root
-    search that fails raises NumericError.
+    A target M below Q(beta), or one that no scaling up to 1e6 meets,
+    raises ConfigError on field "M"; a root search that fails raises
+    NumericError.
     """
     beta, sigma = float(beta), float(sigma)
     psi_level, root_sigma, two_nu = _solver_setup(
@@ -318,7 +319,9 @@ def solve_optimal_params(
         return AttackParams(1.0, beta + psi_level, m)
 
     no_root = ConfigError(
-        f"no feasible scaling found up to mu = {_MU_CAP:.0e}; check beta, sigma, Upsilon and M"
+        f"no feasible scaling found up to mu = {_MU_CAP:.0e} for the attack target "
+        f"M = {criteria.M!r}; check beta, sigma, Upsilon, dof and M",
+        field="M",
     )
     mu_star = _first_root(gap, 1.0, 1.0, 2.0, _MU_CAP, no_root)
     delta_star = beta + psi_level / mu_star
@@ -326,7 +329,8 @@ def solve_optimal_params(
     residual = abs(gap(mu_star))
     if residual > 1e-9:
         raise ConfigError(
-            f"solver residual {residual:.3e} exceeds 1e-9; constraints inconsistent"
+            f"solver residual {residual:.3e} exceeds 1e-9; constraints inconsistent",
+            field="M",
         )
     if delta_star >= root_sigma:
         warnings.warn(

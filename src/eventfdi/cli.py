@@ -80,9 +80,30 @@ def _dof(text: str) -> int:
     return value
 
 
+def _strict(value, undefined: set, key=None):
+    """value with each float that is not finite replaced by None, its key added to undefined."""
+    if isinstance(value, dict):
+        return {k: _strict(v, undefined, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v, undefined, key) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        undefined.add(key)
+        return None
+    return value
+
+
+def _json(payload: dict) -> str:
+    """payload as strict JSON (RFC 8259 has no NaN or Infinity): a value that is not
+    finite is null, and the key "undefined" names the fields that hold one."""
+    undefined = set()
+    payload = _strict(payload, undefined)
+    if undefined:
+        payload["undefined"] = "not finite: " + ", ".join(sorted(undefined))
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(payload))
 
 
 def _cmd_solve(args) -> int:
@@ -122,11 +143,11 @@ def _cmd_simulate(args) -> int:
     payload = result.summary.to_dict()
     if result.diverged:
         payload["divergence"] = result.diverged
-    _emit(payload)
+    text = _json(payload)
+    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
     return EXIT_NUMERIC if result.diverged else EXIT_OK
 
 

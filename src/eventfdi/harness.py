@@ -66,6 +66,9 @@ attacked runs make about 450 nodes at 10 x 700, 2,200 at 50 x 4200 and
 import itertools
 import json
 import math
+import operator
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,23 +89,53 @@ from .special import kappa
 
 ATTACK_MODES = ("off", "forward_only", "two_channel")
 
-_CONFIG_KEYS = {
-    "model",
-    "beta",
-    "upsilon",
-    "M",
-    "sigma",
-    "solver_dof",
-    "steps",
-    "trajectories",
-    "burn_in",
-    "attack_start",
-    "seed",
-    "attack_mode",
-    "attack_params",
+# One config field. A "number" is finite and read as a float. An "integer" is
+# read as an int; JSON has one number type, so 50.0 is the integer 50. A
+# "matrix" is non-empty rows of numbers, an "enum" one of items, and an
+# "object" a mapping of the fields items (rows) and no others. bounds are JSON
+# Schema keywords. A field with a default may be omitted or null, and then takes
+# it; a callable default is computed from the fields before it.
+_Field = namedtuple("_Field", "name kind bounds default description items", defaults=((),))
+_REQUIRED = object()
+_BOUNDS = {  # JSON Schema keyword: (symbol, test)
+    "minimum": (">=", operator.ge),
+    "exclusiveMinimum": (">", operator.gt),
+    "exclusiveMaximum": ("<", operator.lt),
 }
-
-_MODEL_KEYS = {"A", "C", "Q", "R", "Xi0"}
+_KIND_TEXT = {"number": "a number", "integer": "an integer", "matrix": "a matrix of numbers"}
+_AT_LEAST_0, _AT_LEAST_1 = {"minimum": 0}, {"minimum": 1}
+_OPEN_UNIT = {"exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_MATRICES = {
+    "A": "n x n state transition",
+    "C": "m x n observation",
+    "Q": "n x n process-noise covariance, PSD",
+    "R": "m x m measurement-noise covariance, PD",
+    "Xi0": "n x n initial-state covariance, PSD",
+}
+_CONFIG = _Field("config", "object", {}, _REQUIRED, "eventfdi scenario configuration", (
+    _Field("model", "object", {}, _REQUIRED, "plant; SystemModel checks shapes and definiteness",
+           tuple(_Field(key, "matrix", {}, _REQUIRED, text) for key, text in _MATRICES.items())),
+    _Field("beta", "number", _AT_LEAST_0, _REQUIRED, "scheduler threshold"),
+    _Field("upsilon", "number", _OPEN_UNIT, _REQUIRED, "detector false-alarm rate"),
+    _Field("M", "number", _OPEN_UNIT, _REQUIRED, "attack target: minimum trigger probability"),
+    _Field("solver_dof", "integer", _AT_LEAST_1, lambda f: len(f["model"]["C"]),
+           "chi-square dof of the threshold design and the attack solve (default: m)"),
+    _Field("sigma", "number", {"exclusiveMinimum": 0},
+           lambda f: design_threshold(f["upsilon"], f["solver_dof"]).sigma,
+           "detector threshold (default: designed from upsilon and solver_dof)"),
+    _Field("steps", "integer", _AT_LEAST_1, _REQUIRED, "simulated steps per trajectory"),
+    _Field("trajectories", "integer", _AT_LEAST_1, _REQUIRED, "independent trajectories"),
+    _Field("burn_in", "integer", _AT_LEAST_0, _REQUIRED, "steps before the metrics window"),
+    _Field("attack_start", "integer", _AT_LEAST_0, lambda f: f["burn_in"] // 2,
+           "step at which the attack switches on (default: burn_in // 2)"),
+    _Field("seed", "integer", {}, _REQUIRED, "base seed; trajectory t uses substream (seed, t)"),
+    _Field("attack_mode", "enum", {}, _REQUIRED, "channels the attacker acts on", ATTACK_MODES),
+    _Field("attack_params", "object", {}, None,
+           "unused when attack_mode is 'off' (default: solved from beta, sigma, M, upsilon and "
+           "solver_dof); AttackParams checks that (mu delta_bar)^2 is finite",
+           (_Field("mu", "number", _AT_LEAST_1, _REQUIRED, "forward-channel scaling"),
+            _Field("delta_bar", "number", {}, _REQUIRED, "bias on the first channel"))),
+))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +171,11 @@ class SimulationSummary:
     comm_rate and alarm_rate are fractions of step_count * trajectory_count
     decisions, where step_count counts post-burn-in steps per trajectory.
     theory_* values come from the bias law and the attacked-covariance
-    fixed point at the scenario's attack parameters.
+    fixed point at the scenario's attack parameters; both need a stable A
+    and are nan otherwise. emp_cov_trace is the mean of
+    ||xhat_a - x - c||^2 about the centre c = theory_bias, or c = 0 (the
+    mean squared error) where the theory is undefined. to_dict writes an
+    undefined theory as null, with the reason under "theory".
     """
 
     comm_rate: float
@@ -153,17 +190,19 @@ class SimulationSummary:
     trajectory_count: int
 
     def to_dict(self) -> dict:
+        theory = math.isfinite(self.theory_cov_trace)
         return {
             "comm_rate": self.comm_rate,
             "alarm_rate": self.alarm_rate,
             "emp_bias": [float(v) for v in self.emp_bias],
             "emp_cov_trace": self.emp_cov_trace,
-            "theory_bias": [float(v) for v in self.theory_bias],
-            "theory_cov_trace": self.theory_cov_trace,
+            "theory_bias": [float(v) for v in self.theory_bias] if theory else None,
+            "theory_cov_trace": self.theory_cov_trace if theory else None,
             "analytic_trigger": self.analytic_trigger,
             "analytic_alarm": self.analytic_alarm,
             "step_count": self.step_count,
             "trajectory_count": self.trajectory_count,
+            **({} if theory else {"theory": "undefined: A is not stable"}),
         }
 
 
@@ -185,123 +224,130 @@ class RunResult:
     diverged: list = field(default_factory=list)
 
 
-def _require(payload: dict, key: str):
-    if key not in payload:
-        raise ConfigError(f"missing required config field '{key}'", field=key)
-    return payload[key]
+def _attack_params(f: dict) -> None:
+    """attack_params resolved: off, the given pair by AttackParams, or solved; the
+    solver raises ConfigError on M when M < Q(beta) or no scaling meets M."""
+    m, raw = f["model"].m, f["attack_params"]
+    if f["attack_mode"] == "off":
+        f["attack_params"] = AttackParams.off(m)
+    elif raw is None:
+        criteria = SuccessCriteria(M=f["M"], Upsilon=f["upsilon"])
+        f["attack_params"] = solve_optimal_params(
+            f["beta"], f["sigma"], criteria, f["solver_dof"], m=m
+        )
+    else:
+        try:
+            f["attack_params"] = AttackParams(raw["mu"], raw["delta_bar"], m)
+        except DomainError as exc:
+            raise ConfigError(f"invalid attack_params: {exc}", field="attack_params") from exc
 
 
-_INT_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+# The rules across fields, in the order they are checked: (field, rule, broken).
+# broken(fields) is true when the rule does not hold, or raises ConfigError
+# naming the field itself; config_schema() adds each rule to its field's description.
+_CROSS_RULES = (
+    ("burn_in", "must be smaller than steps", lambda f: f["burn_in"] >= f["steps"]),
+    ("attack_start", "must not exceed burn_in", lambda f: f["attack_start"] > f["burn_in"]),
+    ("beta", "must be below sqrt(sigma)", lambda f: check_thresholds(f["beta"], f["sigma"])),
+    ("M", "must be at least Q(beta), and met by some scaling, when attack_params is solved",
+     _attack_params),
+)
 
 
-def _int_field(payload: dict, key: str, minimum: int | None, default=None) -> int:
-    """An integer field at least `minimum`; required unless a default is given."""
-    value = _require(payload, key) if default is None else payload.get(key, default)
-    if (
-        not isinstance(value, int)
-        or isinstance(value, bool)
-        or (minimum is not None and value < minimum)
-    ):
-        raise ConfigError(f"'{key}' must be {_INT_KINDS[minimum]}, got {value!r}", field=key)
-    return value
-
-
-def _number(value, key: str, field: str | None = None) -> float:
-    """A JSON number (a bool is not one) as a float; ConfigError on `field` (default key)."""
+def _number(value) -> float | None:
+    """value as a float, or None if it is not a finite JSON number (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}", field=field or key)
-    return float(value)
+        return None
+    return float(value) if abs(value) <= sys.float_info.max else None
+
+
+def _read(row: _Field, value, name: str, field: str | None):
+    """value read as row's kind, else ConfigError on field (at the root, on the field at fault)."""
+    read = None
+    if row.kind == "object" and isinstance(value, dict):
+        prefix = f"{name}." if field else ""
+        unknown = sorted(set(value) - {item.name for item in row.items})
+        if unknown:
+            raise ConfigError(f"unknown config fields: {[prefix + k for k in unknown]}",
+                              field=field or unknown[0])
+        read = {}
+        for item in row.items:
+            given, key, at = value.get(item.name), prefix + item.name, field or item.name
+            if given is None and item.default is not _REQUIRED:
+                read[item.name] = item.default(read) if callable(item.default) else item.default
+            elif item.name not in value:
+                raise ConfigError(f"missing config field '{key}'", field=at)
+            else:
+                read[item.name] = _read(item, given, key, at)
+        return read
+    if row.kind == "enum":
+        read = value if value in row.items else None
+    elif row.kind == "matrix" and isinstance(value, list) and value:
+        ok = all(isinstance(r, list) and r and None not in map(_number, r) for r in value)
+        read = value if ok else None
+    elif row.kind == "number":
+        read = _number(value)
+    elif row.kind == "integer" and not isinstance(value, bool):
+        integral = isinstance(value, float) and value.is_integer()
+        read = int(value) if integral else value if isinstance(value, int) else None
+    if read is not None and all(_BOUNDS[key][1](read, bound) for key, bound in row.bounds.items()):
+        return read
+    if row.kind == "object":
+        kind = f"a mapping with keys {sorted(item.name for item in row.items)}"
+    else:
+        kind = f"one of {row.items}" if row.kind == "enum" else _KIND_TEXT[row.kind]
+    bounds = " and ".join(f"{_BOUNDS[key][0]} {bound}" for key, bound in row.bounds.items())
+    kind += (f" {bounds}" if bounds else "") + ("" if row.default is _REQUIRED else " or null")
+    raise ConfigError(f"'{name}' must be {kind}, got {value!r}", field=field)
 
 
 def config_from_dict(payload: dict) -> ScenarioConfig:
-    """Validate and resolve a raw configuration mapping into a ScenarioConfig."""
-    unknown = set(payload) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}", field=sorted(unknown)[0])
-
-    raw_model = _require(payload, "model")
-    if not isinstance(raw_model, dict) or set(raw_model) != _MODEL_KEYS:
-        raise ConfigError(
-            f"'model' must be a mapping with keys {sorted(_MODEL_KEYS)}", field="model"
-        )
+    """Validate and resolve a raw configuration mapping into a ScenarioConfig: each
+    field is read by its row of the table, SystemModel checks the model, and the
+    _CROSS_RULES are checked in order. Each rejection is a ConfigError naming its field."""
+    if not isinstance(payload, dict):
+        raise ConfigError("config root must be a JSON object")
+    f = _read(_CONFIG, payload, "config", None)
     try:
-        model = SystemModel(**{k: raw_model[k] for k in _MODEL_KEYS})
+        f["model"] = SystemModel(**f["model"])
     except (ModelError, ValueError) as exc:
         raise ConfigError(f"invalid model: {exc}", field="model") from exc
+    for name, rule, broken in _CROSS_RULES:
+        if broken(f):
+            raise ConfigError(f"'{name}' {rule}, got {f[name]!r}", field=name)
+    sigma, upsilon, target, dof = (f.pop(key) for key in ("sigma", "upsilon", "M", "solver_dof"))
+    detector = DetectorConfig(sigma, upsilon, dof)
+    return ScenarioConfig(**f, detector=detector, criteria=SuccessCriteria(target, upsilon))
 
-    beta = _number(_require(payload, "beta"), "beta")
-    upsilon = _number(_require(payload, "upsilon"), "upsilon")
-    if not (0.0 < upsilon < 1.0):
-        raise ConfigError(f"'upsilon' must be in (0, 1), got {upsilon!r}", field="upsilon")
-    target = _number(_require(payload, "M"), "M")
-    if not (0.0 < target < 1.0):
-        raise ConfigError(f"'M' must be in (0, 1), got {target!r}", field="M")
 
-    steps = _int_field(payload, "steps", 1)
-    trajectories = _int_field(payload, "trajectories", 1)
-    burn_in = _int_field(payload, "burn_in", 0)
-    if burn_in >= steps:
-        raise ConfigError(
-            f"'burn_in' must be smaller than 'steps' ({burn_in} >= {steps})", field="burn_in"
-        )
-    attack_start = _int_field(payload, "attack_start", 0, default=burn_in // 2)
-    if attack_start > burn_in:
-        raise ConfigError(
-            f"'attack_start' must not exceed 'burn_in' ({attack_start} > {burn_in}); "
-            "the metrics window assumes a settled attack",
-            field="attack_start",
-        )
-    seed = _int_field(payload, "seed", None)
-
-    attack_mode = _require(payload, "attack_mode")
-    if attack_mode not in ATTACK_MODES:
-        raise ConfigError(
-            f"'attack_mode' must be one of {ATTACK_MODES}, got {attack_mode!r}",
-            field="attack_mode",
-        )
-
-    solver_dof = _int_field(payload, "solver_dof", 1, default=model.m)
-
-    if payload.get("sigma") is None:
-        detector = design_threshold(upsilon, solver_dof, beta=beta)
+def _schema(row: _Field) -> dict:
+    """The JSON Schema of one row of the table, with the rules across fields on it."""
+    if row.kind == "object":
+        required = [item.name for item in row.items if item.default is _REQUIRED]
+        out = {"type": "object", "required": required, "additionalProperties": False,
+               "properties": {item.name: _schema(item) for item in row.items}}
+    elif row.kind == "enum":
+        out = {"enum": list(row.items)}
+    elif row.kind == "matrix":
+        numbers = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+        out = {"type": "array", "minItems": 1, "items": numbers}
     else:
-        sigma = _number(payload["sigma"], "sigma")
-        check_thresholds(beta, sigma)
-        detector = DetectorConfig(sigma=sigma, upsilon=upsilon, dof=solver_dof)
+        out = {"type": row.kind, **row.bounds}
+    if row.default is not _REQUIRED:
+        out["type"] = [out["type"], "null"]
+    rules = [f"{name} {rule}" for name, rule, _ in _CROSS_RULES if name == row.name]
+    out["description"] = "; ".join([row.description, *rules])
+    return out
 
-    criteria = SuccessCriteria(M=target, Upsilon=upsilon)
 
-    raw_attack = payload.get("attack_params")
-    if attack_mode == "off":
-        attack_params = AttackParams.off(model.m)
-    elif raw_attack is not None:
-        if not isinstance(raw_attack, dict) or set(raw_attack) != {"mu", "delta_bar"}:
-            raise ConfigError(
-                "'attack_params' must be a mapping with keys ['delta_bar', 'mu']",
-                field="attack_params",
-            )
-        mu = _number(raw_attack["mu"], "attack_params.mu", "attack_params")
-        delta_bar = _number(raw_attack["delta_bar"], "attack_params.delta_bar", "attack_params")
-        try:
-            attack_params = AttackParams(mu, delta_bar, model.m)
-        except DomainError as exc:
-            raise ConfigError(f"invalid attack_params: {exc}", field="attack_params") from exc
-    else:
-        attack_params = solve_optimal_params(beta, detector.sigma, criteria, solver_dof, m=model.m)
+def config_schema() -> dict:
+    """The JSON Schema (draft 2020-12) of a scenario file, built from the field table.
 
-    return ScenarioConfig(
-        model=model,
-        beta=beta,
-        steps=steps,
-        trajectories=trajectories,
-        burn_in=burn_in,
-        attack_start=attack_start,
-        seed=seed,
-        attack_mode=attack_mode,
-        attack_params=attack_params,
-        detector=detector,
-        criteria=criteria,
-    )
+    JSON Schema cannot state the rules across fields, so each joins the
+    description of its field. docs/config_schema.json holds this schema;
+    the README gives the command that writes it.
+    """
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", **_schema(_CONFIG)}
 
 
 def read_payload(path) -> dict:
@@ -311,8 +357,6 @@ def read_payload(path) -> dict:
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("config root must be a JSON object")
     return payload
 
 
@@ -636,7 +680,8 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     params = config.attack_params
 
     # theory references degrade to nan when A is unstable (bias and the
-    # covariance fixed points only exist for stable dynamics)
+    # covariance fixed points only exist for stable dynamics), and the
+    # empirical covariance is then taken about 0
     try:
         if config.attack_mode == "off" or params.is_off:
             theory_bias = np.zeros(model.n)
@@ -645,9 +690,11 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         theory_cov_trace = float(
             np.trace(analysis.attacked_covariance_fixed_point(params, steady, model))
         )
+        centre = theory_bias
     except DivergenceError:
         theory_bias = np.full(model.n, np.nan)
         theory_cov_trace = float("nan")
+        centre = 0.0
     # before the run, so that a domain error costs no simulation
     analytic_trigger = trigger_probability(params, config.beta)
     analytic_alarm = alarm_probability(params, config.detector.sigma, model.m)
@@ -672,7 +719,7 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     xa, z, eps = records.xa[:, post], records.z[:, post], records.eps[:, post]
     with np.errstate(all="ignore"):  # diverged slices carry nan and inf
         err = xa - records.x[:, post]
-        err -= theory_bias  # in place: one window-sized temporary at a time
+        err -= centre  # in place: one window-sized temporary at a time
         err_sq = np.square(err, out=err).sum(axis=(1, 2))[survivors]
         del err
         bias_sums = (xa - records.xn[:, post]).sum(axis=1)[survivors]

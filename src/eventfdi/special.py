@@ -11,10 +11,12 @@ solvers check their own domains and call its helper _ncx2_survival.
 The noncentral survival, and with it every Marcum order, integer or
 half-integer, is Boost's noncentral chi-square complement as scipy ships it
 (the ufunc behind scipy.stats.ncx2.sf, called without the scipy.stats
-layer). It keeps its relative accuracy deep into the upper tail, and its
-cost grows slowly with the noncentrality; the tests check it against
-50-digit Poisson sums (see Gil, Segura and Temme, "Computation of the
-Marcum Q-function", ACM TOMS 40(3), 2014, for the function's numerics).
+layer). Up to a noncentrality of 1e10 it keeps its relative accuracy deep
+into the upper tail, and its cost grows slowly with the noncentrality; the
+tests check it against 50-digit Poisson sums (see Gil, Segura and Temme,
+"Computation of the Marcum Q-function", ACM TOMS 40(3), 2014, for the
+function's numerics). Past that, a tail bound gives 0 or 1 where it
+settles the value, and NumericError where it does not.
 """
 
 import math
@@ -125,12 +127,19 @@ def _check_order(nu: float) -> float:
     return nu
 
 
+_UFUNC_NONCENTRALITY = 1e10  # the largest noncentrality handed to the ufunc
+
+
 def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
-    """Pr(V >= x) from the ufunc, clipped to [0, 1]; nan stays nan.
+    """Pr(V >= x) from the ufunc, clipped to [0, 1], or settled by a tail bound.
 
     The ufunc returns -0.0 at x = 0, where the value is 1; at any x > 0,
-    however small, it is within 2e-16 of a 50-digit sum. It returns nan for
-    a nan or infinite argument, which the clip would read as 0.
+    however small, it is within 2e-16 of a 50-digit sum. Its series lose
+    accuracy past a noncentrality of about 3e10, with Boost warnings (0.26
+    against 0.31 one half standard deviation above the mean at 1e11), may
+    run for minutes near 1e17, and give nan past about 5e18; an infinite
+    argument also gives nan. Past _UFUNC_NONCENTRALITY, and where the ufunc
+    gives nan, _tail_bound settles the value or raises NumericError.
 
     For a tiny x and a moderate noncentrality the ufunc raises
     OverflowError from Boost's tgamma. The value is then 1 when a bound on
@@ -143,6 +152,8 @@ def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
     """
     if x == 0.0:
         return 1.0
+    if not noncentrality <= _UFUNC_NONCENTRALITY:
+        return _tail_bound(x, dof, noncentrality)
     try:
         value = float(_ncx2_sf(x, dof, noncentrality))
     except OverflowError as exc:
@@ -157,8 +168,30 @@ def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
             f"noncentrality = {noncentrality!r}: {exc}"
         ) from exc
     if math.isnan(value):
-        return value
+        return _tail_bound(x, dof, noncentrality)
     return min(1.0, max(0.0, value))
+
+
+def _tail_bound(x: float, dof: float, noncentrality: float) -> float:
+    """Pr(V >= x) as 0 or 1 where a tail bound settles it, else NumericError.
+
+    With k = dof, lam = noncentrality, s = k + 2 lam and any u > 0,
+    Pr(V >= k + lam + 2 sqrt(s u) + 2u) and Pr(V <= k + lam - 2 sqrt(s u))
+    are at most e^-u (Birge 2001, Lemma 8.1). The value is 0 when x is past
+    the upper point of a u with e^-u < 2^-1075, half the least subnormal,
+    and 1 when x is below the lower point of a u with e^-u < 2^-54.
+    """
+    s, gap = dof + 2.0 * noncentrality, x - dof - noncentrality
+    if gap > 0.0:  # the u whose upper point is x: sqrt(u) = gap / (sqrt(s) + sqrt(s + 2 gap))
+        root_u = math.sqrt(gap) / (math.sqrt(s / gap) + math.sqrt(s / gap + 2.0))
+        if root_u * root_u > 745.2:  # e^-745.2 < 2^-1075
+            return 0.0
+    elif gap * gap / (4.0 * s) > 38.0:  # e^-38 < 2^-54
+        return 1.0
+    raise NumericError(
+        f"noncentral chi-square survival undefined at x = {x!r}, dof = {dof!r}, "
+        f"noncentrality = {noncentrality!r}: no tail bound settles it"
+    )
 
 
 def marcum_q(nu: float, a: float, b: float) -> float:

@@ -520,8 +520,8 @@ class TestSolverGaps:
 
 
 class TestNanSurvival:
-    """A nan from the survival ufunc stays nan, so a solver's gap is nan and _brentq
-    raises NumericError; read as 0 it was a finite gap of -Upsilon."""
+    """A nan from the survival ufunc that no tail bound settles raises NumericError,
+    so a solver's gap never reads it as 0, a finite gap of -Upsilon."""
 
     def test_gap_with_nan_argument_raises(self):
         mu, root_sigma = math.nan, math.sqrt(11.34)
@@ -530,17 +530,26 @@ class TestNanSurvival:
             a, b = mu * delta_bar, mu * root_sigma
             return special._ncx2_survival(b * b, 3.0, a * a) - 0.01
 
-        with pytest.raises(NumericError, match="function value nan"):
+        with pytest.raises(NumericError, match="survival undefined"):
             _brentq(gap, 1.0, 2.0)
 
     def test_solvers_raise_on_nan_ufunc(self, criteria, monkeypatch):
         monkeypatch.setattr(special, "_ncx2_sf", lambda *args: math.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="function value nan"):
+            with pytest.raises(NumericError, match="survival undefined"):
                 solve_optimal_params(1.4, 11.34, criteria, 3)
-            with pytest.raises(NumericError, match="function value nan"):
+            with pytest.raises(NumericError, match="survival undefined"):
                 feasible_delta_interval(5.0, 1.4, 11.34, criteria, 3)
+
+    @pytest.mark.parametrize("mu", [3e9, 1e10])
+    def test_huge_scaling(self, criteria, mu):
+        """The paper's pair at a scaling whose noncentrality the ufunc gives nan for:
+        the alarm is 0 by the tail bound, and the interval's upper end, where the
+        survival crosses Upsilon, is a point no bound settles."""
+        assert alarm_probability(AttackParams(mu, 2.4828, 2), 11.34, 2) == 0.0
+        with pytest.raises(NumericError, match="survival undefined"):
+            feasible_delta_interval(mu, 1.4, 11.34, criteria, 3)
 
 
 class TestBrentPort:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,16 +9,28 @@ import numpy as np
 import pytest
 
 import eventfdi as ef
-from eventfdi import harness
+from eventfdi import cli, harness
 from eventfdi.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO = str(REPO / "scenarios" / "paper_sec5.json")
 
 
+def strict_json(text: str):
+    """text parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of one command; any JSON on stdout must be strict."""
     code = main(list(argv))
     out = capsys.readouterr()
+    if "{" in out.out:
+        strict_json(out.out[out.out.index("{"):])
     return code, out.out, out.err
 
 
@@ -26,6 +39,25 @@ def small_config_file(tmp_path, **overrides):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def unstable_config_file(tmp_path):
+    """The paper scenario with A scaled to spectral radius 1.05, for 60 steps."""
+    A = np.array(harness.PAPER_A)
+    A *= 1.05 / np.max(np.abs(np.linalg.eigvals(A)))
+    payload = ef.paper_scenario(steps=60, trajectories=2, burn_in=20, attack_start=10)
+    payload["model"] = dict(payload["model"], A=A.tolist())
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+class TestStrictJson:
+    def test_values_that_are_not_finite_print_as_null(self):
+        text = cli._json({"a": 1.0, "b": [2.0, math.inf], "c": {"d": math.nan}})
+        assert strict_json(text) == {
+            "a": 1.0, "b": [2.0, None], "c": {"d": None}, "undefined": "not finite: b, d"
+        }
 
 
 class TestSolve:
@@ -40,7 +72,7 @@ class TestSolve:
             "--dof", "3",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["mu_star"] == pytest.approx(2.7705, abs=5e-3)
         assert payload["delta_bar_star"] == pytest.approx(2.4828, abs=5e-3)
         assert payload["marcum_residual"] < 1e-9
@@ -58,7 +90,7 @@ class TestSolve:
             "--mu", "5.0",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         band = payload["feasible_delta"]
         assert band["low"] < band["high"]
 
@@ -154,6 +186,24 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err == f"error: mu^2 sigma overflows: mu = {float(mu)!r}, sigma = 11.34\n"
 
+    @pytest.mark.parametrize("mu", ["1e5", "3e8", "3e9", "1e10"])
+    def test_huge_scaling_is_a_numeric_error(self, capsys, mu):
+        """The interval's upper end lies where the survival ufunc is inaccurate (1e5,
+        3e8) or gives nan (3e9, 1e10), and no tail bound settles the value: a numeric
+        error, not a wrong value or a nan in the output."""
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--beta", "1.4",
+            "--sigma", "11.34",
+            "--upsilon", "0.01",
+            "--target-M", "0.99865",
+            "--dof", "3",
+            "--mu", mu,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("numeric error: noncentral chi-square survival undefined")
+
     def test_bad_number_names_the_argument(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--beta", "x")
         assert code == 1
@@ -189,7 +239,7 @@ class TestSimulate:
         config = small_config_file(tmp_path)
         code, out, _ = run_cli(capsys, "simulate", "--config", config, "--attack", "off")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["trajectory_count"] == 2
         assert 0.0 <= payload["comm_rate"] <= 1.0
 
@@ -211,7 +261,7 @@ class TestSimulate:
         )
         assert code == 0
         assert trace.read_text().splitlines()[0] == ef.trace_header(3, 2)
-        assert json.loads(out_file.read_text()) == json.loads(out)
+        assert strict_json(out_file.read_text()) == strict_json(out)
 
     def test_non_numeric_config_value_is_validation_error(self, capsys, tmp_path):
         config = small_config_file(tmp_path, beta="x")
@@ -236,9 +286,9 @@ class TestSimulate:
             capsys, "simulate", "--config", small_config_file(tmp_path), "--out", str(out_file)
         )
         assert code == 2
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["divergence"] == [1] and payload["trajectory_count"] == 1
-        assert json.loads(out_file.read_text()) == payload
+        assert strict_json(out_file.read_text()) == payload
 
     def test_overflowing_attack_params_fail_before_the_run(self, capsys, tmp_path, monkeypatch):
         def no_run(config):
@@ -250,6 +300,17 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.startswith("error: invalid attack_params: attack parameters overflow")
 
+    def test_unstable_plant_prints_null_theory_with_its_reason(self, capsys, tmp_path):
+        out_file = tmp_path / "summary.json"
+        config = unstable_config_file(tmp_path)
+        code, out, _ = run_cli(capsys, "simulate", "--config", config, "--out", str(out_file))
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["theory_bias"] is None and payload["theory_cov_trace"] is None
+        assert payload["theory"] == "undefined: A is not stable"
+        assert payload["emp_cov_trace"] > 0.0 and "undefined" not in payload
+        assert out_file.read_text() == out
+
     def test_missing_config_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
         assert code == 1
@@ -260,7 +321,7 @@ class TestAnalyze:
     def test_open_loop_trace_at_large_mu(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--config", SCENARIO, "--mu", "10000")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["open_loop_cov_trace"] == pytest.approx(0.0915, abs=1e-3)
         assert payload["attacked_cov_trace"] == pytest.approx(
             payload["open_loop_cov_trace"], abs=1e-3
@@ -269,7 +330,7 @@ class TestAnalyze:
     def test_default_params_report_bias(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--config", SCENARIO)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["mu"] == pytest.approx(2.7705, abs=5e-3)
         assert len(payload["bias"]) == 3
 
@@ -279,6 +340,14 @@ class TestAnalyze:
         assert err.startswith("error: attack parameters overflow: mu = 1e+200, delta_bar = 2.48")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mu", ["3e9", "1e10"])
+    def test_huge_scaling_alarm_is_zero(self, capsys, mu):
+        """The survival ufunc gives nan at these noncentralities; the tail bound gives 0."""
+        code, out, err = run_cli(capsys, "analyze", "--config", SCENARIO, "--mu", mu)
+        assert code == 0, err
+        payload = strict_json(out)
+        assert payload["analytic_alarm"] == 0.0 and payload["analytic_trigger"] == 1.0
+
     def test_tiny_sigma_alarm_is_one(self, capsys, tmp_path):
         # the alarm's ufunc overflows at x = mu^2 sigma = 4e-28, noncentrality 400
         path = small_config_file(
@@ -286,7 +355,7 @@ class TestAnalyze:
         )
         code, out, err = run_cli(capsys, "analyze", "--config", path)
         assert code == 0, err
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["analytic_alarm"] == 1.0 and payload["analytic_trigger"] == 1.0
 
 

@@ -89,6 +89,12 @@ class TestConfigLoading:
         assert config.attack_params.delta_bar == 2.0
         assert config.attack_params.delta.shape == (2,)
 
+    def test_unreachable_target_names_M(self, paper_payload):
+        """At solver_dof 2**62 the 11.34 threshold alarms on almost every statistic."""
+        with pytest.raises(ConfigError, match="no feasible scaling found") as err:
+            ef.config_from_dict(dict(paper_payload, solver_dof=2**62))
+        assert err.value.field == "M"
+
     def test_beta_vs_sigma_guard(self, paper_payload):
         with pytest.raises(ConfigError) as err:
             ef.config_from_dict(dict(paper_payload, beta=4.0))
@@ -197,14 +203,45 @@ class TestConfigLoading:
         assert err.value.field == key
         assert_schema_rejects(payload)
 
-    def test_integral_float_is_not_an_integer(self, paper_payload):
-        """JSON Schema counts 50.0 as an integer, so the schema cannot state this rule."""
-        with pytest.raises(ConfigError, match="'attack_start' must be a nonnegative integer") as err:
-            ef.config_from_dict(dict(paper_payload, attack_start=50.0))
-        assert err.value.field == "attack_start"
+    @pytest.mark.parametrize(
+        "key", ["steps", "trajectories", "burn_in", "attack_start", "seed", "solver_dof"]
+    )
+    def test_integral_float_is_an_integer(self, paper_payload, key):
+        """JSON has one number type, and JSON Schema counts 50.0 as an integer: so does
+        the config, which reads it as the int 50."""
+        payload = dict(paper_payload, **{key: float(paper_payload[key])})
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(payload, ef.config_schema())
+        config = ef.config_from_dict(payload)
+        value = config.detector.dof if key == "solver_dof" else getattr(config, key)
+        assert type(value) is int and value == paper_payload[key]
 
-    @pytest.mark.parametrize("change", ["not a mapping", "missing key", "extra key"])
-    def test_model_must_be_a_mapping_of_the_five_matrices(self, paper_payload, change):
+    @pytest.mark.parametrize("key, value", [("steps", 300.5), ("attack_start", 10.5), ("seed", 1.5)])
+    def test_fractional_float_is_not_an_integer(self, paper_payload, key, value):
+        payload = dict(paper_payload, **{key: value})
+        with pytest.raises(ConfigError, match=f"'{key}' must be an integer") as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == key
+        assert_schema_rejects(payload)
+
+    @pytest.mark.parametrize("key", ["solver_dof", "attack_start"])
+    def test_optional_integer_may_be_null(self, paper_payload, key):
+        """Every field with a default may be omitted or null, and then takes it."""
+        omitted = dict(paper_payload)
+        omitted.pop(key)
+        assert_same_config(
+            ef.config_from_dict(dict(paper_payload, **{key: None})), ef.config_from_dict(omitted)
+        )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("not a mapping", "'model' must be a mapping"),
+            ("missing key", "missing config field 'model.Xi0'"),
+            ("extra key", "unknown config fields: \\['model.B'\\]"),
+        ],
+    )
+    def test_model_must_be_a_mapping_of_the_five_matrices(self, paper_payload, change, message):
         model = dict(paper_payload["model"])
         if change == "not a mapping":
             model = [model["A"]]
@@ -213,7 +250,7 @@ class TestConfigLoading:
         else:
             model["B"] = model["A"]
         payload = dict(paper_payload, model=model)
-        with pytest.raises(ConfigError, match="'model' must be a mapping") as err:
+        with pytest.raises(ConfigError, match=message) as err:
             ef.config_from_dict(payload)
         assert err.value.field == "model"
         assert_schema_rejects(payload)
@@ -224,18 +261,26 @@ class TestConfigLoading:
     )
     def test_probability_out_of_range(self, paper_payload, key, value):
         payload = dict(paper_payload, **{key: value})
-        with pytest.raises(ConfigError, match=f"'{key}' must be in \\(0, 1\\)") as err:
+        with pytest.raises(ConfigError, match=f"'{key}' must be a number > 0 and < 1") as err:
             ef.config_from_dict(payload)
         assert err.value.field == key
         assert_schema_rejects(payload)
 
     @pytest.mark.parametrize(
-        "raw",
-        [[3.0, 2.0], {"mu": 3.0}, {"mu": 3.0, "delta_bar": 2.0, "m": 2}],
+        "raw, message",
+        [
+            ([3.0, 2.0], "'attack_params' must be a mapping"),
+            ({"mu": 3.0}, "missing config field 'attack_params.delta_bar'"),
+            ({"mu": 3.0, "delta_bar": 2.0, "m": 2}, "unknown config fields: \\['attack_params.m'\\]"),
+        ],
     )
-    def test_attack_params_must_be_a_mapping_of_mu_and_delta_bar(self, paper_payload, raw):
-        payload = dict(paper_payload, attack_params=raw)
-        with pytest.raises(ConfigError, match="'attack_params' must be a mapping") as err:
+    @pytest.mark.parametrize("mode", ["two_channel", "off"])
+    def test_attack_params_must_be_a_mapping_of_mu_and_delta_bar(
+        self, paper_payload, raw, message, mode
+    ):
+        """Checked in every mode, as the schema does, though 'off' does not use them."""
+        payload = dict(paper_payload, attack_params=raw, attack_mode=mode)
+        with pytest.raises(ConfigError, match=message) as err:
             ef.config_from_dict(payload)
         assert err.value.field == "attack_params"
         assert_schema_rejects(payload)
@@ -264,6 +309,158 @@ class TestConfigLoading:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             ef.load_config(bad)
+
+
+def assert_same_config(a, b):
+    keys = ("beta", "steps", "trajectories", "burn_in", "attack_start", "seed", "attack_mode")
+    for key in keys + ("detector", "criteria"):
+        assert getattr(a, key) == getattr(b, key), key
+    assert (a.attack_params.mu, a.attack_params.delta_bar) == (
+        b.attack_params.mu,
+        b.attack_params.delta_bar,
+    )
+
+
+# Fields whose rejection may come after the table: the rules across fields, and
+# the checks the table refers to (SystemModel on model, AttackParams on attack_params).
+AFTER_THE_TABLE = {name for name, _, _ in harness._CROSS_RULES} | {"model", "attack_params"}
+ODD_VALUES = [
+    None, True, False, "x", "1", [], [1.0], {}, {"mu": 2.0, "delta_bar": 1.0},
+    -1, 0, 0.5, 1, 1.0, 1.5, 2, 4.0, 10.5, 60, 1e200, -1e200,
+    "off", "forward_only", [[]], [[1.0]], [["1"]], [[True]], [[1.0], []],
+]
+
+
+@st.composite
+def valid_payloads(draw):
+    """Valid scenarios around the paper's: random budgets, modes and optional fields."""
+    steps = draw(st.integers(2, 60))
+    burn_in = draw(st.integers(0, steps - 1))
+    payload = ef.paper_scenario(
+        steps=steps,
+        trajectories=draw(st.integers(1, 3)),
+        burn_in=burn_in,
+        attack_start=draw(st.integers(0, burn_in)),
+        seed=draw(st.integers(-(2**63), 2**64)),
+        attack_mode=draw(st.sampled_from(harness.ATTACK_MODES)),
+        sigma=draw(st.sampled_from([11.34, 20.0])),
+        solver_dof=draw(st.integers(1, 6)),
+        attack_params=draw(
+            st.fixed_dictionaries({"mu": st.floats(1.0, 5.0), "delta_bar": st.floats(0.0, 3.0)})
+        ),
+    )
+    for key in ("sigma", "solver_dof", "attack_start", "attack_params"):
+        choice = draw(st.sampled_from(["keep", "omit", "null"]))
+        if choice == "omit":
+            del payload[key]
+        elif choice == "null":
+            payload[key] = None
+    return payload
+
+
+# in-range values that break a rule across fields, or a check of SystemModel
+CROSS_VIOLATIONS = {
+    "burn_in": lambda p: p["steps"],
+    "attack_start": lambda p: p["burn_in"] + 1,
+    "steps": lambda p: max(p["burn_in"], 1),
+    "beta": lambda p: 4.0,
+    "M": lambda p: 0.01,
+    "model": lambda p: dict(p["model"], Q=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+def single_mutations(payload: dict, path: str):
+    """payload with the field at path (dotted) set to each odd value, written as the
+    integral float of its int, or removed."""
+    *parents, key = path.split(".")
+    for value in [*ODD_VALUES, "float", "delete"]:
+        mutated = json.loads(json.dumps(payload))
+        target = mutated
+        for parent in parents:
+            target = target[parent]
+        if value == "delete":
+            target.pop(key, None)
+        elif value == "float":
+            if type(target.get(key)) is not int:
+                continue
+            target[key] = float(target[key])
+        else:
+            target[key] = value
+        yield mutated
+
+
+def mutation_paths(payload: dict) -> list:
+    paths = [row.name for row in harness._CONFIG.items] + ["bogus"]
+    paths += [f"model.{key}" for key in payload["model"]]
+    if isinstance(payload.get("attack_params"), dict):
+        paths += ["attack_params.mu", "attack_params.delta_bar", "attack_params.bogus"]
+    return paths
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload, or one with a single field set to an odd value, written as the
+    integral float of its int, removed, added as an unknown key, or set to a value
+    that breaks a rule across fields; and that field."""
+    payload = draw(valid_payloads())
+    kind = draw(st.sampled_from(["none", "cross", "field", "field"]))
+    if kind == "none":
+        return payload, None
+    if kind == "cross":
+        key = draw(st.sampled_from(sorted(CROSS_VIOLATIONS)))
+        payload[key] = CROSS_VIOLATIONS[key](payload)
+        return payload, key
+    path = draw(st.sampled_from(mutation_paths(payload)))
+    return draw(st.sampled_from(list(single_mutations(payload, path)))), path.split(".")[0]
+
+
+def assert_schema_and_code_agree(payload: dict, mutated: str | None):
+    """The schema accepts the payload exactly when config_from_dict does, apart from
+    the rules across fields and the checks of SystemModel and AttackParams, which the
+    schema states only in descriptions; and every rejection names its field."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_ok = jsonschema.Draft202012Validator(ef.config_schema()).is_valid(payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # boundary solutions
+        try:
+            ef.config_from_dict(payload)
+            error = None
+        except ConfigError as exc:
+            error = exc
+    if error is None:
+        assert schema_ok, payload
+    elif schema_ok:
+        assert error.field in AFTER_THE_TABLE, error
+        harness._read(harness._CONFIG, payload, "config", None)  # the table accepts it
+    else:
+        assert error.field == mutated, (error, payload)
+    if mutated is None:
+        assert error is None and schema_ok
+
+
+class TestConfigSchema:
+    """docs/config_schema.json is generated from the field table that config_from_dict
+    reads by, so the schema and the code accept the same payloads."""
+
+    def test_committed_schema_is_generated(self):
+        assert SCHEMA.read_text() == json.dumps(ef.config_schema(), indent=2) + "\n"
+
+    def test_each_cross_rule_is_in_its_field_description(self):
+        properties = ef.config_schema()["properties"]
+        for name, rule, _ in harness._CROSS_RULES:
+            assert f"{name} {rule}" in properties[name]["description"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_payloads())
+    def test_schema_accepts_exactly_what_the_code_does(self, case):
+        assert_schema_and_code_agree(*case)
+
+    @pytest.mark.parametrize("attack_params", [None, {"mu": 3.0, "delta_bar": 2.0}])
+    def test_every_single_mutation_of_the_paper_payload(self, paper_payload, attack_params):
+        payload = dict(paper_payload, steps=300, attack_params=attack_params)
+        for path in mutation_paths(payload):
+            for mutated in single_mutations(payload, path):
+                assert_schema_and_code_agree(mutated, path.split(".")[0])
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +750,8 @@ class TestDomainBeforeTheRun:
 
     def test_unstable_plant_leaves_the_theory_nan(self):
         """An unstable A has no steady bias and no attacked fixed point: both raise
-        DivergenceError, and the run reports nan for them."""
+        DivergenceError, and the run reports nan for them. The empirical covariance
+        is then the mean squared error, about 0, and to_dict states the reason."""
         eye = [[1.0, 0.0], [0.0, 1.0]]
         payload = {
             "model": {"A": [[1.05, 0.0], [0.0, 1.05]], "C": eye, "Q": eye, "R": eye, "Xi0": eye},
@@ -567,9 +765,16 @@ class TestDomainBeforeTheRun:
             "seed": 1,
             "attack_mode": "two_channel",
         }
-        summary = ef.run_scenario(ef.config_from_dict(payload)).summary
+        config = ef.config_from_dict(payload)
+        summary = ef.run_scenario(config).summary
         assert summary.trajectory_count == 2
         assert np.isnan(summary.theory_bias).all() and math.isnan(summary.theory_cov_trace)
+        records = harness._simulate(config)
+        err = records.xa[:, 60:] - records.x[:, 60:]
+        assert summary.emp_cov_trace == pytest.approx(float(np.mean(np.sum(err * err, axis=2))))
+        out = summary.to_dict()
+        assert out["theory_bias"] is None and out["theory_cov_trace"] is None
+        assert out["theory"] == "undefined: A is not stable"
 
 
 def _random_stable_payload(n, m, trajectories, mode, seed) -> dict:

@@ -270,13 +270,51 @@ class TestMarcumQ:
 
 class TestNcx2Survival:
     """The helper behind marcum_q and attack.alarm_probability: the ufunc's value
-    clipped to [0, 1], and nan where the ufunc gives nan."""
+    clipped to [0, 1]. Where the ufunc gives nan, a tail bound settles 0 or 1, or
+    NumericError."""
 
     @pytest.mark.parametrize(
         "args", [(1.0, 2.0, math.nan), (math.nan, 2.0, 1.0), (1.0, math.nan, 1.0)]
     )
-    def test_nan_stays_nan(self, args):
-        assert math.isnan(_ncx2_survival(*args))
+    def test_nan_argument_raises(self, args):
+        with pytest.raises(NumericError, match="survival undefined"):
+            _ncx2_survival(*args)
+
+    @pytest.mark.parametrize("mu", [3e9, 1e10])
+    @pytest.mark.parametrize("dof", [2.0, 3.0])
+    def test_huge_noncentrality_saturates(self, mu, dof):
+        """The ufunc gives nan past a noncentrality of about 5e18; the bounds give 0
+        at the paper's alarm boundary, 1 far inside it, and raise at it."""
+        delta_sq = 2.4828**2
+        assert math.isnan(_ncx2_sf(mu * mu * 11.34, dof, mu * mu * delta_sq))
+        assert _ncx2_survival(mu * mu * 11.34, dof, mu * mu * delta_sq) == 0.0
+        assert _ncx2_survival(mu * mu * delta_sq, dof, mu * mu * 11.34) == 1.0
+        with pytest.raises(NumericError, match="survival undefined"):
+            _ncx2_survival(mu * mu * 11.34, dof, mu * mu * 11.34)
+
+    def test_ufunc_is_not_used_past_its_accurate_range(self):
+        """At 1e11 the ufunc gives 0.26 half a standard deviation above the mean, where
+        the value is about 0.31; there the bounds settle nothing, so NumericError."""
+        lam = 1e11
+        with pytest.raises(NumericError, match="no tail bound settles it"):
+            _ncx2_survival(lam + 3.0 + math.sqrt(lam), 3.0, lam)
+        assert _ncx2_survival(lam + 3.0 + 100.0 * math.sqrt(lam), 3.0, lam) == 0.0
+        assert _ncx2_survival(lam + 3.0 - 20.0 * math.sqrt(lam), 3.0, lam) == 1.0
+
+    def test_infinite_boundary_is_zero(self):
+        assert _ncx2_survival(math.inf, 2.0, 1.0) == 0.0
+        assert marcum_q(1.0, 1.0, 1e200) == 0.0
+
+    @pytest.mark.parametrize("lam", [1e3, 1e6, 1e10])
+    @pytest.mark.parametrize("dof", [1.0, 3.0, 24.0])
+    @pytest.mark.parametrize("u", [1.0, 38.0])
+    def test_bounds_agree_with_the_ufunc_where_it_works(self, lam, dof, u):
+        """The points the bounds settle at, on noncentralities the ufunc still handles."""
+        s = dof + 2.0 * lam
+        upper = dof + lam + 2.0 * math.sqrt(s * u) + 2.0 * u
+        lower = dof + lam - 2.0 * math.sqrt(s * u)
+        assert float(_ncx2_sf(upper, dof, lam)) <= math.exp(-u) * (1 + 1e-9)
+        assert 1.0 - float(_ncx2_sf(lower, dof, lam)) <= math.exp(-u) * (1 + 1e-9) + 1e-15
 
     # x from 1e-4: below that, with a large noncentrality, the ufunc raises
     # OverflowError from Boost's tgamma (see the two tests after this one)

@@ -10,9 +10,11 @@ whose fixed point interpolates between the standard Kalman posterior
 covariance (mu = 1) and the open-loop Lyapunov fixed point (mu -> inf).
 
 Both fixed points are discrete Lyapunov equations P = A P A^T + (Q - W),
-with W the injection term above (W = 0 for the open loop), and are solved
-directly: vec P = (I - A kron A)^{-1} vec(Q - W), one n^2 x n^2 linear
-solve (for n < 10; see _lyapunov), with A kron A built by broadcasting.
+with W the injection term above (W = 0 for the open loop). For n < 10 they
+are solved directly, vec P = (I - A kron A)^{-1} vec(Q - W), one n^2 x n^2
+linear solve with A kron A built by broadcasting; from n = 10 on, by
+Smith's squared doubling, which stops by the rule of the Riccati doubling
+(see _lyapunov).
 They and the steady bias exist iff A is stable, the one rule
 _check_stable checks against the spectral radius the model computed once
 at construction. The equation is linear in its forcing, and
@@ -37,7 +39,7 @@ from numpy.linalg import _umath_linalg
 
 from .attack import AttackParams
 from .errors import DivergenceError, DomainError
-from .estimator import SteadyState, _sym, op_h
+from .estimator import SteadyState, _doubling_limit, _sym, op_h
 from .model import SystemModel
 
 
@@ -103,24 +105,40 @@ def _kron_square(A: np.ndarray) -> np.ndarray:
     return (A[:, None, :, None] * A[None, :, None, :]).reshape(n * n, n * n)
 
 
+def _smith_doublings(A: np.ndarray, forcing: np.ndarray):
+    """Smith's iterates, X <- X + A_k X A_k^T with A_k = A^(2^k), from X = forcing:
+    the k-th is the sum of A^i forcing A^iT over i < 2^k."""
+    X, A_k = forcing, A
+    while True:
+        X = X + A_k @ X @ A_k.T
+        yield X
+        A_k = A_k @ A_k
+
+
 def _lyapunov(model: SystemModel, forcing: np.ndarray) -> np.ndarray:
     """The P with P = A P A^T + forcing, symmetrized (A must be stable).
 
     For n < 10 this is the Kronecker solve (I - A kron A) vec P = vec forcing,
-    the method scipy.linalg.solve_discrete_lyapunov itself picks there. The
-    system is n^2 x n^2, so its memory grows as n^4 and its time as n^6;
-    from n = 10 on, scipy's bilinear solver does the work, imported on first
-    use so that importing the library loads no scipy.linalg.
+    the method scipy.linalg.solve_discrete_lyapunov itself picks there, with
+    its bits. That system is n^2 x n^2, so its time grows as n^6; from n = 10
+    on, Smith's doubling (SIAM J. Appl. Math. 16(1), 1968) does the work in
+    n x n products, stopped by the Riccati iteration's rule. Squared powers
+    of a non-normal A that grow before they decay drift (at n = 12 and
+    spectral radius 0.999 the residual reached 7e-13 of P), so a second
+    pass solves for the first answer's residual: below 1e-15 of P after it.
 
     The Kronecker solve calls the LAPACK gufunc behind np.linalg.solve
     directly (same bits): a singular or non-finite system gives nan, not
-    LinAlgError, and any non-finite result raises DivergenceError.
+    LinAlgError. Any non-finite result raises DivergenceError.
     """
     n = model.n
     if n >= 10:
-        from scipy import linalg
-
-        return _sym(linalg.solve_discrete_lyapunov(model.A, forcing))
+        A, P = model.A, np.zeros((n, n))
+        for _ in range(2):  # the solve from P = 0, then one refinement step
+            with np.errstate(all="ignore"):  # an overflow is caught as non-finite
+                residual = forcing + A @ P @ A.T - P
+            P = P + _doubling_limit(_smith_doublings(A, residual), residual, "Lyapunov doubling")
+        return _sym(P)
     lhs = np.eye(n * n) - _kron_square(model.A)
     with np.errstate(invalid="ignore"):  # a singular system: nan, caught below
         vec = _umath_linalg.solve1(lhs, forcing.reshape(-1), signature="dd->d")

@@ -16,6 +16,7 @@ S, for one matrix or for harness's stack of them: closed forms for 1x1 and
 factors; the scalar functions here raise NumericError on them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,8 +226,47 @@ def measurement_update(
     )
 
 
-_RICCATI_TOL = 1e-12
-_RICCATI_DOUBLINGS = 64
+_DOUBLINGS = 64
+_DOUBLING_RTOL = 1e-10
+
+
+def _doubling_limit(iterates, start: np.ndarray, name: str) -> np.ndarray:
+    """The limit of a doubling iteration: the first of the iterates after start
+    whose max-norm change is at most _DOUBLING_RTOL of its max norm. The rule is
+    relative, so inputs scaled by a power of two scale the limit exactly; as each
+    doubling squares the contraction, what is left is about the change squared.
+    A non-finite iterate raises DivergenceError (finite iterates whose difference
+    overflows keep iterating), and so do _DOUBLINGS iterates without the stop.
+    """
+    P = start
+    with np.errstate(all="ignore"):  # the iterates may carry nan into this check
+        for P_next in itertools.islice(iterates, _DOUBLINGS):
+            change = np.abs(P_next - P).max()
+            if not math.isfinite(change) and not np.isfinite(P_next).all():
+                raise DivergenceError(f"{name} produced non-finite values")
+            if change <= _DOUBLING_RTOL * np.abs(P_next).max():
+                return P_next
+            P = P_next
+    raise DivergenceError(f"{name} did not converge within {_DOUBLINGS} doubling steps")
+
+
+def _riccati_doublings(model: SystemModel, X0: np.ndarray):
+    """Iterates 1, 2, 4, ... of the Riccati map from X0 (see riccati_fixed_point);
+    W^{-1} is formed only when the next one is asked for."""
+    eye = np.eye(model.n)
+    A_k = model.A.T
+    G_k = _sym(model.C.T @ _umath_linalg.solve(model.R, model.C, signature="dd->d"))
+    H_k = model.Q
+    while True:
+        step = _umath_linalg.solve(eye + G_k @ X0, A_k, signature="dd->d")
+        yield _sym(H_k + A_k.T @ X0 @ step)
+        W_inv = _umath_linalg.inv(eye + G_k @ H_k, signature="d->d")
+        WA = W_inv @ A_k
+        H_k, G_k, A_k = (
+            _sym(H_k + A_k.T @ H_k @ WA),
+            _sym(G_k + A_k @ W_inv @ G_k @ A_k.T),
+            A_k @ WA,
+        )
 
 
 def riccati_fixed_point(model: SystemModel) -> SteadyState:
@@ -245,10 +285,9 @@ def riccati_fixed_point(model: SystemModel) -> SteadyState:
     Filtering, 1979). The map is evaluated at the iteration's start X_0
     (Xi0, or Q when Xi0 is zero), so iterate 2^k follows from k doubling
     steps; H_k alone is the iterate from X = 0, which for an unstable A
-    with Q = 0 can be a non-stabilising fixed point. Convergence is the
-    max-norm difference of successive iterates below _RICCATI_TOL within
-    _RICCATI_DOUBLINGS doubling steps; W^{-1} is formed only when another
-    doubling follows. The solves and the inverse call the LAPACK gufuncs
+    with Q = 0 can be a non-stabilising fixed point. The iterates stop by
+    _doubling_limit: a change of at most 1e-10 of the iterate in max norm,
+    within 64 doublings. The solves and the inverse call the LAPACK gufuncs
     behind np.linalg.solve and np.linalg.inv directly, with the same bits
     and without the wrappers' checks: a singular or non-finite matrix gives
     nan entries, not LinAlgError, and the iterates carry them. Non-finite
@@ -256,34 +295,6 @@ def riccati_fixed_point(model: SystemModel) -> SteadyState:
     effectively undetectable pair.
     """
     X0 = model.Xi0 if np.any(model.Xi0) else model.Q
-    eye = np.eye(model.n)
-    A_k = model.A.T
-    G_k = _sym(model.C.T @ _umath_linalg.solve(model.R, model.C, signature="dd->d"))
-    H_k = model.Q
-    P = X0
-    with np.errstate(all="ignore"):
-        for _ in range(_RICCATI_DOUBLINGS):
-            step = _umath_linalg.solve(eye + G_k @ X0, A_k, signature="dd->d")
-            P_next = _sym(H_k + A_k.T @ X0 @ step)
-            change = np.abs(P_next - P).max()
-            if change < _RICCATI_TOL:
-                P = P_next
-                break
-            # a nan or inf in P_next makes the change non-finite; finite
-            # iterates whose difference overflows keep iterating
-            if not math.isfinite(change) and not np.all(np.isfinite(P_next)):
-                raise DivergenceError("Riccati iteration produced non-finite values")
-            P = P_next
-            W_inv = _umath_linalg.inv(eye + G_k @ H_k, signature="d->d")
-            WA = W_inv @ A_k
-            H_k, G_k, A_k = (
-                _sym(H_k + A_k.T @ H_k @ WA),
-                _sym(G_k + A_k @ W_inv @ G_k @ A_k.T),
-                A_k @ WA,
-            )
-        else:
-            raise DivergenceError(
-                f"Riccati iteration did not converge within {_RICCATI_DOUBLINGS} doubling steps"
-            )
+    P = _doubling_limit(_riccati_doublings(model, X0), X0, "Riccati iteration")
     S, L, F, K = _derived(P, model)
     return SteadyState(P=P, K=K, F=F, S=S, L=L)

@@ -48,10 +48,12 @@ functions of the P+ bits and gamma alone, and F is served in the layout
 factor_stack gives it (np.matmul picks its kernel by strides). The
 attack-off path and the steps before the attack run no memo code.
 
-A trajectory diverges when its plant path or its estimates go non-finite,
-as the factors of an S that is not positive definite make them. It is
-masked, not raised: its slice carries nan without warnings, no operation
-mixes slices, and it is left out of the aggregates and the trace.
+A trajectory diverges when its plant path or its records go non-finite,
+as the factors of an S that is not positive definite make them, or grow
+so large that a square the summary sums over the trajectories would
+overflow (an unstable plant does that). It is masked, not raised: its
+slice carries nan and inf without warnings, no operation mixes slices,
+and it is left out of the aggregates and the trace.
 
 Memory: the measurements and every per-step record of every trajectory
 are kept until the run ends, T * steps * (3n + 5m + 1) doubles; the
@@ -120,8 +122,7 @@ _CONFIG = _Field("config", "object", {}, _REQUIRED, "eventfdi scenario configura
     _Field("M", "number", _OPEN_UNIT, _REQUIRED, "attack target: minimum trigger probability"),
     _Field("solver_dof", "integer", _AT_LEAST_1, lambda f: len(f["model"]["C"]),
            "chi-square dof of the threshold design and the attack solve (default: m)"),
-    _Field("sigma", "number", {"exclusiveMinimum": 0},
-           lambda f: design_threshold(f["upsilon"], f["solver_dof"]).sigma,
+    _Field("sigma", "number", {"exclusiveMinimum": 0}, None,
            "detector threshold (default: designed from upsilon and solver_dof)"),
     _Field("steps", "integer", _AT_LEAST_1, _REQUIRED, "simulated steps per trajectory"),
     _Field("trajectories", "integer", _AT_LEAST_1, _REQUIRED, "independent trajectories"),
@@ -224,6 +225,18 @@ class RunResult:
     diverged: list = field(default_factory=list)
 
 
+def _designed_sigma(f: dict) -> None:
+    """sigma designed from upsilon and solver_dof when the file omits it; a design
+    that fails, as it does when no threshold meets the budget at that dof, raises
+    ConfigError on solver_dof."""
+    if f["sigma"] is None:
+        try:
+            f["sigma"] = design_threshold(f["upsilon"], f["solver_dof"]).sigma
+        except (DomainError, NumericError) as exc:
+            raise ConfigError(f"'solver_dof' admits no threshold design: {exc}",
+                              field="solver_dof") from exc
+
+
 def _attack_params(f: dict) -> None:
     """attack_params resolved: off, the given pair by AttackParams, or solved; the
     solver raises ConfigError on M when M < Q(beta) or no scaling meets M."""
@@ -248,6 +261,8 @@ def _attack_params(f: dict) -> None:
 _CROSS_RULES = (
     ("burn_in", "must be smaller than steps", lambda f: f["burn_in"] >= f["steps"]),
     ("attack_start", "must not exceed burn_in", lambda f: f["attack_start"] > f["burn_in"]),
+    ("solver_dof", "must admit a threshold design for upsilon when sigma is omitted",
+     _designed_sigma),
     ("beta", "must be below sqrt(sigma)", lambda f: check_thresholds(f["beta"], f["sigma"])),
     ("M", "must be at least Q(beta), and met by some scaling, when attack_params is solved",
      _attack_params),
@@ -646,23 +661,23 @@ def _simulate(config: ScenarioConfig) -> _Records:
         epsts[:, k] = eps_received
 
     g = (epsts.swapaxes(-1, -2) @ epsts)[..., 0, 0]
-    xa = xas[..., 0]
-    plant_finite = np.isfinite(xs[:, 1:]).all(axis=(1, 2, 3)) & np.isfinite(ys).all(axis=(1, 2, 3))
-    estimate_finite = [
-        math.isfinite(float(xa[traj].sum()) + float(g[traj].sum())) for traj in range(T)
-    ]
+    # The one divergence rule: 4T times the sum of squares of a trajectory's plant
+    # path and records is not finite. A squared error, product or sum that the
+    # summary forms over at most T trajectories stays below that, so it is finite.
+    flat = (a.reshape(T, -1) for a in (xs, ys, xns, xas, zs, zns, epss, epsts))
+    energy = sum(np.einsum("ij,ij->i", a, a) for a in flat)
     return _Records(
         gamma=gammas,
         alarm=g >= config.detector.sigma,
         g=g,
         x=xs[:, :steps, :, 0],
         xn=xns[..., 0],
-        xa=xa,
+        xa=xas[..., 0],
         z=zs[..., 0],
         zn=zns[..., 0],
         eps=epss[..., 0],
         epst=epsts[..., 0],
-        diverged=~plant_finite | ~np.array(estimate_finite),
+        diverged=~np.isfinite(4.0 * T * energy),
     )
 
 

@@ -5,7 +5,9 @@ tests/golden/digests.json holds one digest per entry:
 - `run/<name>/<field>`: every other `RunResult` field, as dtype, shape and bytes;
 - `run/<name>/trace`: the bytes of the trace CSV;
 - `cli/<command>`: the exit code and stdout of a CLI subcommand;
-- `grid/<output>`: one analysis output over a fixed grid of random stable systems.
+- `grid/<output>`: one analysis output over a fixed grid of random stable systems;
+- `n12/<output>`, `n16/<output>`: each analysis output of one random stable system
+  with n = 12 or 16, past the Kronecker range of the Lyapunov solves.
 
 The bits belong to the numpy and scipy versions the file records; the test
 skips on other versions and names both. A change that alters an entry on
@@ -249,6 +251,19 @@ def _grid_entries() -> dict:
     }
 
 
+LARGE_N = (12, 16)  # the Lyapunov solves are Smith's doubling from n = 10 on
+
+
+def _large_entries() -> dict:
+    """Every analysis output of a random stable system with m = 3 and solver_dof 3 at
+    each n of LARGE_N, one entry per output."""
+    entries = {}
+    for n in LARGE_N:
+        out = _grid_outputs(ef.SystemModel(**_random_model(n, 3, 7)), 3)
+        entries.update({f"n{n}/{name}": _hash(*_flatten(out.get(name))) for name in GRID_OUTPUTS})
+    return entries
+
+
 # ---------------------------------------------------------------- file
 
 
@@ -260,6 +275,7 @@ def compute() -> dict:
             entries.update(_run_entries(name, payload, fault, Path(tmp)))
     entries.update({f"cli/{name}": _cli_entry(argv) for name, argv in COMMANDS.items()})
     entries.update(_grid_entries())
+    entries.update(_large_entries())
     return entries
 
 

@@ -185,8 +185,11 @@ def lyapunov_kron(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def riccati_doubling_reference(model):
     """(P, K) of the steady filter from a frozen copy of the library's first
     doubling loop, which formed W^{-1} and checked finiteness on every
-    doubling; riccati_fixed_point must keep its bits. K comes from P through
-    the library's own gain formula. Raises DivergenceError where that loop did.
+    doubling; riccati_fixed_point must keep its bits. Its stop is the
+    library's relative one (that loop stopped at an absolute change of 1e-12,
+    which tied the answer to the units of Q, R and Xi0). K comes from P
+    through the library's own gain formula. Raises DivergenceError where that
+    loop did.
     """
     from eventfdi.errors import DivergenceError
     from eventfdi.estimator import _derived, _sym
@@ -206,7 +209,7 @@ def riccati_doubling_reference(model):
                 raise DivergenceError(f"singular matrix: {exc}") from exc
             if not np.all(np.isfinite(P_next)):
                 raise DivergenceError("non-finite values")
-            if np.max(np.abs(P_next - P)) < 1e-12:
+            if np.max(np.abs(P_next - P)) <= 1e-10 * np.max(np.abs(P_next)):
                 P = P_next
                 break
             P = P_next

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 import eventfdi as ef
 from eventfdi import cli, harness
 from eventfdi.cli import main
+
+from _oracles import random_stable_model
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO = str(REPO / "scenarios" / "paper_sec5.json")
@@ -48,6 +51,16 @@ def unstable_config_file(tmp_path):
     payload = ef.paper_scenario(steps=60, trajectories=2, burn_in=20, attack_start=10)
     payload["model"] = dict(payload["model"], A=A.tolist())
     path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def large_config_file(tmp_path):
+    """The paper scenario, 300 steps, on a random stable system with n = 12 and m = 2."""
+    model = random_stable_model(12, 2, 0.95, 12)
+    payload = ef.paper_scenario(steps=300, trajectories=2, burn_in=150, attack_start=75)
+    payload["model"] = {key: getattr(model, key).tolist() for key in ("A", "C", "Q", "R", "Xi0")}
+    path = tmp_path / "n12.json"
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -290,6 +303,25 @@ class TestSimulate:
         assert payload["divergence"] == [1] and payload["trajectory_count"] == 1
         assert strict_json(out_file.read_text()) == payload
 
+    def test_every_trajectory_overflowing_exits_2(self, capsys, tmp_path):
+        A = np.array(harness.PAPER_A)
+        A *= 1.3 / np.max(np.abs(np.linalg.eigvals(A)))
+        payload = ef.paper_scenario(steps=1800, trajectories=2, burn_in=200, attack_start=100)
+        payload["model"] = dict(payload["model"], A=A.tolist())
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err == "numeric error: all trajectories diverged; no summary available\n"
+
+    def test_failed_threshold_design_is_validation_error(self, capsys, tmp_path):
+        config = small_config_file(tmp_path, solver_dof=10**200, sigma=None)
+        code, out, err = run_cli(capsys, "analyze", "--config", config)
+        assert code == 1 and out == ""
+        assert err.startswith("error: 'solver_dof' admits no threshold design")
+
     def test_overflowing_attack_params_fail_before_the_run(self, capsys, tmp_path, monkeypatch):
         def no_run(config):
             raise AssertionError("simulated")
@@ -406,22 +438,33 @@ class TestReproducePaper:
 
 
 class TestImportGraph:
-    def test_library_loads_no_scipy_optimize_linalg_or_stats(self):
-        # a fresh interpreter: the tests in this process import scipy.optimize themselves
+    """A fresh interpreter: the tests in this process import scipy.optimize themselves."""
+
+    @staticmethod
+    def scipy_modules(statement: str, *argv) -> list:
+        """The scipy.optimize, scipy.linalg and scipy.stats modules loaded after statement."""
         code = (
-            "import sys, eventfdi, eventfdi.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.linalg', 'scipy.stats'))))"
+            f"import json, sys, eventfdi, eventfdi.cli; {statement}; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.linalg', 'scipy.stats')))))"
         )
         result = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, *argv],
             capture_output=True,
             text=True,
             check=True,
             cwd=REPO,
             env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
         )
-        assert result.stdout.strip() == "[]"
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_library_loads_no_scipy_optimize_linalg_or_stats(self):
+        assert self.scipy_modules("pass") == []
+
+    def test_analyze_at_n12_loads_none_either(self, tmp_path):
+        # n = 12 is past the Kronecker range: the Lyapunov solves are Smith's doubling
+        statement = "eventfdi.cli.main(['analyze', '--config', sys.argv[1]])"
+        assert self.scipy_modules(statement, large_config_file(tmp_path)) == []
 
 
 class TestClosedStdout:

@@ -401,6 +401,40 @@ class TestRiccati:
         assert np.array_equal(steady.P, P_ref)
         assert np.array_equal(steady.K, K_ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        rho=st.one_of(st.floats(0.0, 0.995), st.floats(1.01, 1.6)),
+        k=st.integers(1, 26),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaling_the_noise_scales_P_exactly(self, n, m, rho, k, seed):
+        # Q, R and Xi0 times s = 2^-k scale every iterate by s exactly, and the
+        # stop is relative, so P scales exactly. For an even k, s has an exact
+        # square root, so S's factors scale exactly and K keeps its bits.
+        model = random_stable_model(n, m, rho, seed)
+        s = 2.0**-k
+        scaled = SystemModel(model.A, model.C, s * model.Q, s * model.R, s * model.Xi0)
+        try:
+            steady = riccati_fixed_point(model)
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
+                riccati_fixed_point(scaled)
+            return
+        small = riccati_fixed_point(scaled)
+        assert np.array_equal(small.P, s * steady.P)
+        if k % 2 == 0:
+            assert np.array_equal(small.K, steady.K)
+
+    def test_paper_noise_scaled_by_2_to_the_minus_26(self, paper_model, steady):
+        s = 2.0**-26
+        model = paper_model
+        scaled = SystemModel(model.A, model.C, s * model.Q, s * model.R, s * model.Xi0)
+        small = riccati_fixed_point(scaled)
+        assert np.array_equal(small.P, s * steady.P)
+        assert np.array_equal(small.K, steady.K)
+
     def test_unstable_plant_matches_scipy_dare(self):
         model = unstable_model()
         ref = linalg.solve_discrete_are(model.A.T, model.C.T, model.Q, model.R)

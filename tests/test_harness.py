@@ -95,6 +95,15 @@ class TestConfigLoading:
             ef.config_from_dict(dict(paper_payload, solver_dof=2**62))
         assert err.value.field == "M"
 
+    def test_failed_threshold_design_names_solver_dof(self, paper_payload):
+        """No threshold meets the 1% budget at solver_dof 10**200; the schema cannot
+        state that, as it cannot state the rules across fields."""
+        payload = dict(paper_payload, solver_dof=10**200, sigma=None)
+        with pytest.raises(ConfigError, match="admits no threshold design") as err:
+            ef.config_from_dict(payload)
+        assert err.value.field == "solver_dof"
+        assert_schema_and_code_agree(payload, "solver_dof")
+
     def test_beta_vs_sigma_guard(self, paper_payload):
         with pytest.raises(ConfigError) as err:
             ef.config_from_dict(dict(paper_payload, beta=4.0))
@@ -729,6 +738,23 @@ class TestDivergence:
         with pytest.raises(NumericError):
             ef.run_scenario(config, trace_path=tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_overflowing_squared_error_is_divergence(self, paper_payload):
+        """At spectral radius 1.3 over 1800 steps the plant path stays finite, but its
+        square overflows: both trajectories are masked, so the run raises, and
+        none of the summary's reductions warns."""
+        A = np.array(paper_payload["model"]["A"])
+        A *= 1.3 / np.max(np.abs(np.linalg.eigvals(A)))
+        payload = dict(paper_payload, model=dict(paper_payload["model"], A=A.tolist()),
+                       steps=1800, trajectories=2, burn_in=200, attack_start=100)
+        config = ef.config_from_dict(payload)
+        records = harness._simulate(config)
+        assert np.isfinite(records.x).all()
+        assert records.diverged.tolist() == [True, True]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="all trajectories diverged"):
+                ef.run_scenario(config)
 
 
 class TestDomainBeforeTheRun:

@@ -15,7 +15,7 @@ are solved directly, vec P = (I - A kron A)^{-1} vec(Q - W), one n^2 x n^2
 linear solve with A kron A built by broadcasting; from n = 10 on, by
 Smith's squared doubling, which stops by the rule of the Riccati doubling
 (see _lyapunov).
-They and the steady bias exist iff A is stable, the one rule
+They, the steady bias and the sweep exist iff A is stable, the one rule
 _check_stable checks against the spectral radius the model computed once
 at construction. The equation is linear in its forcing, and
 1 - (2/mu - 1/mu^2) = (1 - 1/mu)^2, so across scaling values the attacked
@@ -25,11 +25,12 @@ fixed point is
 
 with X_1 = lyap(A, Q - D) the mu = 1 point, X_W = lyap(A, D) and
 D = P C^T S^{-1} C P: a sweep takes two solves, whatever its length. Both
-terms are positive semi-definite, so the sum does not cancel, as
-X_open - (2/mu - 1/mu^2) X_W would near mu = 1 for a slow A. The one-step
-maps stay as the recursions' definition and as an independent residual
-check of the solves: attacked_covariance_step for the attacked recursion,
-and estimator.op_h, the time update, for the open loop.
+terms are positive semi-definite (mu_sweep checks X_W once), so the sum
+rises with mu and does not cancel, as X_open - (2/mu - 1/mu^2) X_W would
+near mu = 1 for a slow A. The one-step maps stay as the recursions'
+definition and as an independent residual check of the solves:
+attacked_covariance_step for the attacked recursion, and estimator.op_h,
+the time update, for the open loop.
 """
 
 from dataclasses import dataclass
@@ -55,8 +56,7 @@ class BiasVector:
 class SweepPoint:
     mu: float
     trace: float
-    fixed_point: np.ndarray | None = None
-    error: str | None = None
+    fixed_point: np.ndarray
 
 
 def _check_stable(model: SystemModel, name: str) -> None:
@@ -170,46 +170,32 @@ def open_loop_fixed_point(model: SystemModel) -> np.ndarray:
 def mu_sweep(
     mu_grid, steady: SteadyState, model: SystemModel
 ) -> list[SweepPoint]:
-    """Fixed-point trace of the attacked recursion per scaling value.
+    """Fixed point of the attacked recursion, and its trace, per scaling value.
 
     Every fixed point is X_1 + (1 - 1/mu)^2 X_W from the same two Lyapunov
-    solves (see the module docstring). When A is unstable every entry
-    carries the error instead. The grid must be ascending; the
-    resulting traces are checked to be nondecreasing, and every fixed point
-    must dominate the mu = 1 point in the positive semi-definite order
-    (eigenvalue tolerance 1e-9). Every entry must be >= 1 (nan is not);
-    inf is the open-loop limit.
+    solves (see the module docstring), so over any grid, in any order, the
+    fixed points rise with mu and dominate the mu = 1 point in the positive
+    semi-definite order exactly when X_W does. That is the one check: the
+    least eigenvalue of X_W must be >= -1e-9 (a nan is not), else
+    DivergenceError. An unstable A raises DivergenceError, as the single
+    fixed points do. Every entry must be >= 1 (nan is not); inf is the
+    open-loop limit.
     """
     mus = [float(mu) for mu in mu_grid]
     if not all(mu >= 1.0 for mu in mus):
         raise DomainError(f"mu grid entries must be >= 1, got {mus!r}")
-    if any(b < a for a, b in zip(mus, mus[1:])):
-        raise DomainError("mu grid must be sorted ascending")
-
-    try:
-        _check_stable(model, "attacked covariance")
-    except DivergenceError as exc:
-        return [SweepPoint(mu=mu, trace=float("nan"), error=str(exc)) for mu in mus]
+    _check_stable(model, "attacked covariance")
     shape = _injection_shape(steady, model)
     kalman = _lyapunov(model, model.Q - shape)
     injected = _lyapunov(model, shape)
-    points: list[SweepPoint] = []
+    low = np.linalg.eigvalsh(injected).min()
+    if not low >= -1e-9:
+        raise DivergenceError(
+            f"injected term X_W has least eigenvalue {low:.3g}, not >= -1e-9: the fixed "
+            "points would not rise with mu"
+        )
+    points = []
     for mu in mus:
         fp = kalman + (1.0 - 1.0 / mu) ** 2 * injected
         points.append(SweepPoint(mu=mu, trace=float(np.trace(fp)), fixed_point=fp))
-
-    for prev, cur in zip(points, points[1:]):
-        if cur.trace < prev.trace - 1e-9:
-            raise DivergenceError(
-                f"sweep traces not nondecreasing: mu={prev.mu} -> {cur.mu}"
-            )
-    if len(points) > 1 and points[0].mu == 1.0:
-        base = points[0].fixed_point
-        gaps = np.stack([p.fixed_point for p in points[1:]]) - base
-        low = np.linalg.eigvalsh(gaps).min(axis=-1)
-        if low.min() < -1e-9:
-            first = points[1 + int(np.argmax(low < -1e-9))]
-            raise DivergenceError(
-                f"fixed point at mu={first.mu} does not dominate the mu=1 point"
-            )
     return points

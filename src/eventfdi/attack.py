@@ -22,7 +22,7 @@ from .detector import check_thresholds
 from .errors import ConfigError, DomainError, NumericError
 from .estimator import SteadyState
 from .model import SystemModel
-from .special import _check_dof, _check_order, _ncx2_survival, gaussian_q, gaussian_q_inv
+from .special import _check_dof, _ncx2_survival, gaussian_q, gaussian_q_inv
 
 _MU_CAP = 1e6
 _ROOT_XTOL = 1e-12
@@ -246,11 +246,12 @@ def alarm_probability(params: AttackParams, sigma: float, dof: int) -> float:
 def _solver_setup(beta: float, sigma: float, criteria: SuccessCriteria, dof: int, target_error):
     """(Psi, sqrt(sigma), 2 nu) for both solvers, after the checks they share.
 
-    check_thresholds rules on beta and sigma, and the order nu = dof/2 is
-    checked once per solve. The trigger boundary delta = beta + Psi/mu
-    enters the detector boundary as the argument mu beta + Psi, which must
-    be nonnegative for every mu >= 1: beta + Psi >= 0, that is M >= Q(beta).
-    A target below that raises target_error(reason).
+    check_thresholds rules on beta and sigma, and _check_dof on dof, once per
+    solve; a dof it admits makes nu = dof/2 a valid Marcum order. The
+    trigger boundary delta = beta + Psi/mu enters the detector boundary as
+    the argument mu beta + Psi, which must be nonnegative for every mu >= 1:
+    beta + Psi >= 0, that is M >= Q(beta). A target below that raises
+    target_error(reason).
     """
     check_thresholds(beta, sigma)
     psi_level = criteria.Psi
@@ -260,7 +261,7 @@ def _solver_setup(beta: float, sigma: float, criteria: SuccessCriteria, dof: int
             f"at beta = {beta!r}: the trigger boundary beta + Psi/mu is negative at mu = 1 "
             f"(Psi = {psi_level:.6g})"
         )
-    return psi_level, math.sqrt(sigma), 2.0 * _check_order(0.5 * dof)
+    return psi_level, math.sqrt(sigma), float(_check_dof(dof))
 
 
 def _first_root(f, sign: float, lo: float, hi: float, cap: float, failure: Exception) -> float:

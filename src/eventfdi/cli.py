@@ -181,10 +181,7 @@ def _cmd_sweep(args) -> int:
     config = _load(args)
     steady = riccati_fixed_point(config.model)
     points = analysis.mu_sweep(args.mu_grid, steady, config.model)
-    lines = ["mu,trace"]
-    for p in points:
-        lines.append(f"{p.mu:.17g},{p.trace:.17g}" if p.error is None else f"{p.mu:.17g},nan")
-    text = "\n".join(lines) + "\n"
+    text = "mu,trace\n" + "".join(f"{p.mu:.17g},{p.trace:.17g}\n" for p in points)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

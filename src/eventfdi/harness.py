@@ -87,7 +87,7 @@ from .detector import DetectorConfig, check_thresholds, design_threshold
 from .errors import ConfigError, DivergenceError, DomainError, ModelError, NumericError
 from .estimator import _sym, factor_stack, initial_filter_state, riccati_fixed_point
 from .model import RandomSource, SystemModel
-from .special import kappa
+from .special import _check_dof, kappa
 
 ATTACK_MODES = ("off", "forward_only", "two_channel")
 
@@ -225,16 +225,17 @@ class RunResult:
     diverged: list = field(default_factory=list)
 
 
-def _designed_sigma(f: dict) -> None:
-    """sigma designed from upsilon and solver_dof when the file omits it; a design
-    that fails, as it does when no threshold meets the budget at that dof, raises
-    ConfigError on solver_dof."""
-    if f["sigma"] is None:
-        try:
+def _solver_dof(f: dict) -> None:
+    """solver_dof checked by the rule every chi-square routine applies, and sigma
+    designed from upsilon and solver_dof when the file omits it; a dof whose float
+    overflows, or a design that fails, as it does when no threshold meets the budget
+    at that dof, raises ConfigError on solver_dof."""
+    try:
+        _check_dof(f["solver_dof"])
+        if f["sigma"] is None:
             f["sigma"] = design_threshold(f["upsilon"], f["solver_dof"]).sigma
-        except (DomainError, NumericError) as exc:
-            raise ConfigError(f"'solver_dof' admits no threshold design: {exc}",
-                              field="solver_dof") from exc
+    except (DomainError, NumericError) as exc:
+        raise ConfigError(f"invalid 'solver_dof': {exc}", field="solver_dof") from exc
 
 
 def _attack_params(f: dict) -> None:
@@ -261,8 +262,8 @@ def _attack_params(f: dict) -> None:
 _CROSS_RULES = (
     ("burn_in", "must be smaller than steps", lambda f: f["burn_in"] >= f["steps"]),
     ("attack_start", "must not exceed burn_in", lambda f: f["attack_start"] > f["burn_in"]),
-    ("solver_dof", "must admit a threshold design for upsilon when sigma is omitted",
-     _designed_sigma),
+    ("solver_dof", "must be finite as a float, and admit a threshold design for upsilon "
+     "when sigma is omitted", _solver_dof),
     ("beta", "must be below sqrt(sigma)", lambda f: check_thresholds(f["beta"], f["sigma"])),
     ("M", "must be at least Q(beta), and met by some scaling, when attack_params is solved",
      _attack_params),
@@ -366,11 +367,13 @@ def config_schema() -> dict:
 
 
 def read_payload(path) -> dict:
-    """Read a JSON scenario file into a raw mapping (validated by config_from_dict)."""
+    """Read a JSON scenario file into a raw mapping (validated by config_from_dict); a
+    file that cannot be opened, is not UTF-8 or is not JSON that Python reads (an
+    integer past 4300 digits is not) raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and Unicode decode errors are ValueErrors
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return payload
 
@@ -698,7 +701,7 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     # covariance fixed points only exist for stable dynamics), and the
     # empirical covariance is then taken about 0
     try:
-        if config.attack_mode == "off" or params.is_off:
+        if params.is_off:
             theory_bias = np.zeros(model.n)
         else:
             theory_bias = analysis.steady_bias(params, steady, model).value

@@ -20,6 +20,7 @@ settles the value, and NumericError where it does not.
 """
 
 import math
+import sys
 
 from scipy import special as sp
 
@@ -82,8 +83,14 @@ def kappa(beta: float) -> float:
 
 
 def _check_dof(dof: int) -> int:
-    if not isinstance(dof, (int,)) or isinstance(dof, bool) or dof < 1:
+    """dof if it is a positive int whose float is finite (each use converts it to a
+    float), else DomainError."""
+    if not isinstance(dof, int) or isinstance(dof, bool) or dof < 1:
         raise DomainError(f"degrees of freedom must be a positive integer, got {dof!r}")
+    if dof > sys.float_info.max:
+        raise DomainError(
+            f"degrees of freedom must be finite as a float, got an integer of {dof.bit_length()} bits"
+        )
     return dof
 
 

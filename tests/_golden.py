@@ -222,7 +222,8 @@ def _grid_outputs(model, dof: int) -> dict:
         out["attacked_fixed_point"] = ef.attacked_covariance_fixed_point(params, steady, model)
         out["open_loop_fixed_point"] = ef.open_loop_fixed_point(model)
         sweep = ef.mu_sweep([1.0, params.mu, 10.0 * params.mu, 1e4], steady, model)
-        out["sweep"] = tuple((p.mu, p.trace, p.fixed_point, p.error) for p in sweep)
+        # None holds the slot of a removed error field, so the recorded digests stand
+        out["sweep"] = tuple((p.mu, p.trace, p.fixed_point, None) for p in sweep)
     except ef.ToolkitError as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out

@@ -165,15 +165,11 @@ class TestDirectFixedPoints:
                 AttackParams.off(2), ef.riccati_fixed_point(model), model
             )
 
-    def test_unstable_A_sweep_records_errors(self):
+    def test_unstable_A_sweep_diverges(self):
         model = unstable_model()
         steady = ef.riccati_fixed_point(model)
-        points = mu_sweep([1.0, 2.0, 1e4], steady, model)
-        assert [p.mu for p in points] == [1.0, 2.0, 1e4]
-        for point in points:
-            assert point.fixed_point is None
-            assert np.isnan(point.trace)
-            assert "spectral radius" in point.error
+        with pytest.raises(DivergenceError, match="spectral radius"):
+            mu_sweep([1.0, 2.0, 1e4], steady, model)
 
 
 class TestSteadyBias:
@@ -344,21 +340,27 @@ class TestMuSweep:
             assert relative_gap(point.fixed_point, single) <= 1e-12
             assert point.trace == pytest.approx(np.trace(single), rel=1e-12)
 
-    def test_first_non_dominating_mu_is_named(self, monkeypatch):
+    @pytest.mark.parametrize("grid", [[1.0, 1.0 + 1e-7, 2.0, 3.0], [3.0, 2.0], [1.0]])
+    def test_indefinite_injected_term_is_rejected(self, monkeypatch, grid):
         # an indefinite injection shape D makes X_W = lyap(A, D) = D / 0.75
-        # indefinite with a positive trace, so the traces still rise while
-        # every mu > 1 whose (1 - 1/mu)^2 lifts -X_W's eigenvalue past 1e-9 fails
+        # indefinite with a positive trace: the traces would still rise, but no
+        # grid, in any order or of one point, hides the negative eigenvalue
         model = SystemModel(
             A=0.5 * np.eye(2), C=np.eye(2), Q=np.eye(2), R=np.eye(2), Xi0=np.eye(2)
         )
         steady = ef.riccati_fixed_point(model)
         monkeypatch.setattr(analysis, "_injection_shape", lambda *_: np.diag([1.0, -0.5]))
-        with pytest.raises(DivergenceError, match=r"mu=2\.0 does not dominate"):
-            mu_sweep([1.0, 1.0 + 1e-7, 2.0, 3.0], steady, model)
+        with pytest.raises(DivergenceError, match=r"least eigenvalue -0\.667, not >= -1e-9"):
+            mu_sweep(grid, steady, model)
+
+    def test_grid_in_any_order(self, steady, paper_model):
+        up = mu_sweep([1.0, 2.0, PAPER_MU, float("inf")], steady, paper_model)
+        down = mu_sweep([float("inf"), PAPER_MU, 2.0, 1.0], steady, paper_model)
+        for a, b in zip(up, reversed(down)):
+            assert (a.mu, a.trace) == (b.mu, b.trace)
+            assert np.array_equal(a.fixed_point, b.fixed_point)
 
     def test_grid_validation(self, steady, paper_model):
-        with pytest.raises(DomainError):
-            mu_sweep([2.0, 1.0], steady, paper_model)
         with pytest.raises(DomainError):
             mu_sweep([0.5], steady, paper_model)
         with pytest.raises(DomainError):

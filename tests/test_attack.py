@@ -249,7 +249,7 @@ class TestAlarmProbability:
             marcum_quad(1.0, math.sqrt(47.3), math.sqrt(30.0)), abs=1e-9
         )
 
-    @pytest.mark.parametrize("dof", [0, -1, 1.5, True])
+    @pytest.mark.parametrize("dof", [0, -1, 1.5, True, pytest.param(10**400, id="10**400")])
     def test_rejects_bad_dof(self, paper_params, dof):
         with pytest.raises(DomainError, match="degrees of freedom"):
             alarm_probability(paper_params, 11.34, dof)
@@ -494,28 +494,41 @@ class TestSolverGaps:
                         count += 1
         assert count == 9 * 5 * 10
 
-    def test_order_checked_once_per_call(self, criteria, monkeypatch):
+    def test_dof_checked_once_per_call(self, criteria, monkeypatch):
         calls = []
-        check = special._check_order
+        dof_check, order_check = special._check_dof, special._check_order
 
-        def counting(nu):
-            calls.append(nu)
-            return check(nu)
+        def counting(check):
+            def counted(value):
+                calls.append(value)
+                return check(value)
 
-        # both names: the solvers' own import and the one marcum_q looks up
-        monkeypatch.setattr(attack, "_check_order", counting)
-        monkeypatch.setattr(special, "_check_order", counting)
+            return counted
+
+        # every name: the solvers' own import and the ones the special functions look up
+        monkeypatch.setattr(attack, "_check_dof", counting(dof_check))
+        monkeypatch.setattr(special, "_check_dof", counting(dof_check))
+        monkeypatch.setattr(special, "_check_order", counting(order_check))
         mu_star = solve_optimal_params(1.4, 11.34, criteria, 3).mu
-        assert calls == [1.5]
+        assert calls == [3]
         feasible_delta_interval(2.0 * mu_star, 1.4, 11.34, criteria, 3)
-        assert calls == [1.5, 1.5]
+        assert calls == [3, 3]
 
-    def test_order_still_validated(self, criteria):
+    @pytest.mark.parametrize(
+        "dof, message",
+        [
+            (0, "must be a positive integer"),
+            (1.5, "must be a positive integer"),
+            pytest.param(10**400, "must be finite as a float, got an integer of 1329 bits",
+                         id="10**400"),
+        ],
+    )
+    def test_dof_still_validated(self, criteria, dof, message):
         for solve in (
-            lambda: solve_optimal_params(1.4, 11.34, criteria, 0),
-            lambda: feasible_delta_interval(5.0, 1.4, 11.34, criteria, 0),
+            lambda: solve_optimal_params(1.4, 11.34, criteria, dof),
+            lambda: feasible_delta_interval(5.0, 1.4, 11.34, criteria, dof),
         ):
-            with pytest.raises(DomainError, match="Marcum order"):
+            with pytest.raises(DomainError, match=f"degrees of freedom {message}"):
                 solve()
 
 

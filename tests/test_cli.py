@@ -316,11 +316,20 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == "numeric error: all trajectories diverged; no summary available\n"
 
-    def test_failed_threshold_design_is_validation_error(self, capsys, tmp_path):
-        config = small_config_file(tmp_path, solver_dof=10**200, sigma=None)
+    @pytest.mark.parametrize(
+        "dof, sigma, reason",
+        [
+            (10**200, None, "designed sigma 1e+200"),
+            (10**400, None, "degrees of freedom must be finite as a float"),
+            (10**400, 11.34, "degrees of freedom must be finite as a float"),
+        ],
+        ids=["design_fails", "half_overflows_designed", "half_overflows_given"],
+    )
+    def test_failed_threshold_design_is_validation_error(self, capsys, tmp_path, dof, sigma, reason):
+        config = small_config_file(tmp_path, solver_dof=dof, sigma=sigma)
         code, out, err = run_cli(capsys, "analyze", "--config", config)
         assert code == 1 and out == ""
-        assert err.startswith("error: 'solver_dof' admits no threshold design")
+        assert err.startswith(f"error: invalid 'solver_dof': {reason}")
 
     def test_overflowing_attack_params_fail_before_the_run(self, capsys, tmp_path, monkeypatch):
         def no_run(config):
@@ -347,6 +356,18 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"solver_dof": ' + b"1" * 5000 + b"}", b'{"beta": "\xe9"}'],
+        ids=["integer_past_python_limit", "not_utf8"],
+    )
+    def test_unreadable_config_is_validation_error(self, capsys, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read config {str(path)!r}: ")
 
 
 class TestAnalyze:
@@ -425,6 +446,17 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--config", SCENARIO, "--mu-grid", "1,2")
         assert code == 0
         assert out.splitlines()[0] == "mu,trace"
+
+    def test_descending_grid_keeps_its_order(self, capsys):
+        _, ascending, _ = run_cli(capsys, "sweep", "--config", SCENARIO, "--mu-grid", "1,2")
+        code, out, _ = run_cli(capsys, "sweep", "--config", SCENARIO, "--mu-grid", "2,1")
+        assert code == 0
+        assert out.splitlines() == ["mu,trace"] + ascending.splitlines()[:0:-1]
+
+    def test_unstable_plant_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--config", unstable_config_file(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("numeric error: attacked covariance diverges; A has spectral radius")
 
 
 class TestReproducePaper:

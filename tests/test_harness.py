@@ -99,7 +99,7 @@ class TestConfigLoading:
         """No threshold meets the 1% budget at solver_dof 10**200; the schema cannot
         state that, as it cannot state the rules across fields."""
         payload = dict(paper_payload, solver_dof=10**200, sigma=None)
-        with pytest.raises(ConfigError, match="admits no threshold design") as err:
+        with pytest.raises(ConfigError, match="invalid 'solver_dof': designed sigma") as err:
             ef.config_from_dict(payload)
         assert err.value.field == "solver_dof"
         assert_schema_and_code_agree(payload, "solver_dof")

@@ -217,8 +217,8 @@ def trigger_probability(params: AttackParams, beta: float) -> float:
         * (1 - 2 Q(mu beta))^(m-1).
     """
     beta = float(beta)
-    if beta < 0.0:
-        raise DomainError(f"beta must be nonnegative, got {beta!r}")
+    if not 0.0 <= beta < math.inf:
+        raise DomainError(f"beta must be nonnegative and finite, got {beta!r}")
     mu, db = params.mu, params.delta_bar
     biased_inside = gaussian_q(-mu * (beta + db)) - gaussian_q(mu * (beta - db))
     clean_inside = 1.0 - 2.0 * gaussian_q(mu * beta)
@@ -295,9 +295,11 @@ def solve_optimal_params(
     Brent routine, to 1e-12. Each gap evaluates the survival function
     behind marcum_q directly: its arguments are finite and >= 0 by
     construction. The returned parameters have m channels (default dof).
-    A target M below Q(beta), or one that no scaling up to 1e6 meets,
-    raises ConfigError on field "M"; a root search that fails raises
-    NumericError.
+    Where the detector constraint is slack at mu = 1, mu* is 1, with a
+    warning; either way delta* = beta + Psi/mu*, which warns when it is not
+    below sqrt(sigma). A target M below Q(beta), or one that no scaling up
+    to 1e6 meets, raises ConfigError on field "M"; a root search that fails
+    raises NumericError.
     """
     beta, sigma = float(beta), float(sigma)
     psi_level, root_sigma, two_nu = _solver_setup(
@@ -317,22 +319,21 @@ def solve_optimal_params(
             RuntimeWarning,
             stacklevel=2,
         )
-        return AttackParams(1.0, beta + psi_level, m)
-
-    no_root = ConfigError(
-        f"no feasible scaling found up to mu = {_MU_CAP:.0e} for the attack target "
-        f"M = {criteria.M!r}; check beta, sigma, Upsilon, dof and M",
-        field="M",
-    )
-    mu_star = _first_root(gap, 1.0, 1.0, 2.0, _MU_CAP, no_root)
-    delta_star = beta + psi_level / mu_star
-
-    residual = abs(gap(mu_star))
-    if residual > 1e-9:
-        raise ConfigError(
-            f"solver residual {residual:.3e} exceeds 1e-9; constraints inconsistent",
+        mu_star = 1.0
+    else:
+        no_root = ConfigError(
+            f"no feasible scaling found up to mu = {_MU_CAP:.0e} for the attack target "
+            f"M = {criteria.M!r}; check beta, sigma, Upsilon, dof and M",
             field="M",
         )
+        mu_star = _first_root(gap, 1.0, 1.0, 2.0, _MU_CAP, no_root)
+        residual = abs(gap(mu_star))
+        if residual > 1e-9:
+            raise ConfigError(
+                f"solver residual {residual:.3e} exceeds 1e-9; constraints inconsistent",
+                field="M",
+            )
+    delta_star = beta + psi_level / mu_star
     if delta_star >= root_sigma:
         warnings.warn(
             f"solved bias {delta_star:.6f} is not below sqrt(sigma) = {root_sigma:.6f}",

@@ -15,11 +15,13 @@ layer). Up to a noncentrality of 1e10 it keeps its relative accuracy deep
 into the upper tail, and its cost grows slowly with the noncentrality; the
 tests check it against 50-digit Poisson sums (see Gil, Segura and Temme,
 "Computation of the Marcum Q-function", ACM TOMS 40(3), 2014, for the
-function's numerics). Past that, a tail bound gives 0 or 1 where it
-settles the value, and NumericError where it does not.
+function's numerics). Where the ufunc gives no value, one tail bound
+gives 0 or 1, else NumericError. Every dof, and every Marcum order as its
+dof 2 nu, passes one rule, _check_dof.
 """
 
 import math
+import operator
 import sys
 
 from scipy import special as sp
@@ -124,59 +126,33 @@ def chi2_quantile(upper_tail: float, dof: int) -> float:
     return s
 
 
-def _check_order(nu: float) -> float:
-    nu = float(nu)
-    two_nu = 2.0 * nu
-    if not math.isfinite(nu) or nu <= 0.0 or abs(two_nu - round(two_nu)) > 1e-9:
-        raise DomainError(
-            f"Marcum order must be a positive multiple of 0.5, got {nu!r}"
-        )
-    return nu
-
-
 _UFUNC_NONCENTRALITY = 1e10  # the largest noncentrality handed to the ufunc
 
 
 def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
-    """Pr(V >= x) from the ufunc, clipped to [0, 1], or settled by a tail bound.
+    """Pr(V >= x) from the ufunc, clipped to [0, 1], or settled by _tail_bound.
 
     The ufunc returns -0.0 at x = 0, where the value is 1; at any x > 0,
     however small, it is within 2e-16 of a 50-digit sum. Its series lose
     accuracy past a noncentrality of about 3e10, with Boost warnings (0.26
     against 0.31 one half standard deviation above the mean at 1e11), may
     run for minutes near 1e17, and give nan past about 5e18; an infinite
-    argument also gives nan. Past _UFUNC_NONCENTRALITY, and where the ufunc
-    gives nan, _tail_bound settles the value or raises NumericError.
-
-    For a tiny x and a moderate noncentrality the ufunc raises
-    OverflowError from Boost's tgamma. The value is then 1 when a bound on
-    the CDF is below half the spacing of the doubles below 1, 2^-54. With
-    k = dof and lam = noncentrality, the density is e^(-lam/2) f_k(t) times
-    sum_j (lam t/4)^j / (j! (k/2)_j), and (k/2)_j >= (1/2)_j puts that sum
-    at most cosh(sqrt(lam t)) <= e^sqrt(lam x) for t <= x, so
-    Pr(V < x) <= e^(-lam/2 + sqrt(lam x)) Pr(chi2_k < x). Where the bound
-    does not settle it, NumericError.
+    argument also gives nan. For a tiny x, with dof + noncentrality of a few
+    hundred or more, it raises OverflowError from Boost's tgamma. Every input
+    it does not answer, past _UFUNC_NONCENTRALITY, with nan or with
+    OverflowError, goes to _tail_bound, which gives 0 or 1 or raises
+    NumericError.
     """
     if x == 0.0:
         return 1.0
-    if not noncentrality <= _UFUNC_NONCENTRALITY:
-        return _tail_bound(x, dof, noncentrality)
-    try:
-        value = float(_ncx2_sf(x, dof, noncentrality))
-    except OverflowError as exc:
-        central = float(sp.gammainc(0.5 * dof, 0.5 * x))
-        log_cdf_bound = -0.5 * noncentrality + math.sqrt(noncentrality * x) + (
-            math.log(central) if central > 0.0 else -math.inf
-        )
-        if log_cdf_bound < -38.0:  # e^-38 < 2^-54
-            return 1.0
-        raise NumericError(
-            f"noncentral chi-square survival failed at x = {x!r}, dof = {dof!r}, "
-            f"noncentrality = {noncentrality!r}: {exc}"
-        ) from exc
-    if math.isnan(value):
-        return _tail_bound(x, dof, noncentrality)
-    return min(1.0, max(0.0, value))
+    if noncentrality <= _UFUNC_NONCENTRALITY:
+        try:
+            value = float(_ncx2_sf(x, dof, noncentrality))
+        except OverflowError:
+            value = math.nan
+        if not math.isnan(value):
+            return min(1.0, max(0.0, value))
+    return _tail_bound(x, dof, noncentrality)
 
 
 def _tail_bound(x: float, dof: float, noncentrality: float) -> float:
@@ -187,6 +163,11 @@ def _tail_bound(x: float, dof: float, noncentrality: float) -> float:
     are at most e^-u (Birge 2001, Lemma 8.1). The value is 0 when x is past
     the upper point of a u with e^-u < 2^-1075, half the least subnormal,
     and 1 when x is below the lower point of a u with e^-u < 2^-54.
+
+    Where the ufunc overflows, scans of dof 1 to 1e8 find x below 3e-8 and
+    k + lam at least 341. As s <= 2 (k + lam), the lower statistic
+    (k + lam - x)^2 / (4 s) is then at least about (k + lam) / 8 >= 42.6,
+    above 38, and the value is 1.
     """
     s, gap = dof + 2.0 * noncentrality, x - dof - noncentrality
     if gap > 0.0:  # the u whose upper point is x: sqrt(u) = gap / (sqrt(s) + sqrt(s + 2 gap))
@@ -202,18 +183,28 @@ def _tail_bound(x: float, dof: float, noncentrality: float) -> float:
 
 
 def marcum_q(nu: float, a: float, b: float) -> float:
-    """Marcum Q-function Q_nu(a, b) for nu a positive multiple of 0.5.
+    """Marcum Q-function Q_nu(a, b) for nu an exact positive multiple of 0.5.
 
     Q_nu(a, b) = Pr(V >= b^2) for V noncentral chi-square with 2 nu degrees
     of freedom and noncentrality a^2, computed as that survival function.
-    Its relative error against a 50-digit Poisson sum stays near 1e-14 for
-    Q from 1 down to 1e-15 and beyond.
+    The order's rule is _check_dof on 2 nu, read as an int when nu is an
+    integer or a float whose double is integral. Its relative error against
+    a 50-digit Poisson sum stays near 1e-14 for Q from 1 down to 1e-15 and
+    beyond.
     """
-    nu = _check_order(nu)
+    try:
+        two_nu = 2 * operator.index(nu)
+    except TypeError:
+        two_nu = 2.0 * float(nu)
+        two_nu = int(two_nu) if two_nu.is_integer() else two_nu
+    try:
+        dof = _check_dof(two_nu)
+    except DomainError as exc:
+        raise DomainError(f"Marcum order must be a positive multiple of 0.5, 2 nu the dof: {exc}") from None
     a = float(a)
     b = float(b)
     if not math.isfinite(a) or a < 0.0:
         raise DomainError(f"marcum_q requires a >= 0, got {a!r}")
     if not math.isfinite(b) or b < 0.0:
         raise DomainError(f"marcum_q requires b >= 0, got {b!r}")
-    return _ncx2_survival(b * b, 2.0 * nu, a * a)
+    return _ncx2_survival(b * b, float(dof), a * a)

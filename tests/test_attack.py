@@ -212,6 +212,11 @@ class TestTriggerProbability:
     def test_zero_threshold_triggers(self, paper_params):
         assert trigger_probability(paper_params, 0.0) == 1.0
 
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+    def test_beta_domain_names_beta(self, paper_params, beta):
+        with pytest.raises(DomainError, match="beta must be nonnegative and finite"):
+            trigger_probability(paper_params, beta)
+
     def test_monte_carlo_agreement(self, paper_params, rng):
         eps = rng.standard_normal((200_000, 2))
         out = eps / paper_params.mu + paper_params.delta
@@ -325,6 +330,35 @@ class TestSolver:
         assert params.mu == 1.0
         assert any("inactive" in str(w.message) for w in caught)
 
+    @pytest.mark.parametrize(
+        "upsilon, mu_is_one, delta_star, messages",
+        [
+            (0.7, False, 3.60, ["solved bias 3.596243 is not below sqrt(sigma) = 3.367492"]),
+            (
+                0.99,
+                True,
+                4.40,
+                [
+                    "detector constraint inactive at mu = 1; returning the boundary solution",
+                    "solved bias 4.400000 is not below sqrt(sigma) = 3.367492",
+                ],
+            ),
+        ],
+    )
+    def test_bias_above_root_sigma_warns_on_either_exit(
+        self, upsilon, mu_is_one, delta_star, messages
+    ):
+        """The root exit (Upsilon 0.7) and the boundary exit (0.99) share one tail:
+        delta* = beta + Psi/mu*, checked against sqrt(sigma) once."""
+        target = SuccessCriteria(M=1.0 - ef.gaussian_q(3.0), Upsilon=upsilon)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            params = solve_optimal_params(1.4, 11.34, target, 3)
+        assert (params.mu == 1.0) is mu_is_one
+        assert params.delta_bar == 1.4 + target.Psi / params.mu
+        assert params.delta_bar == pytest.approx(delta_star, abs=5e-3)
+        assert [str(w.message) for w in caught] == messages
+
 
     @pytest.mark.parametrize("M", [0.05, 0.01])
     def test_target_below_q_beta_names_M(self, M):
@@ -334,6 +368,21 @@ class TestSolver:
             solve_optimal_params(1.4, 11.34, SuccessCriteria(M=M, Upsilon=0.01), 3)
         assert err.value.field == "M"
         assert f"M = {M!r}" in str(err.value) and "Q(beta) = 0.0807567" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "M, upsilon, name",
+        [
+            (0.0, 0.01, "M"),
+            (1.0, 0.01, "M"),
+            (math.nan, 0.01, "M"),
+            (0.99, 0.0, "Upsilon"),
+            (0.99, 1.0, "Upsilon"),
+            (0.99, math.nan, "Upsilon"),
+        ],
+    )
+    def test_criteria_domain(self, M, upsilon, name):
+        with pytest.raises(DomainError, match=rf"{name} must be in \(0, 1\)"):
+            SuccessCriteria(M=M, Upsilon=upsilon)
 
     def test_target_just_above_q_beta_solves(self):
         just_above = SuccessCriteria(M=ef.gaussian_q(1.4) * (1 + 1e-9), Upsilon=0.01)
@@ -496,7 +545,7 @@ class TestSolverGaps:
 
     def test_dof_checked_once_per_call(self, criteria, monkeypatch):
         calls = []
-        dof_check, order_check = special._check_dof, special._check_order
+        dof_check = special._check_dof
 
         def counting(check):
             def counted(value):
@@ -505,14 +554,15 @@ class TestSolverGaps:
 
             return counted
 
-        # every name: the solvers' own import and the ones the special functions look up
+        # every name: the solvers' own import and the one the special functions look up
         monkeypatch.setattr(attack, "_check_dof", counting(dof_check))
         monkeypatch.setattr(special, "_check_dof", counting(dof_check))
-        monkeypatch.setattr(special, "_check_order", counting(order_check))
         mu_star = solve_optimal_params(1.4, 11.34, criteria, 3).mu
         assert calls == [3]
         feasible_delta_interval(2.0 * mu_star, 1.4, 11.34, criteria, 3)
         assert calls == [3, 3]
+        special.marcum_q(1.5, 1.0, 1.0)  # the Marcum order takes the same rule, on 2 nu
+        assert calls == [3, 3, 3]
 
     @pytest.mark.parametrize(
         "dof, message",
@@ -598,6 +648,11 @@ class TestBrentPort:
         config = ef.config_from_dict(ef.paper_scenario())
         assert config.attack_params.mu == 2.770517623768802
         assert config.attack_params.delta_bar == 2.4828218405708826
+
+    @pytest.mark.parametrize("lo, hi", [(0.75, 2.0), (0.0, 0.75)])
+    def test_exact_root_at_an_endpoint_is_returned(self, lo, hi):
+        root = _brentq(lambda x: x - 0.75, lo, hi)
+        assert root == scipy_brentq(lambda x: x - 0.75, lo, hi) == 0.75
 
     def test_same_sign_bracket_raises(self):
         with pytest.raises(NumericError, match="same sign"):

@@ -230,6 +230,8 @@ class TestSolve:
             ("--mu", "-5", "expected a finite number >= 1, got '-5'"),
             ("--mu", "nan", "expected a finite number >= 1, got 'nan'"),
             ("--dof", "0", "expected an integer >= 1, got '0'"),
+            ("--mu", "abc", "invalid float value: 'abc'"),
+            ("--dof", "abc", "invalid int value: 'abc'"),
         ],
     )
     def test_bad_scaling_or_dof_names_the_argument(self, capsys, option, value, message):

@@ -37,6 +37,20 @@ class TestDetectorConfig:
         with pytest.raises(DomainError, match="degrees of freedom must be a positive integer"):
             DetectorConfig(sigma=11.34, upsilon=0.01, dof=dof)
 
+    @pytest.mark.parametrize(
+        "sigma, upsilon, message",
+        [
+            (0.0, 0.01, "sigma must be positive"),
+            (math.inf, 0.01, "sigma must be positive"),
+            (math.nan, 0.01, "sigma must be positive"),
+            (11.34, 0.0, r"upsilon must be in \(0, 1\)"),
+            (11.34, 1.0, r"upsilon must be in \(0, 1\)"),
+        ],
+    )
+    def test_threshold_and_budget_domains(self, sigma, upsilon, message):
+        with pytest.raises(DomainError, match=message):
+            DetectorConfig(sigma=sigma, upsilon=upsilon, dof=3)
+
 
 class TestHypothesisTest:
     def test_zero_statistic_silent(self):

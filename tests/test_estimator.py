@@ -80,6 +80,18 @@ class TestOpQTilde:
         with pytest.raises(DomainError):
             op_q_tilde(np.eye(3), 1.5, paper_model)
 
+    def test_shape_check(self, paper_model):
+        with pytest.raises(DomainError, match="op_q_tilde expects a 3x3 matrix"):
+            op_q_tilde(np.eye(2), 0.5, paper_model)
+
+    def test_singular_innovation_covariance_raises(self):
+        # C X C^T = -R makes S = 0
+        model = SystemModel(
+            A=np.zeros((2, 2)), C=np.eye(2), Q=np.zeros((2, 2)), R=np.eye(2), Xi0=np.eye(2)
+        )
+        with pytest.raises(NumericError, match="singular innovation covariance in q_tilde"):
+            op_q_tilde(-np.eye(2), 1.0, model)
+
 
 class TestMahalanobisFactor:
     def test_identity_cov(self):

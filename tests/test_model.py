@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from eventfdi import (
+    DomainError,
     ModelError,
+    NumericError,
     PlantState,
     RandomSource,
     SystemModel,
@@ -56,6 +58,8 @@ class TestSystemModel:
             ("Q", 0.04 * np.eye(3), "Q must be 2x2"),
             ("R", 0.25 * np.eye(2), "R must be 1x1"),
             ("Xi0", np.eye(1), "Xi0 must be 2x2"),
+            ("Q", 0.04 * np.ones((2, 3)), "Q must be square"),
+            ("R", np.array([0.25]), "R must be a 2-D matrix"),
         ],
     )
     def test_rejects_wrong_covariance_size(self, name, value, message):
@@ -109,6 +113,10 @@ class TestRandomSource:
     def test_negative_seed_wraps(self):
         assert RandomSource(-1).seed == (1 << 64) - 1
 
+    def test_negative_stream_id_rejected(self):
+        with pytest.raises(DomainError, match="stream_id must be nonnegative"):
+            RandomSource(42, -1)
+
 
 class TestInitialState:
     def test_zero_covariance_gives_zero_state(self):
@@ -155,6 +163,11 @@ class TestStep:
         for (xa, ya), (xb, yb) in zip(run(), run()):
             assert np.array_equal(xa, xb)
             assert np.array_equal(ya, yb)
+
+    def test_non_finite_state_raises(self):
+        state = PlantState(x=np.array([np.nan, 0.0]), k=4)
+        with pytest.raises(NumericError, match="non-finite plant state at k=4"):
+            step(make_model(), state, RandomSource(5))
 
     def test_measurement_uses_pre_update_state(self):
         model = make_model(Q=np.zeros((2, 2)), R=np.array([[1e-8]]))

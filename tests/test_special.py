@@ -225,13 +225,35 @@ class TestMarcumQ:
                 chi2_survival(4.0, dof), abs=1e-12
             )
 
-    def test_order_validation(self):
-        with pytest.raises(DomainError):
-            marcum_q(0.7, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            marcum_q(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            marcum_q(1.0, -1.0, 1.0)
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            pytest.param(10**400, id="10**400"),
+            pytest.param(10**4999, id="5000-digit int"),
+            1.5000000001,
+            0.7,
+            0,
+            -1,
+            math.nan,
+            math.inf,
+            1e308,
+        ],
+    )
+    def test_order_validation(self, nu):
+        """The order's rule is the dof rule on 2 nu: an exact positive multiple of 0.5
+        whose dof is finite as a float; no slack, and no error other than DomainError."""
+        with pytest.raises(DomainError, match="Marcum order must be a positive multiple of 0.5"):
+            marcum_q(nu, 1.0, 1.0)
+
+    @pytest.mark.parametrize("nu", [2, 1.5, np.int64(2), np.float64(1.5)])
+    def test_integer_and_float_orders_keep_bits(self, nu):
+        for a, b in [(3.3, 5.5), (6.8787, 9.3296), (0.0, 1e-5)]:
+            assert marcum_q(nu, a, b) == _ncx2_survival(b * b, 2.0 * float(nu), a * a)
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_argument_validation(self, a, b):
+        with pytest.raises(DomainError, match="marcum_q requires"):
+            marcum_q(1.0, a, b)
 
     @staticmethod
     def _assert_ordered(lo, hi):
@@ -322,7 +344,7 @@ class TestNcx2Survival:
         assert 1.0 - float(_ncx2_sf(lower, dof, lam)) <= math.exp(-u) * (1 + 1e-9) + 1e-15
 
     # x from 1e-4: below that, with a large noncentrality, the ufunc raises
-    # OverflowError from Boost's tgamma (see the two tests after this one)
+    # OverflowError from Boost's tgamma (see the three tests after this one)
     @settings(max_examples=200)
     @given(
         st.one_of(st.just(0.0), st.floats(1e-4, 2e3)),
@@ -339,16 +361,34 @@ class TestNcx2Survival:
         "nu, a, b",
         [(0.5, 18.5, 1e-5), (1.0, 18.5, 1e-19), (0.5, math.sqrt(341.0), math.sqrt(1.18e-38))],
     )
-    def test_ufunc_overflow_is_one_where_the_cdf_bound_is_negligible(self, nu, a, b):
+    def test_ufunc_overflow_is_one_by_the_tail_bound(self, nu, a, b):
         with pytest.raises(OverflowError):
             _ncx2_sf(b * b, 2.0 * nu, a * a)
         assert marcum_q(nu, a, b) == marcum_mpmath(nu, a, b) == 1.0
+
+    def test_ufunc_overflow_map_is_one(self):
+        """A seeded sample of dof 1 to 1e4, noncentrality 200 to 1e5 and x from 1e-320
+        to 1e-6, log-uniform: wherever the ufunc raises OverflowError, the value is 1."""
+        rng = np.random.default_rng(20)
+        overflows = 0
+        for dof, lam, x in zip(
+            np.floor(np.exp(rng.uniform(0.0, math.log(1e4), 400))),
+            np.exp(rng.uniform(math.log(200.0), math.log(1e5), 400)),
+            np.exp(rng.uniform(math.log(1e-320), math.log(1e-6), 400)),
+        ):
+            dof, lam, x = float(dof), float(lam), float(x)
+            try:
+                _ncx2_sf(x, dof, lam)
+            except OverflowError:
+                overflows += 1
+                assert _ncx2_survival(x, dof, lam) == 1.0
+        assert overflows > 300
 
     def test_ufunc_overflow_outside_the_bound_is_numeric_error(self, monkeypatch):
         def overflowing(x, dof, lam):
             raise OverflowError("tgamma")
 
         monkeypatch.setattr(special, "_ncx2_sf", overflowing)
-        with pytest.raises(NumericError, match="noncentrality = 1.0: tgamma"):
+        with pytest.raises(NumericError, match="no tail bound settles it"):
             _ncx2_survival(1.0, 2.0, 1.0)
         assert _ncx2_survival(1e-10, 2.0, 341.0) == 1.0

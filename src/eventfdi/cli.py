@@ -5,7 +5,8 @@ with optional trace), analyze (bias and covariance fixed points), sweep
 (fixed-point trace per scaling value, CSV), reproduce-paper (the published
 experiment end to end with a pass/fail table).
 
-Exit codes: 0 success, 1 validation/configuration error, 2 numeric failure.
+Exit codes: 0 success, 1 validation/configuration error or an output path
+that cannot be written, 2 numeric failure.
 A reader that closes stdout early (`| head`) ends the command quietly with
 exit code 0.
 """
@@ -343,6 +344,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     except NumericError as exc:

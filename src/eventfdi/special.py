@@ -15,9 +15,11 @@ layer). Up to a noncentrality of 1e10 it keeps its relative accuracy deep
 into the upper tail, and its cost grows slowly with the noncentrality; the
 tests check it against 50-digit Poisson sums (see Gil, Segura and Temme,
 "Computation of the Marcum Q-function", ACM TOMS 40(3), 2014, for the
-function's numerics). Where the ufunc gives no value, one tail bound
-gives 0 or 1, else NumericError. Every dof, and every Marcum order as its
-dof 2 nu, passes one rule, _check_dof.
+function's numerics). One tail bound, Birge's, settles the value first
+below the mean, where the ufunc can take seconds to give 1, and settles
+every input the ufunc gives no value for as 0 or 1, else NumericError.
+Every dof, and every Marcum order as its dof 2 nu, passes one rule,
+_check_dof.
 """
 
 import math
@@ -130,20 +132,26 @@ _UFUNC_NONCENTRALITY = 1e10  # the largest noncentrality handed to the ufunc
 
 
 def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
-    """Pr(V >= x) from the ufunc, clipped to [0, 1], or settled by _tail_bound.
+    """Pr(V >= x): 1 where _tail_bound settles it below the mean, else the
+    ufunc's value clipped to [0, 1], else _tail_bound's 0 or 1, else
+    NumericError.
 
-    The ufunc returns -0.0 at x = 0, where the value is 1; at any x > 0,
+    Below the mean dof + noncentrality the bound goes first: where it
+    settles 1, the ufunc gives 1 too, after work linear in the
+    noncentrality (4 s at 1e8) or an OverflowError from Boost's tgamma
+    (scans of dof 1 to 1e8 find that only at x < 3e-8 and dof +
+    noncentrality >= 341, where the bound's statistic is >= 42.6 > 38).
+    Above the mean the check costs one addition and one comparison. The
+    ufunc returns -0.0 at x = 0, where the value is 1; at any x > 0,
     however small, it is within 2e-16 of a 50-digit sum. Its series lose
     accuracy past a noncentrality of about 3e10, with Boost warnings (0.26
     against 0.31 one half standard deviation above the mean at 1e11), may
     run for minutes near 1e17, and give nan past about 5e18; an infinite
-    argument also gives nan. For a tiny x, with dof + noncentrality of a few
-    hundred or more, it raises OverflowError from Boost's tgamma. Every input
-    it does not answer, past _UFUNC_NONCENTRALITY, with nan or with
-    OverflowError, goes to _tail_bound, which gives 0 or 1 or raises
-    NumericError.
+    argument also gives nan. Every input it does not answer, past
+    _UFUNC_NONCENTRALITY, with nan or with OverflowError, goes to
+    _tail_bound.
     """
-    if x == 0.0:
+    if x == 0.0 or (x < dof + noncentrality and _tail_bound(x, dof, noncentrality) == 1.0):
         return 1.0
     if noncentrality <= _UFUNC_NONCENTRALITY:
         try:
@@ -152,22 +160,25 @@ def _ncx2_survival(x: float, dof: float, noncentrality: float) -> float:
             value = math.nan
         if not math.isnan(value):
             return min(1.0, max(0.0, value))
-    return _tail_bound(x, dof, noncentrality)
+    value = _tail_bound(x, dof, noncentrality)
+    if math.isnan(value):
+        raise NumericError(
+            f"noncentral chi-square survival undefined at x = {x!r}, dof = {dof!r}, "
+            f"noncentrality = {noncentrality!r}: no tail bound settles it"
+        )
+    return value
 
 
 def _tail_bound(x: float, dof: float, noncentrality: float) -> float:
-    """Pr(V >= x) as 0 or 1 where a tail bound settles it, else NumericError.
+    """Pr(V >= x) as 0 or 1 where a tail bound settles it, else nan.
 
     With k = dof, lam = noncentrality, s = k + 2 lam and any u > 0,
     Pr(V >= k + lam + 2 sqrt(s u) + 2u) and Pr(V <= k + lam - 2 sqrt(s u))
     are at most e^-u (Birge 2001, Lemma 8.1). The value is 0 when x is past
     the upper point of a u with e^-u < 2^-1075, half the least subnormal,
-    and 1 when x is below the lower point of a u with e^-u < 2^-54.
-
-    Where the ufunc overflows, scans of dof 1 to 1e8 find x below 3e-8 and
-    k + lam at least 341. As s <= 2 (k + lam), the lower statistic
-    (k + lam - x)^2 / (4 s) is then at least about (k + lam) / 8 >= 42.6,
-    above 38, and the value is 1.
+    and 1 when x is below the lower point of a u with e^-u < 2^-54, that is
+    when the lower statistic (k + lam - x)^2 / (4 s) is past 38; as
+    s <= 2 (k + lam), it is at least about (k + lam) / 8 for a tiny x.
     """
     s, gap = dof + 2.0 * noncentrality, x - dof - noncentrality
     if gap > 0.0:  # the u whose upper point is x: sqrt(u) = gap / (sqrt(s) + sqrt(s + 2 gap))
@@ -176,10 +187,7 @@ def _tail_bound(x: float, dof: float, noncentrality: float) -> float:
             return 0.0
     elif gap * gap / (4.0 * s) > 38.0:  # e^-38 < 2^-54
         return 1.0
-    raise NumericError(
-        f"noncentral chi-square survival undefined at x = {x!r}, dof = {dof!r}, "
-        f"noncentrality = {noncentrality!r}: no tail bound settles it"
-    )
+    return math.nan
 
 
 def marcum_q(nu: float, a: float, b: float) -> float:

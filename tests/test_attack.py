@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -271,6 +272,17 @@ class TestAlarmProbability:
         with pytest.raises(DomainError, match="alarm_probability overflows: mu\\^2 sigma = inf"):
             alarm_probability(params, sigma, 3)
 
+    def test_tiny_boundary_at_a_huge_noncentrality_is_answered_at_once(self):
+        """Noncentrality 1e8 and x = 1e-22: the ufunc takes seconds to give 1 here, and
+        the tail bound, asked first below the mean, settles 1."""
+        params = AttackParams(1e4, 1.0, 2)
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert alarm_probability(params, 1e-30, 2) == 1.0
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1e-3
+
     def test_monte_carlo_agreement_channel_dof(self, paper_params, rng):
         eps = rng.standard_normal((200_000, 2))
         out = eps / paper_params.mu + paper_params.delta
@@ -324,11 +336,9 @@ class TestSolver:
     def test_boundary_solution_warns(self):
         # a huge alarm budget leaves the detector constraint slack at mu = 1
         lax = SuccessCriteria(M=0.9, Upsilon=0.999)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.warns(RuntimeWarning, match="inactive"):
             params = solve_optimal_params(1.4, 11.34, lax, 2)
         assert params.mu == 1.0
-        assert any("inactive" in str(w.message) for w in caught)
 
     @pytest.mark.parametrize(
         "upsilon, mu_is_one, delta_star, messages",
@@ -351,8 +361,7 @@ class TestSolver:
         """The root exit (Upsilon 0.7) and the boundary exit (0.99) share one tail:
         delta* = beta + Psi/mu*, checked against sqrt(sigma) once."""
         target = SuccessCriteria(M=1.0 - ef.gaussian_q(3.0), Upsilon=upsilon)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.warns(RuntimeWarning) as caught:
             params = solve_optimal_params(1.4, 11.34, target, 3)
         assert (params.mu == 1.0) is mu_is_one
         assert params.delta_bar == 1.4 + target.Psi / params.mu
@@ -390,6 +399,13 @@ class TestSolver:
         assert params.mu >= 1.0 and params.delta_bar >= 0.0
         low, high = feasible_delta_interval(1.5 * params.mu, 1.4, 11.34, just_above, 3)
         assert 0.0 <= low < high
+
+    def test_residual_past_1e9_is_config_error(self, criteria, monkeypatch):
+        """A root search that returns a scaling off the root fails the residual guard."""
+        monkeypatch.setattr(attack, "_brentq", lambda f, lo, hi: lo)
+        with pytest.raises(ConfigError, match=r"solver residual \S+ exceeds 1e-9") as caught:
+            solve_optimal_params(1.4, 11.34, criteria, 3)
+        assert caught.value.field == "M"
 
 
 class TestFeasibleInterval:

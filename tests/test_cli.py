@@ -65,6 +65,12 @@ def large_config_file(tmp_path):
     return str(path)
 
 
+def assert_one_error_line(code, err):
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestStrictJson:
     def test_values_that_are_not_finite_print_as_null(self):
         text = cli._json({"a": 1.0, "b": [2.0, math.inf], "c": {"d": math.nan}})
@@ -278,6 +284,21 @@ class TestSimulate:
         assert trace.read_text().splitlines()[0] == ef.trace_header(3, 2)
         assert strict_json(out_file.read_text()) == strict_json(out)
 
+    def test_forward_only_at_the_paper_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--attack", "forward_only")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["trajectory_count"] == 50 and payload["step_count"] == 4000
+        assert payload["comm_rate"] == pytest.approx(payload["analytic_trigger"], abs=5e-4)
+
+    @pytest.mark.parametrize("option", ["--trace", "--out"])
+    def test_unwritable_output_is_validation_error(self, capsys, tmp_path, option):
+        missing = tmp_path / "missing" / "file"
+        config = small_config_file(tmp_path)
+        code, _, err = run_cli(capsys, "simulate", "--config", config, option, str(missing))
+        assert_one_error_line(code, err)
+        assert str(missing) in err
+
     def test_non_numeric_config_value_is_validation_error(self, capsys, tmp_path):
         config = small_config_file(tmp_path, beta="x")
         code, out, err = run_cli(capsys, "simulate", "--config", config)
@@ -459,6 +480,43 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--config", unstable_config_file(tmp_path))
         assert code == 2 and out == ""
         assert err.startswith("numeric error: attacked covariance diverges; A has spectral radius")
+
+    def test_unwritable_output_is_validation_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--mu-grid", "1,2", "--out", str(missing))
+        assert out == ""
+        assert_one_error_line(code, err)
+        assert str(missing) in err
+
+
+class TestLargeSystem:
+    """Every command but solve on a scenario with n = 12, past the Kronecker range of
+    the Lyapunov solves."""
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        return large_config_file(tmp_path_factory.mktemp("n12"))
+
+    def test_analyze(self, capsys, config):
+        code, out, _ = run_cli(capsys, "analyze", "--config", config)
+        assert code == 0
+        payload = strict_json(out)
+        assert len(payload["bias"]) == 12 and "undefined" not in payload
+
+    def test_sweep(self, capsys, config):
+        code, out, _ = run_cli(capsys, "sweep", "--config", config, "--mu-grid", "1,2,5,10000")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "mu,trace" and len(lines) == 5
+        traces = [float(line.split(",")[1]) for line in lines[1:]]
+        assert traces == sorted(traces)
+
+    def test_simulate(self, capsys, config):
+        code, out, _ = run_cli(capsys, "simulate", "--config", config)
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["trajectory_count"] == 2 and len(payload["emp_bias"]) == 12
+        assert "undefined" not in payload
 
 
 class TestReproducePaper:

@@ -160,9 +160,9 @@ class TestFactorStack:
         the invalid flag raised, and every other slice keeps its bits."""
         S = np.stack([random_psd(rng, m) + 0.1 * np.eye(m) for _ in range(4)])
         S[2] = -S[2]
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with pytest.warns(RuntimeWarning, match="^invalid value encountered") as caught:
             L, F = factor_stack(S)
+        assert all(str(w.message).startswith("invalid value") for w in caught)
         lower = np.tril_indices(m)
         assert not np.isfinite(L[2][lower]).any() and not np.isfinite(F[2].T[lower]).any()
         if m >= 3:
@@ -180,10 +180,14 @@ class TestFactorStack:
         S[2] = -S[2]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(S)
-        for stack in (S, np.where(np.arange(4)[:, None, None] == 2, np.eye(m), S)):
-            with np.errstate(invalid="ignore"):
-                L, F = factor_stack(stack)
-                alone = [factor_stack(stack[t : t + 1]) for t in range(4)]
+
+        def factors(stack):
+            return factor_stack(stack), [factor_stack(stack[t : t + 1]) for t in range(4)]
+
+        with pytest.warns(RuntimeWarning, match="^invalid value encountered"):
+            flagged = factors(S)
+        healed = factors(np.where(np.arange(4)[:, None, None] == 2, np.eye(m), S))
+        for (L, F), alone in (flagged, healed):
             for t, (L_t, F_t) in enumerate(alone):
                 assert L[t].tobytes() == L_t[0].tobytes() and F[t].tobytes() == F_t[0].tobytes()
         assert np.array_equal(L[2], np.eye(m)) and np.array_equal(F[2], np.eye(m))

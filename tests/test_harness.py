@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -333,6 +334,10 @@ def assert_same_config(a, b):
 # Fields whose rejection may come after the table: the rules across fields, and
 # the checks the table refers to (SystemModel on model, AttackParams on attack_params).
 AFTER_THE_TABLE = {name for name, _, _ in harness._CROSS_RULES} | {"model", "attack_params"}
+# The two warnings of a boundary solution in solve_optimal_params.
+BOUNDARY_WARNING = re.compile(
+    r"detector constraint inactive at mu = 1|solved bias .* is not below sqrt"
+)
 ODD_VALUES = [
     None, True, False, "x", "1", [], [1.0], {}, {"mu": 2.0, "delta_bar": 1.0},
     -1, 0, 0.5, 1, 1.0, 1.5, 2, 4.0, 10.5, 60, 1e200, -1e200,
@@ -429,13 +434,14 @@ def assert_schema_and_code_agree(payload: dict, mutated: str | None):
     schema states only in descriptions; and every rejection names its field."""
     jsonschema = pytest.importorskip("jsonschema")
     schema_ok = jsonschema.Draft202012Validator(ef.config_schema()).is_valid(payload)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # boundary solutions
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             ef.config_from_dict(payload)
             error = None
         except ConfigError as exc:
             error = exc
+    assert all(BOUNDARY_WARNING.match(str(w.message)) for w in caught), caught
     if error is None:
         assert schema_ok, payload
     elif schema_ok:

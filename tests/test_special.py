@@ -384,6 +384,39 @@ class TestNcx2Survival:
                 assert _ncx2_survival(x, dof, lam) == 1.0
         assert overflows > 300
 
+    def test_settled_below_the_mean_without_the_ufunc(self, monkeypatch):
+        """A seeded sample of dof 1 to 1e4, noncentrality 1e-2 to 1e10 and x from 1e-25
+        of the mean up to it, log-uniform: wherever the lower bound settles, the value
+        is 1 with no ufunc call. Up to a noncentrality of 1e4, where the ufunc is quick,
+        it gives 1 there too, or overflows."""
+        rng = np.random.default_rng(21)
+        points = [
+            (float(dof), float(lam), float((dof + lam) * shrink))
+            for dof, lam, shrink in zip(
+                np.floor(np.exp(rng.uniform(0.0, math.log(1e4), 600))),
+                np.exp(rng.uniform(math.log(1e-2), math.log(1e10), 600)),
+                np.exp(rng.uniform(math.log(1e-25), 0.0, 600)),
+            )
+        ]
+        settled = [
+            (x, dof, lam) for dof, lam, x in points
+            if (dof + lam - x) ** 2 / (4.0 * (dof + 2.0 * lam)) > 38.0
+        ]
+        assert len(settled) > 300
+        for x, dof, lam in settled:
+            if lam <= 1e4:
+                try:
+                    assert float(_ncx2_sf(x, dof, lam)) == 1.0
+                except OverflowError:
+                    pass
+
+        def no_ufunc(*args):
+            raise AssertionError(f"ufunc called at {args}")
+
+        monkeypatch.setattr(special, "_ncx2_sf", no_ufunc)
+        for x, dof, lam in settled:
+            assert _ncx2_survival(x, dof, lam) == 1.0
+
     def test_ufunc_overflow_outside_the_bound_is_numeric_error(self, monkeypatch):
         def overflowing(x, dof, lam):
             raise OverflowError("tgamma")

@@ -137,9 +137,21 @@ def _load(args, **overrides):
     return config_from_dict(payload)
 
 
+def _check_writable(path) -> None:
+    """Raise OSError unless path can be opened for writing; leave no new file behind."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_simulate(args) -> int:
     overrides = {"attack_mode": args.attack, "seed": args.seed}
     config = _load(args, **{k: v for k, v in overrides.items() if v is not None})
+    for path in (args.trace, args.out):  # before the run, so that a bad path costs no run
+        if path:
+            _check_writable(path)
     result = run_scenario(config, trace_path=args.trace)
     payload = result.summary.to_dict()
     if result.diverged:

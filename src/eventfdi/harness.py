@@ -38,6 +38,24 @@ each slice with the bits it gets alone. For every m, a slice that is not
 positive definite gets non-finite factors, where the scalar functions
 raise NumericError.
 
+The core runs in two parts. The received data eps_tilde = F^T z_nominal /
+mu + delta is built from the nominal innovation, so the scheduler decision,
+the covariance path and the memo depend on the nominal chain alone (x_n,
+z_nominal, P, L, F, K). The scheduler loop runs that chain one step at a
+time. The attacked estimate x_a, the attack effect x_tilde, the sensor
+innovation z and its whitening eps never feed back into it, so
+_AttackPass computes them afterwards, one block of attacked steps at a
+time: x_a and x_tilde as one (T, 2, n, 1) recursion (x_a alone under
+forward_only) of one matmul and at most two adds per step, everything else
+as stacked products over the block. The
+recursions keep their bits because np.where(gamma, x + u, x) equals
+x + np.where(gamma, u, -0.0): x + (-0.0) is x for every double, signed
+zeros, infinities and nan included. The block length is what
+_ATTACK_PASS_BYTES holds per trajectory at the run's n and m, so the
+pass's buffers are O(T x block) whatever the number of steps. Under attack "off" the
+sensor's data is the received data and the remote estimate the nominal
+one, so xa, z and eps are the arrays xn, zn and epst.
+
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching
 P+ bits it reached before. On attacked steps (k >= attack_start) the run's
@@ -56,13 +74,17 @@ slice carries nan and inf without warnings, no operation mixes slices,
 and it is left out of the aggregates and the trace.
 
 Memory: the measurements and every per-step record of every trajectory
-are kept until the run ends, T * steps * (3n + 5m + 1) doubles; the
-noise block is freed before the filter loop, and the summary's reductions
-hold one or two window-sized temporaries at a time: about 37 MB for the
-paper's 50 x 4200 run. The memo holds at most _MEMO_NODES nodes of
-n^2 + 2m^2 + nm doubles each, plus an n^2-double key: the paper's
-attacked runs make about 450 nodes at 10 x 700, 2,200 at 50 x 4200 and
-7,400 at 200 x 700. Measured peaks are in CHANGES.md and BENCH_*.json.
+are kept until the run ends, T * steps * (3n + 5m + 1) doubles under an
+attack and T * steps * (2n + 3m + 1) with it off (three records are
+shared); the noise block is freed before the filter loop, and the
+summary's reductions hold one or two window-sized temporaries at a time:
+about 37 MB for the paper's 50 x 4200 run. The attack pass holds about
+_ATTACK_PASS_BYTES (8 KiB) more per trajectory, and at least one step's
+worth: 27 steps on the paper system. The memo
+holds at most _MEMO_NODES nodes of n^2 + 2m^2 + nm doubles each, plus an
+n^2-double key: the paper's attacked runs make about 450 nodes at 10 x 700,
+2,200 at 50 x 4200 and 7,400 at 200 x 700. Measured peaks are in
+CHANGES.md and BENCH_*.json.
 """
 
 import itertools
@@ -539,7 +561,7 @@ class _CovarianceMemo:
         else:
             self.lag -= 1
             if self.held is None or nodes.tobytes() != self.held.tobytes():
-                P, L, F, K = (table[nodes] for table in self.tables)
+                P, L, F, K = (table.take(nodes, axis=0) for table in self.tables)
                 self.stacks = P, L, F.swapaxes(-1, -2) if self.f_view else F, K
         if self.nodes is None and nodes is not None and self.last is not None:
             self.next[self.last] = nodes
@@ -573,6 +595,111 @@ class _CovarianceMemo:
         return nodes
 
 
+# Bytes per trajectory the attack pass may hold for one block of attacked steps;
+# it sets the block length, so the pass's buffers stay O(T x block). Blocks much
+# longer than this leave the cache at large T, and much shorter ones pay the
+# pass's fixed calls too often at small T.
+_ATTACK_PASS_BYTES = 8 << 10
+
+
+def _attack_block(n: int, m: int) -> int:
+    """Attacked steps per block of the attack pass: as many as _ATTACK_PASS_BYTES holds.
+
+    One attacked step of one trajectory holds about nm + 2m^2 + 5n + 4m
+    doubles there: its K, L and F, the two estimates' priors and
+    posteriors, x_tilde's second increment, and the temporaries.
+    """
+    return max(1, _ATTACK_PASS_BYTES // (8 * (n * m + 2 * m * m + 5 * n + 4 * m)))
+
+
+class _AttackPass:
+    """x_a, x_tilde, z and eps of the attacked steps, one block at a time (see the
+    module docstring): push() takes a step's K, L, F and K z_nominal from the
+    scheduler loop, flush() computes the block. The estimates are one
+    (T, w, n, 1) stack: w = 2, x_a and x_tilde, under two_channel, else x_a."""
+
+    def __init__(self, config: ScenarioConfig, ys, gammas, xns, epsts, xas, zs, epss):
+        model = config.model
+        n, m, T = model.n, model.m, config.trajectories
+        self.A, self.C, self.m = model.A, model.C, m
+        self.mu, self.delta = config.attack_params.mu, config.attack_params.delta.reshape(m, 1)
+        self.two_channel = config.attack_mode == "two_channel"
+        w = 2 if self.two_channel else 1
+        self.ys, self.gammas, self.xns, self.epsts = ys, gammas, xns, epsts
+        self.xas, self.zs, self.epss = xas, zs, epss
+        self.attack_start = self.start = config.attack_start  # start: first step of the open block
+        self.count = 0  # steps in the open block
+        block = self.block = min(_attack_block(n, m), config.steps - self.start)
+        # F as factor_stack lays it out: F for m <= 2, the contiguous F^T for m >= 3
+        self.K, self.L, self.F = (np.empty((block, T, *shape)) for shape in ((n, m), (m, m), (m, m)))
+        # prior[j] and post[j] of step j; prior[block] is the next block's prior[0]
+        self.prior = np.empty((block + 1, T, w, n, 1))
+        self.post = np.empty((block, T, w, n, 1))  # first the increments, then the posteriors
+        self.inc = np.empty((block, T, n, 1)) if self.two_channel else None  # x_tilde's second
+
+    def push(self, K, L, F, z_nominal) -> np.ndarray:
+        """Take one attacked step's factors and return K z_nominal."""
+        j = self.count
+        self.count += 1
+        np.copyto(self.K[j], K)
+        np.copyto(self.L[j], L)
+        np.copyto(self.F[j], F.swapaxes(-1, -2) if self.m >= 3 else F)
+        return np.matmul(K, z_nominal, out=self.post[j, :, -1])  # x_tilde's first increment
+
+    def flush(self) -> None:
+        """Compute the open block's steps and write their x_a, z and eps records."""
+        b, k0, two_channel = self.count, self.start, self.two_channel
+        if not b:
+            return
+        window = slice(k0, k0 + b)
+        # (b, T, ...) views of the records: steps first, each slab's inner block contiguous
+        ys, epst, xas, zs, epss = (
+            a[:, window].swapaxes(0, 1) for a in (self.ys, self.epsts, self.xas, self.zs, self.epss)
+        )
+        K, L, F = self.K[:b], self.L[:b], self.F[:b]
+        gamma = self.gammas[:, window].T
+        silent = ~gamma[..., None, None]
+        prior, post = self.prior, self.post[:b]
+
+        # np.where(gamma, x + u, x) == x + np.where(gamma, u, -0.0): x + (-0.0) is x
+        if two_channel:
+            kz = post[:, :, 1]
+            np.multiply((gamma / self.mu - gamma)[..., None, None], kz, out=kz)
+            second = self.inc[:b]
+            np.matmul(K, L @ self.delta, out=second)
+            np.copyto(second, -0.0, where=silent)
+        np.matmul(K, L @ epst, out=post[:, :, 0])
+        np.copyto(post[:, :, 0], -0.0, where=silent)
+        if k0 == self.attack_start:
+            # x_a starts from the filter's posterior and x_tilde from 0; at k = 0
+            # x_a's prior is the filter's, 0, not A @ 0
+            posterior = np.zeros(prior.shape[1:])
+            if k0:
+                posterior[:, 0] = self.xns[:, k0 - 1]
+            np.matmul(self.A, posterior, out=prior[0])
+            if k0 == 0:
+                prior[0, :, 0] = 0.0
+        for x_prior, x_post, x_next, inc in zip(
+            prior, post, prior[1:], second if two_channel else itertools.repeat(None)
+        ):
+            np.add(x_prior, x_post, out=x_post)
+            if two_channel:
+                x_post[:, 1] += inc
+            np.matmul(self.A, x_post, out=x_next)
+
+        np.copyto(xas, post[:, :, 0])
+        C_prior = self.C @ prior[:b]
+        if two_channel:
+            np.subtract(C_prior[:, :, 0], C_prior[:, :, 1], out=zs)  # alpha = -C xtilde^-
+            np.subtract(ys, zs, out=zs)
+        else:
+            np.subtract(ys, C_prior[:, :, 0], out=zs)
+        np.matmul(F if self.m >= 3 else F.swapaxes(-1, -2), zs, out=epss)
+        prior[0] = prior[b]
+        self.start += b
+        self.count = 0
+
+
 @np.errstate(all="ignore")
 def _simulate(config: ScenarioConfig) -> _Records:
     """Advance every trajectory of the scenario together; see the module docstring.
@@ -587,7 +714,6 @@ def _simulate(config: ScenarioConfig) -> _Records:
     T, steps = config.trajectories, config.steps
     params = config.attack_params
     attacked = config.attack_mode != "off"
-    two_channel = config.attack_mode == "two_channel"
     beta, mu = config.beta, params.mu
     delta = params.delta.reshape(m, 1)
     kappa_beta = kappa(beta)
@@ -599,17 +725,23 @@ def _simulate(config: ScenarioConfig) -> _Records:
     xs = np.empty((T, steps + 1, n, 1))
     xs[:, 0] = model._xi0_factor @ draws[:, :n]
     for k in range(steps):
-        xs[:, k + 1] = A @ xs[:, k] + w[:, k]
+        np.matmul(A, xs[:, k], out=xs[:, k + 1])
+        xs[:, k + 1] += w[:, k]
     ys = C @ xs[:, :steps] + model._r_factor @ noise[:, :, n:]
     del draws, noise, w
 
     filt = initial_filter_state(model)
     P, L, F, K = (np.broadcast_to(a, (T, *a.shape)) for a in (filt.P_prior, filt.L, filt.F, filt.K))
-    x_prior = np.zeros((T, n, 1))
-    x_post = xn_post = xt_post = x_prior
+    zeros = xn_post = np.zeros((T, n, 1))
     gammas = np.empty((T, steps), dtype=bool)
-    xns, xas = np.empty((T, steps, n, 1)), np.empty((T, steps, n, 1))
-    zs, zns, epss, epsts = (np.empty((T, steps, m, 1)) for _ in range(4))
+    xns = np.empty((T, steps, n, 1))
+    zns, epsts = (np.empty((T, steps, m, 1)) for _ in range(2))
+    if attacked:
+        xas = np.empty((T, steps, n, 1))
+        zs, epss = (np.empty((T, steps, m, 1)) for _ in range(2))
+        attack = _AttackPass(config, ys, gammas, xns, epsts, xas, zs, epss)
+    else:  # the received data is the sensor's, and the remote estimate the nominal one
+        xas, zs, epss = xns, zns, epsts
 
     def prior(P_post):
         P = _sym(A @ P_post @ At + Q)
@@ -617,51 +749,41 @@ def _simulate(config: ScenarioConfig) -> _Records:
         L, F = factor_stack(_sym(C @ PCt + R))
         return P, L, F, (PCt @ F) @ F.swapaxes(-1, -2)
 
+    # The scheduler loop: gamma, the covariance path and the nominal estimate x_n.
+    # Before the attack x_n is the filter; after, the received eps is built from
+    # z_nominal, so nothing the attack pass computes feeds back into this loop.
     memo = _CovarianceMemo(n, m) if attacked else None
-    for k in range(steps):
+    per_step = zip(*(a.swapaxes(0, 1) for a in (ys, zns, epsts, xns, gammas)))
+    for k, (y, zn, epst, xn, gamma) in enumerate(per_step):
         active = attacked and k >= config.attack_start
         if k > 0:
-            x_prior = A @ x_post
             P, L, F, K = memo.prior(P_post, prior) if active else prior(P_post)
-        Ft = F.swapaxes(-1, -2)
-        y = ys[:, k]
-        # before the attack the nominal estimator is the filter, so A xn = x^-
-        xn_prior = x_prior if k > 0 and xn_post is x_post else A @ xn_post
-        z_nominal = y - C @ xn_prior
-
+        xn_prior = A @ xn_post
+        z_nominal = np.subtract(y, C @ xn_prior, out=zn)
+        eps_received = np.matmul(F.swapaxes(-1, -2), z_nominal, out=epst)
         if active:
-            xt_prior = A @ xt_post
-            if two_channel:
-                feedback = C @ x_prior - C @ xt_prior  # alpha = -C xtilde^-
-            else:
-                feedback = C @ x_prior
-            z_sensor = y - feedback
-            eps_sensor = Ft @ z_sensor
-            eps_received = (Ft @ z_nominal) / mu + delta
-        else:
-            z_sensor = z_nominal
-            eps_sensor = eps_received = Ft @ z_sensor
+            eps_received /= mu
+            eps_received += delta
 
-        gamma = ~(np.abs(eps_received).max(axis=(1, 2)) <= beta)
+        np.logical_not(np.abs(eps_received).max(axis=(1, 2)) <= beta, out=gamma)
         fired = gamma[:, None, None]
         if not (active and memo.advance(gamma)):
             P_post = _sym(P - np.where(fired, 1.0, kappa_beta) * (K @ (C @ P)))
-        x_post = np.where(fired, x_prior + K @ (L @ eps_received), x_prior)
         if active:
-            Kz = K @ z_nominal
-            xn_post = np.where(fired, xn_prior + Kz, xn_prior)
-            xt_post = xt_prior + (gamma / mu - gamma)[:, None, None] * Kz
-            xt_post = np.where(fired, xt_post + K @ (L @ delta), xt_post)
+            gain = attack.push(K, L, F, z_nominal)
         else:
-            xn_post = x_post  # no attack yet: the filter is the nominal estimator
+            gain = K @ (L @ eps_received)
+        x_prior = zeros if k == 0 and not active else xn_prior  # the filter starts at 0, not A @ 0
+        xn_post = np.add(x_prior, np.where(fired, gain, -0.0), out=xn)
+        if active and attack.count == attack.block:
+            attack.flush()
 
-        gammas[:, k] = gamma
-        xns[:, k] = xn_post
-        xas[:, k] = x_post
-        zs[:, k] = z_sensor
-        zns[:, k] = z_nominal
-        epss[:, k] = eps_sensor
-        epsts[:, k] = eps_received
+    if attacked:
+        attack.flush()
+        before = slice(0, config.attack_start)
+        xas[:, before], zs[:, before], epss[:, before] = (
+            xns[:, before], zns[:, before], epsts[:, before]
+        )
 
     g = (epsts.swapaxes(-1, -2) @ epsts)[..., 0, 0]
     # The one divergence rule: 4T times the sum of squares of a trajectory's plant

@@ -292,12 +292,34 @@ class TestSimulate:
         assert payload["comm_rate"] == pytest.approx(payload["analytic_trigger"], abs=5e-4)
 
     @pytest.mark.parametrize("option", ["--trace", "--out"])
-    def test_unwritable_output_is_validation_error(self, capsys, tmp_path, option):
+    def test_unwritable_output_is_validation_error(self, capsys, tmp_path, monkeypatch, option):
+        """Both paths are checked before the run: one error line, nothing on stdout."""
         missing = tmp_path / "missing" / "file"
         config = small_config_file(tmp_path)
-        code, _, err = run_cli(capsys, "simulate", "--config", config, option, str(missing))
+
+        def no_run(config, trace_path=None):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        code, out, err = run_cli(capsys, "simulate", "--config", config, option, str(missing))
         assert_one_error_line(code, err)
         assert str(missing) in err
+        assert out == ""
+
+    def test_output_check_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        """A run that fails after the paths are checked leaves no empty output behind."""
+        trace, out_file = tmp_path / "trace.csv", tmp_path / "summary.json"
+
+        def diverged(config, trace_path=None):
+            raise ef.NumericError("all trajectories diverged; no summary available")
+
+        monkeypatch.setattr(cli, "run_scenario", diverged)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--config", small_config_file(tmp_path),
+            "--trace", str(trace), "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert not trace.exists() and not out_file.exists()
 
     def test_non_numeric_config_value_is_validation_error(self, capsys, tmp_path):
         config = small_config_file(tmp_path, beta="x")

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -16,6 +17,7 @@ import eventfdi as ef
 from eventfdi import ConfigError, NumericError
 from eventfdi import harness
 
+import _golden
 from _oracles import (
     random_psd,
     reference_summary,
@@ -935,6 +937,92 @@ class TestBatchedCore:
         revisit = _first_revisit(config, records.gamma)
         assume(revisit is not None and revisit < config.attack_start + harness._MEMO_GRACE)
         assert spy.call_count < config.steps - 1
+
+    @pytest.mark.parametrize("attack_start", [0, 5])
+    @pytest.mark.parametrize("mode", ["forward_only", "two_channel"])
+    # attack windows of blocks * block + extra steps: 1, block - 1, block, block + 1, 2 block + 1
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    @settings(max_examples=5, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        trajectories=st.sampled_from([1, 2, 3]),
+        block=st.integers(2, 6),
+        poisoned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_attack_blocks_match_scalar_reference(
+        self, attack_start, mode, blocks, extra, n, m, trajectories, block, poisoned, seed
+    ):
+        """Attack windows on both sides of the attack pass's block boundaries, bit for
+        bit on every record. A poisoned slice (a nan in its measurement noise in the
+        middle of the window) diverges without touching the others, and its records
+        match up to that step."""
+        steps = attack_start + blocks * block + extra
+        payload = dict(
+            _random_stable_payload(n, m, trajectories, mode, seed),
+            steps=steps, burn_in=attack_start, attack_start=attack_start,
+        )
+        config = ef.config_from_dict(payload)
+        poisoned_step = (attack_start + steps) // 2 if poisoned else steps
+        real = harness._noise
+
+        def noise(config, traj):
+            draws = real(config, traj)
+            if traj == 0 and poisoned:
+                draws[n + poisoned_step * (n + m) + n] = np.nan  # v of that step
+            return draws
+
+        with mock.patch.object(harness, "_attack_block", lambda n, m: block), \
+                mock.patch.object(harness, "_noise", noise):
+            records = harness._simulate(config)
+        assert records.diverged.tolist() == [poisoned and traj == 0 for traj in range(trajectories)]
+        for traj in range(trajectories):
+            if records.diverged[traj]:
+                assert np.isnan(records.zn[traj, poisoned_step]).all()
+                assert np.isnan(records.xa[traj, -1]).all() and np.isnan(records.z[traj, -1]).all()
+            reference = simulate_trajectory_reference(config, traj)
+            upto = poisoned_step if records.diverged[traj] else steps
+            for key, column in reference.items():
+                assert np.array_equal(getattr(records, key)[traj, :upto], column[:upto]), (key, traj)
+
+    def test_long_golden_window_spans_several_blocks(self):
+        payload, _ = _golden.RUNS["paper_long_window"]
+        config = ef.config_from_dict(payload)
+        block = harness._attack_block(config.model.n, config.model.m)
+        assert config.steps - config.attack_start > 2 * block + 1
+
+    def test_attack_pass_memory_does_not_grow_with_steps(self, paper_payload, monkeypatch):
+        """From 10 x 700 to 10 x 2800 attacked steps, the attack pass keeps the same
+        buffers, and the traced peak grows by no more than the per-step arrays the
+        run keeps: the records and the measurements, T * steps * (3n + 5m + 1)
+        doubles and two bools. The peak holds all of them, so the two growths are
+        equal to within what Python-side state, such as the memo's index of P+
+        patterns, adds: 1 % here. Blocks as long as the window would add about
+        5 MB."""
+        passes = []
+        real = harness._AttackPass
+
+        def spy(*args):
+            passes.append(real(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(harness, "_AttackPass", spy)
+        peaks, kept = [], []
+        for steps in (700, 2800):
+            config = ef.config_from_dict(dict(paper_payload, steps=steps, trajectories=10))
+            tracemalloc.start()
+            try:
+                harness._simulate(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            n, m, T = config.model.n, config.model.m, config.trajectories
+            kept.append(T * steps * (8 * (3 * n + 5 * m + 1) + 2))
+        buffers = [[getattr(p, name).nbytes for name in ("K", "L", "F", "prior", "post", "inc")]
+                   for p in passes]
+        assert buffers[0] == buffers[1] and passes[0].block < 700 - 100
+        assert peaks[1] - peaks[0] <= 1.01 * (kept[1] - kept[0]), (peaks, kept)
 
     def test_memo_capacity_stop_keeps_the_summary(self, paper_payload, monkeypatch):
         """A memo too small for the run stops at its capacity, once, and the

@@ -39,22 +39,23 @@ positive definite gets non-finite factors, where the scalar functions
 raise NumericError.
 
 The core runs in two parts. The received data eps_tilde = F^T z_nominal /
-mu + delta is built from the nominal innovation, so the scheduler decision,
-the covariance path and the memo depend on the nominal chain alone (x_n,
-z_nominal, P, L, F, K). The scheduler loop runs that chain one step at a
-time. The attacked estimate x_a, the attack effect x_tilde, the sensor
-innovation z and its whitening eps never feed back into it, so
+mu + delta is built from the nominal innovation, so the scheduler
+decision, the covariance path and the memo depend on the nominal chain
+alone (x_n, z_nominal, P, L, F, K). The scheduler loop runs that chain one
+step at a time. The attacked estimate x_a, the attack effect x_tilde, the
+sensor innovation z and its whitening eps never feed back into it, so
 _AttackPass computes them afterwards, one block of attacked steps at a
-time: x_a and x_tilde as one (T, 2, n, 1) recursion (x_a alone under
-forward_only) of one matmul and at most two adds per step, everything else
-as stacked products over the block. The
-recursions keep their bits because np.where(gamma, x + u, x) equals
-x + np.where(gamma, u, -0.0): x + (-0.0) is x for every double, signed
-zeros, infinities and nan included. The block length is what
-_ATTACK_PASS_BYTES holds per trajectory at the run's n and m, so the
-pass's buffers are O(T x block) whatever the number of steps. Under attack "off" the
-sensor's data is the received data and the remote estimate the nominal
-one, so xa, z and eps are the arrays xn, zn and epst.
+time. The loop makes the pass at attack_start, from x_n's posterior there,
+and hands it each attacked step: x_a and x_tilde are one (T, 2, n, 1)
+recursion (x_a alone under forward_only) of one matmul and at most two
+adds per step, everything else stacked products over the block. The
+recursions keep their bits because np.where(gamma, x + u, x) equals x +
+np.where(gamma, u, -0.0): x + (-0.0) is x for every double, signed zeros,
+infinities and nan included. The block length is what _ATTACK_PASS_BYTES
+holds per trajectory at the run's n and m, so the pass's buffers are O(T x
+block) whatever the number of steps. Under attack "off" the sensor's data
+is the received data and the remote estimate the nominal one, so xa, z and
+eps are the arrays xn, zn and epst.
 
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching
@@ -66,12 +67,13 @@ functions of the P+ bits and gamma alone, and F is served in the layout
 factor_stack gives it (np.matmul picks its kernel by strides). The
 attack-off path and the steps before the attack run no memo code.
 
-A trajectory diverges when its plant path or its records go non-finite,
-as the factors of an S that is not positive definite make them, or grow
-so large that a square the summary sums over the trajectories would
-overflow (an unstable plant does that). It is masked, not raised: its
-slice carries nan and inf without warnings, no operation mixes slices,
-and it is left out of the aggregates and the trace.
+A trajectory diverges when its plant states at the run's steps or its
+records go non-finite, as the factors of an S that is not positive
+definite make them, or grow so large that a square the summary sums over
+the trajectories would overflow (an unstable plant does that). It is
+masked, not raised: its slice carries nan and inf without warnings, no
+operation mixes slices, and it is left out of the aggregates and the
+trace.
 
 Memory: the measurements and every per-step record of every trajectory
 are kept until the run ends, T * steps * (3n + 5m + 1) doubles under an
@@ -614,26 +616,28 @@ def _attack_block(n: int, m: int) -> int:
 
 class _AttackPass:
     """x_a, x_tilde, z and eps of the attacked steps, one block at a time (see the
-    module docstring): push() takes a step's K, L, F and K z_nominal from the
-    scheduler loop, flush() computes the block. The estimates are one
-    (T, w, n, 1) stack: w = 2, x_a and x_tilde, under two_channel, else x_a."""
+    module docstring). Made at attack_start: x_a's first prior is A x_n, x_tilde's
+    is 0. push() takes a step's K, L, F and K z_nominal from the scheduler loop,
+    flush() computes the block. The estimates are one (T, w, n, 1) stack: w = 2,
+    x_a and x_tilde, under two_channel, else x_a."""
 
-    def __init__(self, config: ScenarioConfig, ys, gammas, xns, epsts, xas, zs, epss):
+    def __init__(self, config: ScenarioConfig, xn_post, ys, gammas, epsts, xas, zs, epss):
         model = config.model
         n, m, T = model.n, model.m, config.trajectories
         self.A, self.C, self.m = model.A, model.C, m
         self.mu, self.delta = config.attack_params.mu, config.attack_params.delta.reshape(m, 1)
         self.two_channel = config.attack_mode == "two_channel"
         w = 2 if self.two_channel else 1
-        self.ys, self.gammas, self.xns, self.epsts = ys, gammas, xns, epsts
+        self.ys, self.gammas, self.epsts = ys, gammas, epsts
         self.xas, self.zs, self.epss = xas, zs, epss
-        self.attack_start = self.start = config.attack_start  # start: first step of the open block
+        self.start = config.attack_start  # first step of the open block
         self.count = 0  # steps in the open block
         block = self.block = min(_attack_block(n, m), config.steps - self.start)
         # F as factor_stack lays it out: F for m <= 2, the contiguous F^T for m >= 3
         self.K, self.L, self.F = (np.empty((block, T, *shape)) for shape in ((n, m), (m, m), (m, m)))
         # prior[j] and post[j] of step j; prior[block] is the next block's prior[0]
-        self.prior = np.empty((block + 1, T, w, n, 1))
+        self.prior = np.zeros((block + 1, T, w, n, 1))
+        self.prior[0, :, 0] = self.A @ xn_post
         self.post = np.empty((block, T, w, n, 1))  # first the increments, then the posteriors
         self.inc = np.empty((block, T, n, 1)) if self.two_channel else None  # x_tilde's second
 
@@ -670,15 +674,6 @@ class _AttackPass:
             np.copyto(second, -0.0, where=silent)
         np.matmul(K, L @ epst, out=post[:, :, 0])
         np.copyto(post[:, :, 0], -0.0, where=silent)
-        if k0 == self.attack_start:
-            # x_a starts from the filter's posterior and x_tilde from 0; at k = 0
-            # x_a's prior is the filter's, 0, not A @ 0
-            posterior = np.zeros(prior.shape[1:])
-            if k0:
-                posterior[:, 0] = self.xns[:, k0 - 1]
-            np.matmul(self.A, posterior, out=prior[0])
-            if k0 == 0:
-                prior[0, :, 0] = 0.0
         for x_prior, x_post, x_next, inc in zip(
             prior, post, prior[1:], second if two_channel else itertools.repeat(None)
         ):
@@ -732,14 +727,13 @@ def _simulate(config: ScenarioConfig) -> _Records:
 
     filt = initial_filter_state(model)
     P, L, F, K = (np.broadcast_to(a, (T, *a.shape)) for a in (filt.P_prior, filt.L, filt.F, filt.K))
-    zeros = xn_post = np.zeros((T, n, 1))
+    xn_post = np.zeros((T, n, 1))
     gammas = np.empty((T, steps), dtype=bool)
     xns = np.empty((T, steps, n, 1))
     zns, epsts = (np.empty((T, steps, m, 1)) for _ in range(2))
     if attacked:
         xas = np.empty((T, steps, n, 1))
         zs, epss = (np.empty((T, steps, m, 1)) for _ in range(2))
-        attack = _AttackPass(config, ys, gammas, xns, epsts, xas, zs, epss)
     else:  # the received data is the sensor's, and the remote estimate the nominal one
         xas, zs, epss = xns, zns, epsts
 
@@ -753,29 +747,30 @@ def _simulate(config: ScenarioConfig) -> _Records:
     # Before the attack x_n is the filter; after, the received eps is built from
     # z_nominal, so nothing the attack pass computes feeds back into this loop.
     memo = _CovarianceMemo(n, m) if attacked else None
+    attack = None
     per_step = zip(*(a.swapaxes(0, 1) for a in (ys, zns, epsts, xns, gammas)))
     for k, (y, zn, epst, xn, gamma) in enumerate(per_step):
-        active = attacked and k >= config.attack_start
+        if attacked and k == config.attack_start:
+            attack = _AttackPass(config, xn_post, ys, gammas, epsts, xas, zs, epss)
         if k > 0:
-            P, L, F, K = memo.prior(P_post, prior) if active else prior(P_post)
+            P, L, F, K = memo.prior(P_post, prior) if attack is not None else prior(P_post)
         xn_prior = A @ xn_post
         z_nominal = np.subtract(y, C @ xn_prior, out=zn)
         eps_received = np.matmul(F.swapaxes(-1, -2), z_nominal, out=epst)
-        if active:
+        if attack is not None:
             eps_received /= mu
             eps_received += delta
 
         np.logical_not(np.abs(eps_received).max(axis=(1, 2)) <= beta, out=gamma)
         fired = gamma[:, None, None]
-        if not (active and memo.advance(gamma)):
+        if attack is None or not memo.advance(gamma):
             P_post = _sym(P - np.where(fired, 1.0, kappa_beta) * (K @ (C @ P)))
-        if active:
-            gain = attack.push(K, L, F, z_nominal)
-        else:
+        if attack is None:
             gain = K @ (L @ eps_received)
-        x_prior = zeros if k == 0 and not active else xn_prior  # the filter starts at 0, not A @ 0
-        xn_post = np.add(x_prior, np.where(fired, gain, -0.0), out=xn)
-        if active and attack.count == attack.block:
+        else:
+            gain = attack.push(K, L, F, z_nominal)
+        xn_post = np.add(xn_prior, np.where(fired, gain, -0.0), out=xn)
+        if attack is not None and attack.count == attack.block:
             attack.flush()
 
     if attacked:
@@ -787,9 +782,11 @@ def _simulate(config: ScenarioConfig) -> _Records:
 
     g = (epsts.swapaxes(-1, -2) @ epsts)[..., 0, 0]
     # The one divergence rule: 4T times the sum of squares of a trajectory's plant
-    # path and records is not finite. A squared error, product or sum that the
-    # summary forms over at most T trajectories stays below that, so it is finite.
-    flat = (a.reshape(T, -1) for a in (xs, ys, xns, xas, zs, zns, epss, epsts))
+    # states at the run's steps and its records, each array once, is not finite. A
+    # squared error, product or sum that the summary forms over at most T
+    # trajectories stays below that, so it is finite.
+    kept = (xs[:, :steps], ys, xns, zns, epsts) + ((xas, zs, epss) if attacked else ())
+    flat = (a.reshape(T, -1) for a in kept)
     energy = sum(np.einsum("ij,ij->i", a, a) for a in flat)
     return _Records(
         gamma=gammas,

@@ -641,18 +641,26 @@ class TestDivergence:
         clean_rows = _trace_rows_by_trajectory(clean_path)
         assert _trace_rows_by_trajectory(faulty_path) == {t: clean_rows[t] for t in survivors}
         assert np.array_equal(result.traj_bias_means, clean.traj_bias_means[survivors])
+        if not masked:
+            assert json.dumps(result.summary.to_dict()) == json.dumps(clean.summary.to_dict())
 
-    def test_partial_divergence_flag(self, paper_payload, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("last_w", [False, True], ids=["middle_draw", "last_step_w"])
+    def test_partial_divergence_flag(self, paper_payload, tmp_path, monkeypatch, last_w):
+        """A nan draw masks its trajectory alone. One in the process noise w of the
+        last step reaches only the plant state after it, which no record holds, so
+        nothing is masked and the summary is the clean run's."""
+        config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=3))
+        n, m = config.model.n, config.model.m
         real = harness._noise
 
         def poisoned(config, traj):
             draws = real(config, traj)
             if traj == 1:
-                draws[len(draws) // 2] = np.nan
+                draws[n + (config.steps - 1) * (n + m) if last_w else len(draws) // 2] = np.nan
             return draws
 
-        config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=3))
-        self._assert_only_masked(config, tmp_path, monkeypatch, "_noise", poisoned)
+        masked = () if last_w else (1,)
+        self._assert_only_masked(config, tmp_path, monkeypatch, "_noise", poisoned, masked)
 
     def test_indefinite_innovation_covariance_masked(self, paper_payload, tmp_path, monkeypatch):
         real = harness.factor_stack
@@ -875,6 +883,13 @@ def _first_revisit(config, gammas):
     return next((k for k, row in enumerate(zip(*revisits)) if all(row)), None)
 
 
+def _assert_same_bits(actual, expected, label):
+    """Same dtype, shape and bytes; np.array_equal would take -0.0 for 0.0."""
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), label
+    assert actual.tobytes() == expected.tobytes(), label
+
+
 class TestBatchedCore:
     """The batched step loop and its summary against the scalar reference loop, bit for bit."""
 
@@ -895,7 +910,7 @@ class TestBatchedCore:
         rows = []
         for traj, reference in enumerate(references):
             for key, column in reference.items():
-                assert np.array_equal(getattr(records, key)[traj], column), (key, traj)
+                _assert_same_bits(getattr(records, key)[traj], column, (key, traj))
             rows += reference_trace_rows(reference, traj)
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -929,7 +944,7 @@ class TestBatchedCore:
         assert not records.diverged.any()
         for traj in range(trajectories):
             for key, column in simulate_trajectory_reference(config, traj).items():
-                assert np.array_equal(getattr(records, key)[traj], column), (key, traj)
+                _assert_same_bits(getattr(records, key)[traj], column, (key, traj))
 
         # Every P+ of the attack window becomes a node, so the step after a common
         # revisit finds them all and is served, unless the memo has stopped, which
@@ -984,7 +999,7 @@ class TestBatchedCore:
             reference = simulate_trajectory_reference(config, traj)
             upto = poisoned_step if records.diverged[traj] else steps
             for key, column in reference.items():
-                assert np.array_equal(getattr(records, key)[traj, :upto], column[:upto]), (key, traj)
+                _assert_same_bits(getattr(records, key)[traj, :upto], column[:upto], (key, traj))
 
     def test_long_golden_window_spans_several_blocks(self):
         payload, _ = _golden.RUNS["paper_long_window"]

@@ -150,7 +150,7 @@ def _cmd_simulate(args) -> int:
     overrides = {"attack_mode": args.attack, "seed": args.seed}
     config = _load(args, **{k: v for k, v in overrides.items() if v is not None})
     for path in (args.trace, args.out):  # before the run, so that a bad path costs no run
-        if path:
+        if path is not None:
             _check_writable(path)
     result = run_scenario(config, trace_path=args.trace)
     payload = result.summary.to_dict()
@@ -158,7 +158,7 @@ def _cmd_simulate(args) -> int:
         payload["divergence"] = result.diverged
     text = _json(payload)
     sys.stdout.write(text)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     return EXIT_NUMERIC if result.diverged else EXIT_OK
@@ -195,7 +195,7 @@ def _cmd_sweep(args) -> int:
     steady = riccati_fixed_point(config.model)
     points = analysis.mu_sweep(args.mu_grid, steady, config.model)
     text = "mu,trace\n" + "".join(f"{p.mu:.17g},{p.trace:.17g}\n" for p in points)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     else:

@@ -99,12 +99,12 @@ def factor_stack(S: np.ndarray):
     The closed forms run elementwise for m <= 2; for m >= 3 the LAPACK
     kernels behind np.linalg.cholesky and np.linalg.inv run without those
     wrappers, which raise for the whole stack, and F is the transposed view
-    of the inverse. A matrix that is not positive definite gets non-finite
-    factors instead, for every m (all nan for m >= 3; the closed forms keep
-    their structural zeros), so its whitened innovation, hence its
-    statistic, is non-finite; no other slice of a stack is touched. Such a
-    matrix sets the invalid or divide flag, so the caller's np.errstate
-    decides whether it warns.
+    of the inverse, as f_storage states. A matrix that is not positive
+    definite gets non-finite factors instead, for every m (all nan for m >= 3;
+    the closed forms keep their structural zeros), so its whitened
+    innovation, hence its statistic, is non-finite; no other slice of a
+    stack is touched. Such a matrix sets the invalid or divide flag, so the
+    caller's np.errstate decides whether it warns.
     """
     m = S.shape[-1]
     if m == 1:
@@ -122,6 +122,12 @@ def factor_stack(S: np.ndarray):
         return L, F
     L = _umath_linalg.cholesky_lo(S, signature="d->d")
     return L, _umath_linalg.inv(L, signature="d->d").swapaxes(-1, -2)
+
+
+def f_storage(F: np.ndarray) -> np.ndarray:
+    """factor_stack's F to the C-contiguous array behind it and back (F for m <= 2, F^T
+    for m >= 3): np.matmul picks its kernel by strides, so a copy of F stores this."""
+    return F.swapaxes(-1, -2) if F.shape[-1] >= 3 else F
 
 
 def _derived(P_prior: np.ndarray, model: SystemModel):

@@ -47,8 +47,8 @@ sensor innovation z and its whitening eps never feed back into it, so
 _AttackPass computes them afterwards, one block of attacked steps at a
 time. The loop makes the pass at attack_start, from x_n's posterior there,
 and hands it each attacked step: x_a and x_tilde are one (T, 2, n, 1)
-recursion (x_a alone under forward_only) of one matmul and at most two
-adds per step, everything else stacked products over the block. The
+recursion of one matmul and two adds per step, the rest stacked products
+over the block; the attack mode decides only the sensor's z. The
 recursions keep their bits because np.where(gamma, x + u, x) equals x +
 np.where(gamma, u, -0.0): x + (-0.0) is x for every double, signed zeros,
 infinities and nan included. The block length is what _ATTACK_PASS_BYTES
@@ -63,17 +63,16 @@ P+ bits it reached before. On attacked steps (k >= attack_start) the run's
 _CovarianceMemo serves the prior (P, L, F, K) and the next P+ when it has
 seen every slice's (P+, gamma) before, and computes the step as above
 otherwise. It is exact: those values, non-finite factors included, are
-functions of the P+ bits and gamma alone, and F is served in the layout
-factor_stack gives it (np.matmul picks its kernel by strides). The
+functions of the P+ bits and gamma alone, and F is stored and served
+through estimator.f_storage, so it keeps factor_stack's layout. The
 attack-off path and the steps before the attack run no memo code.
 
-A trajectory diverges when its plant states at the run's steps or its
-records go non-finite, as the factors of an S that is not positive
-definite make them, or grow so large that a square the summary sums over
-the trajectories would overflow (an unstable plant does that). It is
-masked, not raised: its slice carries nan and inf without warnings, no
-operation mixes slices, and it is left out of the aggregates and the
-trace.
+A trajectory diverges when its plant states or its records go non-finite,
+as the factors of an S that is not positive definite make them, or grow
+so large that a square the summary sums over the trajectories would
+overflow (an unstable plant does that). It is masked, not raised: its
+slice carries nan and inf without warnings, no operation mixes slices,
+and it is left out of the aggregates and the trace.
 
 Memory: the measurements and every per-step record of every trajectory
 are kept until the run ends, T * steps * (3n + 5m + 1) doubles under an
@@ -81,8 +80,8 @@ attack and T * steps * (2n + 3m + 1) with it off (three records are
 shared); the noise block is freed before the filter loop, and the
 summary's reductions hold one or two window-sized temporaries at a time:
 about 37 MB for the paper's 50 x 4200 run. The attack pass holds about
-_ATTACK_PASS_BYTES (8 KiB) more per trajectory, and at least one step's
-worth: 27 steps on the paper system. The memo
+_ATTACK_PASS_BYTES (8 KiB) more per trajectory under either attacked mode,
+and at least one step's worth: 27 steps on the paper system. The memo
 holds at most _MEMO_NODES nodes of n^2 + 2m^2 + nm doubles each, plus an
 n^2-double key: the paper's attacked runs make about 450 nodes at 10 x 700,
 2,200 at 50 x 4200 and 7,400 at 200 x 700. Measured peaks are in
@@ -109,7 +108,7 @@ from .attack import (
 )
 from .detector import DetectorConfig, check_thresholds, design_threshold
 from .errors import ConfigError, DivergenceError, DomainError, ModelError, NumericError
-from .estimator import _sym, factor_stack, initial_filter_state, riccati_fixed_point
+from .estimator import _sym, f_storage, factor_stack, initial_filter_state, riccati_fixed_point
 from .model import RandomSource, SystemModel
 from .special import _check_dof, kappa
 
@@ -519,10 +518,8 @@ class _CovarianceMemo:
     prior computed from it, the next step's (P, L, F, K); (node, gamma) ->
     node' is the P+ that step leaves. Each is a function of the P+ bits and
     gamma alone, the non-finite factors of an S that is not positive
-    definite included, so a served step has the bits of a computed one. F
-    keeps the layout factor_stack gives it, since np.matmul picks its
-    kernel by strides: for m >= 3 that is a transposed view, so the table
-    holds F^T.
+    definite included, so a served step has the bits of a computed one. The
+    F table holds f_storage(F), so a served F has factor_stack's layout.
 
     The memo stops for the rest of the run when the table would pass
     _MEMO_NODES, or when it has computed _MEMO_GRACE more steps than it
@@ -530,7 +527,6 @@ class _CovarianceMemo:
     """
 
     def __init__(self, n: int, m: int):
-        self.f_view = m >= 3
         self.index = {}  # P+ bytes -> node
         # np.empty reserves the tables; only the rows written take memory
         shapes = ((n, n), (m, m), (m, m), (n, m))
@@ -564,7 +560,7 @@ class _CovarianceMemo:
             self.lag -= 1
             if self.held is None or nodes.tobytes() != self.held.tobytes():
                 P, L, F, K = (table.take(nodes, axis=0) for table in self.tables)
-                self.stacks = P, L, F.swapaxes(-1, -2) if self.f_view else F, K
+                self.stacks = P, L, f_storage(F), K
         if self.nodes is None and nodes is not None and self.last is not None:
             self.next[self.last] = nodes
         self.nodes = self.held = nodes
@@ -592,7 +588,7 @@ class _CovarianceMemo:
         nodes = np.array([self.index.setdefault(key, len(self.index)) for key in keys])
         self.next[known:len(self.index)] = -1
         P, L, F, K = stacks
-        for table, stack in zip(self.tables, (P, L, F.swapaxes(-1, -2) if self.f_view else F, K)):
+        for table, stack in zip(self.tables, (P, L, f_storage(F), K)):
             table[nodes] = stack
         return nodes
 
@@ -618,28 +614,27 @@ class _AttackPass:
     """x_a, x_tilde, z and eps of the attacked steps, one block at a time (see the
     module docstring). Made at attack_start: x_a's first prior is A x_n, x_tilde's
     is 0. push() takes a step's K, L, F and K z_nominal from the scheduler loop,
-    flush() computes the block. The estimates are one (T, w, n, 1) stack: w = 2,
-    x_a and x_tilde, under two_channel, else x_a."""
+    flush() computes the block. x_a and x_tilde are one (T, 2, n, 1) stack under
+    both attacked modes; the mode decides only the sensor's z."""
 
     def __init__(self, config: ScenarioConfig, xn_post, ys, gammas, epsts, xas, zs, epss):
         model = config.model
         n, m, T = model.n, model.m, config.trajectories
-        self.A, self.C, self.m = model.A, model.C, m
+        self.A, self.C = model.A, model.C
         self.mu, self.delta = config.attack_params.mu, config.attack_params.delta.reshape(m, 1)
         self.two_channel = config.attack_mode == "two_channel"
-        w = 2 if self.two_channel else 1
         self.ys, self.gammas, self.epsts = ys, gammas, epsts
         self.xas, self.zs, self.epss = xas, zs, epss
         self.start = config.attack_start  # first step of the open block
         self.count = 0  # steps in the open block
         block = self.block = min(_attack_block(n, m), config.steps - self.start)
-        # F as factor_stack lays it out: F for m <= 2, the contiguous F^T for m >= 3
+        # K, L and f_storage(F) of each step of the block
         self.K, self.L, self.F = (np.empty((block, T, *shape)) for shape in ((n, m), (m, m), (m, m)))
         # prior[j] and post[j] of step j; prior[block] is the next block's prior[0]
-        self.prior = np.zeros((block + 1, T, w, n, 1))
+        self.prior = np.zeros((block + 1, T, 2, n, 1))
         self.prior[0, :, 0] = self.A @ xn_post
-        self.post = np.empty((block, T, w, n, 1))  # first the increments, then the posteriors
-        self.inc = np.empty((block, T, n, 1)) if self.two_channel else None  # x_tilde's second
+        self.post = np.empty((block, T, 2, n, 1))  # first the increments, then the posteriors
+        self.inc = np.empty((block, T, n, 1))  # x_tilde's second increment
 
     def push(self, K, L, F, z_nominal) -> np.ndarray:
         """Take one attacked step's factors and return K z_nominal."""
@@ -647,12 +642,12 @@ class _AttackPass:
         self.count += 1
         np.copyto(self.K[j], K)
         np.copyto(self.L[j], L)
-        np.copyto(self.F[j], F.swapaxes(-1, -2) if self.m >= 3 else F)
-        return np.matmul(K, z_nominal, out=self.post[j, :, -1])  # x_tilde's first increment
+        np.copyto(self.F[j], f_storage(F))
+        return np.matmul(K, z_nominal, out=self.post[j, :, 1])  # x_tilde's first increment
 
     def flush(self) -> None:
         """Compute the open block's steps and write their x_a, z and eps records."""
-        b, k0, two_channel = self.count, self.start, self.two_channel
+        b, k0 = self.count, self.start
         if not b:
             return
         window = slice(k0, k0 + b)
@@ -660,36 +655,29 @@ class _AttackPass:
         ys, epst, xas, zs, epss = (
             a[:, window].swapaxes(0, 1) for a in (self.ys, self.epsts, self.xas, self.zs, self.epss)
         )
-        K, L, F = self.K[:b], self.L[:b], self.F[:b]
+        K, L, F = self.K[:b], self.L[:b], f_storage(self.F[:b])
         gamma = self.gammas[:, window].T
         silent = ~gamma[..., None, None]
-        prior, post = self.prior, self.post[:b]
+        prior, post, second = self.prior, self.post[:b], self.inc[:b]
 
         # np.where(gamma, x + u, x) == x + np.where(gamma, u, -0.0): x + (-0.0) is x
-        if two_channel:
-            kz = post[:, :, 1]
-            np.multiply((gamma / self.mu - gamma)[..., None, None], kz, out=kz)
-            second = self.inc[:b]
-            np.matmul(K, L @ self.delta, out=second)
-            np.copyto(second, -0.0, where=silent)
+        post[:, :, 1] *= (gamma / self.mu - gamma)[..., None, None]
+        np.matmul(K, L @ self.delta, out=second)
+        np.copyto(second, -0.0, where=silent)
         np.matmul(K, L @ epst, out=post[:, :, 0])
         np.copyto(post[:, :, 0], -0.0, where=silent)
-        for x_prior, x_post, x_next, inc in zip(
-            prior, post, prior[1:], second if two_channel else itertools.repeat(None)
-        ):
+        for x_prior, x_post, x_next, inc in zip(prior, post, prior[1:], second):
             np.add(x_prior, x_post, out=x_post)
-            if two_channel:
-                x_post[:, 1] += inc
+            x_post[:, 1] += inc
             np.matmul(self.A, x_post, out=x_next)
 
         np.copyto(xas, post[:, :, 0])
         C_prior = self.C @ prior[:b]
-        if two_channel:
-            np.subtract(C_prior[:, :, 0], C_prior[:, :, 1], out=zs)  # alpha = -C xtilde^-
-            np.subtract(ys, zs, out=zs)
-        else:
-            np.subtract(ys, C_prior[:, :, 0], out=zs)
-        np.matmul(F if self.m >= 3 else F.swapaxes(-1, -2), zs, out=epss)
+        seen = C_prior[:, :, 0]
+        if self.two_channel:  # the feedback alpha = -C xtilde^- reaches the sensor
+            seen = np.subtract(seen, C_prior[:, :, 1], out=zs)
+        np.subtract(ys, seen, out=zs)
+        np.matmul(F.swapaxes(-1, -2), zs, out=epss)
         prior[0] = prior[b]
         self.start += b
         self.count = 0
@@ -716,13 +704,14 @@ def _simulate(config: ScenarioConfig) -> _Records:
     # The plant does not see the estimator, so its whole path comes first.
     draws = np.stack([_noise(config, traj) for traj in range(T)])[..., None]
     noise = draws[:, n:].reshape(T, steps, n + m, 1)
-    w = model._q_factor @ noise[:, :, :n]
-    xs = np.empty((T, steps + 1, n, 1))
+    # the last step's process noise is drawn but moves no state the run records
+    w = model._q_factor @ noise[:, :-1, :n]
+    xs = np.empty((T, steps, n, 1))
     xs[:, 0] = model._xi0_factor @ draws[:, :n]
-    for k in range(steps):
+    for k in range(steps - 1):
         np.matmul(A, xs[:, k], out=xs[:, k + 1])
         xs[:, k + 1] += w[:, k]
-    ys = C @ xs[:, :steps] + model._r_factor @ noise[:, :, n:]
+    ys = C @ xs + model._r_factor @ noise[:, :, n:]
     del draws, noise, w
 
     filt = initial_filter_state(model)
@@ -782,17 +771,17 @@ def _simulate(config: ScenarioConfig) -> _Records:
 
     g = (epsts.swapaxes(-1, -2) @ epsts)[..., 0, 0]
     # The one divergence rule: 4T times the sum of squares of a trajectory's plant
-    # states at the run's steps and its records, each array once, is not finite. A
-    # squared error, product or sum that the summary forms over at most T
-    # trajectories stays below that, so it is finite.
-    kept = (xs[:, :steps], ys, xns, zns, epsts) + ((xas, zs, epss) if attacked else ())
+    # states and its records, each array once, is not finite. A squared error,
+    # product or sum that the summary forms over at most T trajectories stays below
+    # that, so it is finite.
+    kept = (xs, ys, xns, zns, epsts) + ((xas, zs, epss) if attacked else ())
     flat = (a.reshape(T, -1) for a in kept)
     energy = sum(np.einsum("ij,ij->i", a, a) for a in flat)
     return _Records(
         gamma=gammas,
         alarm=g >= config.detector.sigma,
         g=g,
-        x=xs[:, :steps, :, 0],
+        x=xs[..., 0],
         xn=xns[..., 0],
         xa=xas[..., 0],
         z=zs[..., 0],

@@ -160,6 +160,7 @@ def _run_entries(name: str, payload: dict, fault, tmp: Path) -> dict:
 # ---------------------------------------------------------------- CLI
 
 COMMANDS = {
+    "reproduce-paper": ["reproduce-paper"],
     "reproduce-paper --quick": ["reproduce-paper", "--quick"],
     "analyze": ["analyze"],
     "sweep": ["sweep"],

@@ -291,10 +291,14 @@ class TestSimulate:
         assert payload["trajectory_count"] == 50 and payload["step_count"] == 4000
         assert payload["comm_rate"] == pytest.approx(payload["analytic_trigger"], abs=5e-4)
 
+    @pytest.mark.parametrize("empty", [False, True], ids=["missing_dir", "empty"])
     @pytest.mark.parametrize("option", ["--trace", "--out"])
-    def test_unwritable_output_is_validation_error(self, capsys, tmp_path, monkeypatch, option):
-        """Both paths are checked before the run: one error line, nothing on stdout."""
-        missing = tmp_path / "missing" / "file"
+    def test_unwritable_output_is_validation_error(
+        self, capsys, tmp_path, monkeypatch, option, empty
+    ):
+        """Both paths, an empty one too, are checked before the run: one error line,
+        nothing on stdout."""
+        missing = "" if empty else tmp_path / "missing" / "file"
         config = small_config_file(tmp_path)
 
         def no_run(config, trace_path=None):
@@ -303,7 +307,7 @@ class TestSimulate:
         monkeypatch.setattr(cli, "run_scenario", no_run)
         code, out, err = run_cli(capsys, "simulate", "--config", config, option, str(missing))
         assert_one_error_line(code, err)
-        assert str(missing) in err
+        assert repr(str(missing)) in err
         assert out == ""
 
     def test_output_check_leaves_no_file(self, capsys, tmp_path, monkeypatch):
@@ -503,12 +507,13 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err.startswith("numeric error: attacked covariance diverges; A has spectral radius")
 
-    def test_unwritable_output_is_validation_error(self, capsys, tmp_path):
-        missing = tmp_path / "missing" / "sweep.csv"
+    @pytest.mark.parametrize("empty", [False, True], ids=["missing_dir", "empty"])
+    def test_unwritable_output_is_validation_error(self, capsys, tmp_path, empty):
+        missing = "" if empty else tmp_path / "missing" / "sweep.csv"
         code, out, err = run_cli(capsys, "sweep", "--mu-grid", "1,2", "--out", str(missing))
         assert out == ""
         assert_one_error_line(code, err)
-        assert str(missing) in err
+        assert repr(str(missing)) in err
 
 
 class TestLargeSystem:

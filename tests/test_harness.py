@@ -583,12 +583,21 @@ class TestSummary:
 
 class TestCrossModeConsistency:
     def test_received_stream_identical(self, paper_payload, tmp_path):
-        """forward_only and two_channel feed the estimator the same bytes."""
-        results = {}
-        for mode in ("forward_only", "two_channel"):
-            config = ef.config_from_dict(
+        """forward_only and two_channel feed the estimator the same bytes: every record
+        but the sensor's z and eps has the same bits in both, and so have the received
+        and remote columns of the trace."""
+        configs = {
+            mode: ef.config_from_dict(
                 dict(paper_payload, steps=240, trajectories=2, burn_in=200, attack_mode=mode)
             )
+            for mode in ("forward_only", "two_channel")
+        }
+        forward, two = (harness._simulate(config) for config in configs.values())
+        for item in dataclasses.fields(harness._Records):
+            if item.name not in ("z", "eps"):
+                _assert_same_bits(getattr(forward, item.name), getattr(two, item.name), item.name)
+        results = {}
+        for mode, config in configs.items():
             path = tmp_path / f"{mode}.csv"
             ef.run_scenario(config, trace_path=path)
             lines = path.read_text().splitlines()

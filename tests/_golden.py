@@ -4,7 +4,8 @@ tests/golden/digests.json holds one digest per entry:
 - `run/<name>/summary`: the JSON of `summary.to_dict()`;
 - `run/<name>/<field>`: every other `RunResult` field, as dtype, shape and bytes;
 - `run/<name>/trace`: the bytes of the trace CSV;
-- `cli/<command>`: the exit code and stdout of a CLI subcommand;
+- `cli/<command>`: the exit code and stdout of a CLI subcommand (`reproduce-paper`:
+  of `cli.report` on `paper_reproduction()`, the runs its acceptance tests read);
 - `grid/<output>`: one analysis output over a fixed grid of random stable systems;
 - `n12/<output>`, `n16/<output>`: each analysis output of one random stable system
   with n = 12 or 16, past the Kronecker range of the Lyapunov solves.
@@ -19,12 +20,14 @@ purpose rewrites the file and says which entries changed and why:
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -159,8 +162,16 @@ def _run_entries(name: str, payload: dict, fault, tmp: Path) -> dict:
 
 # ---------------------------------------------------------------- CLI
 
+@functools.cache
+def paper_reproduction() -> tuple:
+    """`cli.reproduce_paper()` at the paper's budget and its wall seconds, computed once
+    per process: tests/conftest.py's paper fixtures are views of the same runs."""
+    start = time.perf_counter()
+    reproduction = cli.reproduce_paper()
+    return reproduction, time.perf_counter() - start
+
+
 COMMANDS = {
-    "reproduce-paper": ["reproduce-paper"],
     "reproduce-paper --quick": ["reproduce-paper", "--quick"],
     "analyze": ["analyze"],
     "sweep": ["sweep"],
@@ -171,10 +182,11 @@ COMMANDS = {
 }
 
 
-def _cli_entry(argv) -> str:
+def _stdout_entry(command) -> str:
+    """The digest of command()'s return code and what it prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
+        code = command()
     return _hash(code, out.getvalue())
 
 
@@ -279,7 +291,10 @@ def compute() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, (payload, fault) in RUNS.items():
             entries.update(_run_entries(name, payload, fault, Path(tmp)))
-    entries.update({f"cli/{name}": _cli_entry(argv) for name, argv in COMMANDS.items()})
+    for name, argv in COMMANDS.items():
+        entries[f"cli/{name}"] = _stdout_entry(lambda: cli.main(list(argv)))
+    # what `reproduce-paper` prints, from the runs the acceptance tests read
+    entries["cli/reproduce-paper"] = _stdout_entry(lambda: cli.report(paper_reproduction()[0]))
     entries.update(_grid_entries())
     entries.update(_large_entries())
     return entries

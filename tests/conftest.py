@@ -1,11 +1,12 @@
 import os
-import time
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import eventfdi as ef
+
+import _golden
 
 # CI runs every property test on the same examples and without a per-example
 # deadline, so a result does not depend on the draw or on the runner's speed.
@@ -34,25 +35,28 @@ def steady(paper_model):
 
 
 @pytest.fixture(scope="session")
-def nominal_big(paper_payload):
-    """Nominal run with 2e5 post-burn-in steps; returns (result, wall seconds)."""
-    config = ef.config_from_dict(dict(paper_payload, attack_mode="off"))
-    t0 = time.time()
-    result = ef.run_scenario(config)
-    return result, time.time() - t0
+def reproduction():
+    """`eventfdi.cli.reproduce_paper()` at the paper's budget, run once per session; the
+    golden test hashes `reproduce-paper`'s report of the same runs."""
+    return _golden.paper_reproduction()[0]
 
 
 @pytest.fixture(scope="session")
-def attacked_big(paper_config):
+def nominal_big(reproduction):
+    """Nominal run with 2e5 post-burn-in steps."""
+    return reproduction.nominal
+
+
+@pytest.fixture(scope="session")
+def attacked_big(reproduction):
     """Two-channel attacked run with 2e5 post-burn-in steps."""
-    return ef.run_scenario(paper_config)
+    return reproduction.attacked
 
 
 @pytest.fixture(scope="session")
-def bias_run(paper_payload):
+def bias_run(reproduction):
     """200 trajectories x 500 post-burn-in steps under the two-channel attack."""
-    config = ef.config_from_dict(dict(paper_payload, steps=700, trajectories=200))
-    return ef.run_scenario(config)
+    return reproduction.bias_run
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 """Acceptance suite: the published experiment reproduced end to end.
 
-Each test covers one exit criterion at its stated tolerance and prints one
-PASS line (visible with pytest -s or in the captured output).
+`test_gate` asserts each row of `eventfdi.cli.GATES`, the one table of the
+acceptance gates, on the full-budget reproduction that `reproduce-paper` prints
+(the `reproduction` fixture, run once per session). The classes below make the
+checks that only this suite makes, by criterion number. Each prints one PASS
+line (visible with pytest -s or in the captured output).
 """
 
 import json
@@ -12,8 +15,10 @@ import numpy as np
 import pytest
 
 import eventfdi as ef
+from eventfdi.cli import GATES, evaluate
 from eventfdi.cli import main as cli_main
 
+import _golden
 from _oracles import marcum_quad
 
 
@@ -21,9 +26,16 @@ def _report(num: int, text: str) -> None:
     print(f"PASS criterion {num:2d}: {text}")
 
 
+@pytest.mark.parametrize("gate", GATES, ids=[gate.name for gate in GATES])
+def test_gate(gate, reproduction):
+    ok, line = evaluate(gate, reproduction)
+    print(line)
+    assert ok, line
+
+
 class TestC01SolverReproduction:
     def test_solver_reproduction(self, capsys):
-        t0 = time.time()
+        t0 = time.perf_counter()
         code = cli_main(
             [
                 "solve",
@@ -34,7 +46,7 @@ class TestC01SolverReproduction:
                 "--dof", "3",
             ]
         )
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
@@ -50,129 +62,66 @@ class TestC01SolverReproduction:
         )
 
 
-class TestC02ThresholdDesign:
-    def test_threshold_design(self):
-        sigma = ef.chi2_quantile(0.01, 3)
-        assert sigma == pytest.approx(11.345, abs=5e-3)
-        # the published attack target 99.87% is the rounded display of
-        # Phi(3) = 0.99865; the confidence level it encodes is 3
-        psi = ef.SuccessCriteria(M=0.99865, Upsilon=0.01).Psi
-        assert psi == pytest.approx(3.000, abs=1e-3)
-        _report(2, f"sigma = {sigma:.4f} (11.345 +/- 5e-3), Psi = {psi:.5f} (3.000 +/- 1e-3)")
-
-
 class TestC03NominalCommunicationRate:
     def test_nominal_communication_rate(self, nominal_big):
-        result, elapsed = nominal_big
-        s = result.summary
+        s = nominal_big.summary
         n = s.step_count * s.trajectory_count
         assert n >= 200_000
-        assert s.comm_rate == pytest.approx(0.2969, abs=5e-3)
         closed_form = 1.0 - (1.0 - 2.0 * ef.gaussian_q(1.4)) ** 2
         se = math.sqrt(closed_form * (1.0 - closed_form) / n)
         assert abs(s.comm_rate - closed_form) <= 3 * se
+        _, elapsed = _golden.paper_reproduction()  # every paper run, the nominal one included
         assert elapsed < 30.0
         _report(
             3,
-            f"nominal rate {s.comm_rate:.5f} vs 0.2969 +/- 0.005 and closed form "
-            f"{closed_form:.5f} within 3 SE ({3 * se:.2e}); run {elapsed:.1f} s < 30 s",
+            f"nominal rate {s.comm_rate:.5f} within 3 SE ({3 * se:.2e}) of the closed form "
+            f"{closed_form:.5f}; the paper runs took {elapsed:.1f} s < 30 s",
         )
 
 
 class TestC04AttackedCommunicationRate:
     def test_attacked_communication_rate(self, attacked_big):
         s = attacked_big.summary
-        n = s.step_count * s.trajectory_count
-        assert n >= 200_000
+        assert s.step_count * s.trajectory_count >= 200_000
         assert s.comm_rate >= 0.997
-        se = math.sqrt(s.analytic_trigger * (1.0 - s.analytic_trigger) / n)
-        assert abs(s.comm_rate - s.analytic_trigger) <= 3 * se
         _report(
             4,
-            f"attacked rate {s.comm_rate:.5f} >= 0.997 and within 3 SE "
-            f"({3 * se:.2e}) of analytic {s.analytic_trigger:.5f} "
+            f"attacked rate {s.comm_rate:.5f} >= 0.997 "
             "(published 99.98% is not derivable from its own constraints)",
         )
 
 
 class TestC05DetectorStealth:
     def test_detector_stealth(self, attacked_big, nominal_big):
-        attacked = attacked_big.summary
-        nominal = nominal_big[0].summary
-        n = nominal.step_count * nominal.trajectory_count
-        assert attacked.alarm_rate <= 0.012
-        expected = ef.chi2_survival(11.34, 2)
-        se = math.sqrt(expected * (1.0 - expected) / n)
-        assert abs(nominal.alarm_rate - expected) <= 3 * se
+        # the attacked band is tighter than the gate's cap of 0.012 on the same rate
+        nominal, attacked = nominal_big.summary, attacked_big.summary
+        chi2_tail = ef.chi2_survival(11.34, 2)
+        for s, expected in ((nominal, chi2_tail), (attacked, attacked.analytic_alarm)):
+            se = math.sqrt(expected * (1.0 - expected) / (s.step_count * s.trajectory_count))
+            assert abs(s.alarm_rate - expected) <= 3 * se
         _report(
             5,
-            f"attacked alarm {attacked.alarm_rate:.5f} <= 0.012; nominal alarm "
-            f"{nominal.alarm_rate:.5f} within 3 SE of exp(-11.34/2) = {expected:.5f}",
-        )
-
-
-class TestC06FeedbackCancellation:
-    def test_feedback_cancellation(self, attacked_big):
-        # max_i |z_sensor - z_nominal|_i / (1 + |z_nominal_i|) over every
-        # attacked step of the entire run
-        assert attacked_big.cancellation_max <= 1e-9
-        _report(
-            6,
-            f"sensor-side innovation equals nominal to {attacked_big.cancellation_max:.2e} "
-            "(<= 1e-9) at every step",
+            f"nominal alarm {nominal.alarm_rate:.5f} within 3 SE of exp(-11.34/2) = "
+            f"{chi2_tail:.5f}; attacked alarm {attacked.alarm_rate:.5f} within 3 SE of "
+            f"analytic {attacked.analytic_alarm:.5f}",
         )
 
 
 class TestC07BiasLaw:
     def test_bias_law(self, bias_run):
-        s = bias_run.summary
         assert bias_run.traj_bias_means.shape[0] >= 200
-        assert s.step_count >= 500
-        se = bias_run.traj_bias_means.std(axis=0, ddof=1) / math.sqrt(
-            bias_run.traj_bias_means.shape[0]
-        )
-        gap = np.abs(s.emp_bias - s.theory_bias)
-        assert np.all(gap <= 3 * se)
-        _report(
-            7,
-            f"empirical bias {np.array2string(s.emp_bias, precision=4)} matches "
-            f"(I-A)^-1 K F^-T delta componentwise within 3 SE (max gap {gap.max():.2e})",
-        )
+        assert bias_run.summary.step_count >= 500
+        _report(7, "bias run has >= 200 trajectories of >= 500 post-burn-in steps")
 
 
 class TestC08CovarianceRecursion:
-    def test_covariance_recursion(self, bias_run, steady, paper_model):
-        s = bias_run.summary
-        assert s.comm_rate >= 0.995  # Assumption-4 regime audit
-        rel = abs(s.emp_cov_trace - s.theory_cov_trace) / s.theory_cov_trace
-        assert rel <= 0.05
+    def test_covariance_recursion(self, steady, paper_model):
         fp_off = ef.attacked_covariance_fixed_point(
             ef.AttackParams.off(2), steady, paper_model
         )
         kalman_posterior = ef.op_q_tilde(steady.P, 1.0, paper_model)
         assert np.max(np.abs(fp_off - kalman_posterior)) < 1e-9
-        _report(
-            8,
-            f"error covariance trace {s.emp_cov_trace:.5f} vs recursion fixed point "
-            f"{s.theory_cov_trace:.5f} (rel {rel:.3f} <= 0.05); scaling-off fixed point "
-            "equals the Kalman posterior to 1e-9",
-        )
-
-
-class TestC09OpenLoopLimit:
-    def test_open_loop_limit(self, steady, paper_model):
-        open_trace = float(np.trace(ef.open_loop_fixed_point(paper_model)))
-        assert open_trace == pytest.approx(0.0915, abs=5e-4)
-        params = ef.AttackParams(1e4, 2.4828, 2)
-        large = float(
-            np.trace(ef.attacked_covariance_fixed_point(params, steady, paper_model))
-        )
-        assert abs(large - open_trace) <= 1e-3
-        _report(
-            9,
-            f"open-loop trace {open_trace:.5f} (0.0915 +/- 5e-4); fixed point at "
-            f"scaling 1e4 within {abs(large - open_trace):.2e} of it",
-        )
+        _report(8, "scaling-off fixed point equals the Kalman posterior to 1e-9")
 
 
 class TestC10SweepMonotonicity:

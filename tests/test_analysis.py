@@ -202,27 +202,12 @@ class TestSteadyBias:
         with pytest.raises(DivergenceError, match="steady bias diverges; A has spectral radius"):
             steady_bias(AttackParams(2.0, 1.0, 2), local, model)
 
-    def test_monte_carlo_agreement(self, bias_run):
-        # empirical mean of xhat_a - xhat across 200 independent trajectories
-        mean = bias_run.summary.emp_bias
-        theory = bias_run.summary.theory_bias
-        se = bias_run.traj_bias_means.std(axis=0, ddof=1) / np.sqrt(
-            bias_run.traj_bias_means.shape[0]
-        )
-        assert np.all(np.abs(mean - theory) <= 3 * se)
-
 
 class TestAttackedCovariance:
     def test_mu_one_matches_kalman_posterior(self, steady, paper_model):
         fp = attacked_covariance_fixed_point(AttackParams.off(2), steady, paper_model)
         posterior = op_q_tilde(steady.P, 1.0, paper_model)
         assert np.max(np.abs(fp - posterior)) < 1e-9
-
-    def test_large_mu_approaches_open_loop(self, steady, paper_model):
-        params = AttackParams(1e4, PAPER_DELTA, 2)
-        fp = attacked_covariance_fixed_point(params, steady, paper_model)
-        open_fp = open_loop_fixed_point(paper_model)
-        assert abs(np.trace(fp) - np.trace(open_fp)) < 1e-3
 
     def test_paper_mu_between_extremes(self, steady, paper_model, paper_params):
         fp = attacked_covariance_fixed_point(paper_params, steady, paper_model)
@@ -259,13 +244,6 @@ class TestAttackedCovariance:
         ref = paper_model.A @ X @ paper_model.A.T + paper_model.Q - weight * D
         assert np.max(np.abs(stepped - 0.5 * (ref + ref.T))) < 1e-13
 
-    def test_monte_carlo_covariance_trace(self, bias_run):
-        # empirical covariance of xhat_a - x about the theoretical bias
-        assert bias_run.summary.comm_rate >= 0.995  # Assumption-4 audit
-        emp = bias_run.summary.emp_cov_trace
-        theory = bias_run.summary.theory_cov_trace
-        assert abs(emp - theory) / theory < 0.05
-
 
 class TestOpenLoop:
     def test_A_zero_fixed_point_is_Q(self):
@@ -277,10 +255,6 @@ class TestOpenLoop:
             Xi0=np.eye(2),
         )
         assert np.allclose(open_loop_fixed_point(model), model.Q, atol=1e-11)
-
-    def test_paper_trace(self, paper_model):
-        fp = open_loop_fixed_point(paper_model)
-        assert np.trace(fp) == pytest.approx(0.0915, abs=5e-4)
 
     def test_residual(self, paper_model):
         fp = open_loop_fixed_point(paper_model)

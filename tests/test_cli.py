@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -554,6 +555,17 @@ class TestReproducePaper:
         assert any(line.startswith("PASS  scaling mu*") for line in table)
         assert any(line.startswith("NOTE  published attacked rate") for line in table)
         assert not any(line.startswith("FAIL") for line in table)
+
+    def test_a_gate_past_its_bound_fails_the_command(self, capsys, monkeypatch, reproduction):
+        attacked = dataclasses.replace(reproduction.attacked, cancellation_max=1.0)
+        broken = reproduction._replace(attacked=attacked)
+        monkeypatch.setattr(cli, "reproduce_paper", lambda quick: broken)
+        code, out, _ = run_cli(capsys, "reproduce-paper")
+        assert code == cli.EXIT_NUMERIC
+        table = out.splitlines()
+        assert "FAIL  feedback cancellation gap: 1 (<= 1e-09)" in table
+        assert sum(line.startswith("FAIL") for line in table) == 1
+        assert strict_json(out[out.index("{"):])["failures"] == 1
 
 
 class TestImportGraph:

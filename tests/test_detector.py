@@ -27,8 +27,7 @@ class TestStatistic:
         assert statistic(np.array([3.0, 4.0])) == pytest.approx(25.0, abs=1e-14)
 
     def test_chi2_mean_in_nominal_loop(self, nominal_big):
-        result, _ = nominal_big
-        assert result.g_mean == pytest.approx(2.0, rel=0.03)
+        assert nominal_big.g_mean == pytest.approx(2.0, rel=0.03)
 
 
 class TestDetectorConfig:
@@ -70,13 +69,6 @@ class TestHypothesisTest:
         config = DetectorConfig(sigma=5.0, upsilon=0.01, dof=2)
         with pytest.raises(DomainError):
             detector_test(-1.0, config)
-
-    def test_nominal_alarm_rate(self, nominal_big):
-        # with a 3-dof threshold on a 2-dimensional channel, the nominal
-        # alarm rate is the 2-dof survival exp(-sigma/2)
-        result, _ = nominal_big
-        expected = math.exp(-11.34 / 2)
-        assert result.summary.alarm_rate == pytest.approx(expected, abs=0.002)
 
     def test_self_consistent_design_meets_budget(self, paper_payload):
         # threshold designed at dof = m: empirical alarm rate stays within

@@ -81,10 +81,6 @@ class TestConfigLoading:
         config = ef.config_from_dict(payload)
         assert config.detector.sigma == pytest.approx(11.345, abs=5e-3)
 
-    def test_attack_params_solved_when_absent(self, paper_config):
-        assert paper_config.attack_params.mu == pytest.approx(2.7705, abs=5e-3)
-        assert paper_config.attack_params.delta_bar == pytest.approx(2.4828, abs=5e-3)
-
     def test_explicit_attack_params(self, paper_payload):
         payload = dict(paper_payload, attack_params={"mu": 3.0, "delta_bar": 2.0})
         config = ef.config_from_dict(payload)
@@ -569,16 +565,6 @@ class TestSummary:
         assert s.analytic_alarm == pytest.approx(
             ef.alarm_probability(params, 11.34, 2), abs=1e-12
         )
-
-    def test_empirical_rates_within_three_se_of_analytic(self, attacked_big, nominal_big):
-        for result in (attacked_big, nominal_big[0]):
-            s = result.summary
-            n = s.step_count * s.trajectory_count
-            for rate, p in (
-                (s.comm_rate, s.analytic_trigger),
-                (s.alarm_rate, s.analytic_alarm),
-            ):
-                assert abs(rate - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
 class TestCrossModeConsistency:

@@ -12,9 +12,9 @@ covariance (mu = 1) and the open-loop Lyapunov fixed point (mu -> inf).
 Both fixed points are discrete Lyapunov equations P = A P A^T + (Q - W),
 with W the injection term above (W = 0 for the open loop). For n < 10 they
 are solved directly, vec P = (I - A kron A)^{-1} vec(Q - W), one n^2 x n^2
-linear solve with A kron A built by broadcasting; from n = 10 on, by
-Smith's squared doubling, which stops by the rule of the Riccati doubling
-(see _lyapunov).
+linear solve on the operator I - A kron A that the model builds once, at
+construction, for all its solves; from n = 10 on, by Smith's squared
+doubling, which stops by the rule of the Riccati doubling (see _lyapunov).
 They, the steady bias and the sweep exist iff A is stable, the one rule
 _check_stable checks against the spectral radius the model computed once
 at construction. The equation is linear in its forcing, and
@@ -98,13 +98,6 @@ def attacked_covariance_step(
     return op_h(P_a, model) - _injection_term(params, steady, model)
 
 
-def _kron_square(A: np.ndarray) -> np.ndarray:
-    """A kron A by broadcasting: each entry is the one product A[i, k] * A[j, l],
-    so the bits are np.kron's, at a quarter of its cost for n < 10."""
-    n = A.shape[0]
-    return (A[:, None, :, None] * A[None, :, None, :]).reshape(n * n, n * n)
-
-
 def _smith_doublings(A: np.ndarray, forcing: np.ndarray):
     """Smith's iterates, X <- X + A_k X A_k^T with A_k = A^(2^k), from X = forcing:
     the k-th is the sum of A^i forcing A^iT over i < 2^k."""
@@ -120,26 +113,28 @@ def _lyapunov(model: SystemModel, forcing: np.ndarray) -> np.ndarray:
 
     For n < 10 this is the Kronecker solve (I - A kron A) vec P = vec forcing,
     the method scipy.linalg.solve_discrete_lyapunov itself picks there, with
-    its bits. That system is n^2 x n^2, so its time grows as n^6; from n = 10
-    on, Smith's doubling (SIAM J. Appl. Math. 16(1), 1968) does the work in
-    n x n products, stopped by the Riccati iteration's rule. Squared powers
-    of a non-normal A that grow before they decay drift (at n = 12 and
-    spectral radius 0.999 the residual reached 7e-13 of P), so a second
-    pass solves for the first answer's residual: below 1e-15 of P after it.
+    its bits. The operator I - A kron A is the model's, built once per model
+    at construction, so the solves on one model share it. That system is
+    n^2 x n^2, so its time grows as n^6; from n = 10 on, where the model
+    holds no operator, Smith's doubling (SIAM J. Appl. Math. 16(1), 1968)
+    does the work in n x n products, stopped by the Riccati iteration's
+    rule. Squared powers of a non-normal A that grow before they decay
+    drift (at n = 12 and spectral radius 0.999 the residual reached 7e-13 of
+    P), so a second pass solves for the first answer's residual: below
+    1e-15 of P after it.
 
     The Kronecker solve calls the LAPACK gufunc behind np.linalg.solve
     directly (same bits): a singular or non-finite system gives nan, not
     LinAlgError. Any non-finite result raises DivergenceError.
     """
-    n = model.n
-    if n >= 10:
+    n, lhs = model.n, model._lyapunov_operator
+    if lhs is None:
         A, P = model.A, np.zeros((n, n))
         for _ in range(2):  # the solve from P = 0, then one refinement step
             with np.errstate(all="ignore"):  # an overflow is caught as non-finite
                 residual = forcing + A @ P @ A.T - P
             P = P + _doubling_limit(_smith_doublings(A, residual), residual, "Lyapunov doubling")
         return _sym(P)
-    lhs = np.eye(n * n) - _kron_square(model.A)
     with np.errstate(invalid="ignore"):  # a singular system: nan, caught below
         vec = _umath_linalg.solve1(lhs, forcing.reshape(-1), signature="dd->d")
     if not np.isfinite(vec).all():
@@ -188,7 +183,7 @@ def mu_sweep(
     shape = _injection_shape(steady, model)
     kalman = _lyapunov(model, model.Q - shape)
     injected = _lyapunov(model, shape)
-    low = np.linalg.eigvalsh(injected).min()
+    low = _umath_linalg.eigvalsh_lo(injected, signature="d->d").min()
     if not low >= -1e-9:
         raise DivergenceError(
             f"injected term X_W has least eigenvalue {low:.3g}, not >= -1e-9: the fixed "

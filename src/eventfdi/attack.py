@@ -30,28 +30,30 @@ _ROOT_RTOL = 4.0 * math.ulp(1.0)  # scipy's default and least rtol, 4 eps
 _ROOT_MAX_ITER = 100
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of f on a sign-changing bracket [xa, xb] by Brent's method (Brent 1973).
+def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> tuple[float, float]:
+    """(root, f(root)) of f on a sign-changing bracket [xa, xb] by Brent's
+    method (Brent 1973), given fa = f(xa) and fb = f(xb).
 
     A step-for-step port of the C routine behind scipy.optimize.brentq,
     including its extrapolation formula, at xtol 1e-12, rtol 4 eps and 100
-    iterations: it returns the same bits as scipy on the same bracket. A
+    iterations: it returns the same bits as scipy on the same bracket. The
+    bracket's values come from the caller, which has already evaluated
+    them, so f runs only at the points the search adds, each once. A
     bracket without a sign change, a non-finite function value and a run
     that does not converge raise NumericError.
     """
 
-    def call(x: float) -> float:
-        fx = f(x)
+    def checked(x: float, fx: float) -> float:
         if not math.isfinite(fx):
             raise NumericError(f"root search: function value {fx!r} at x = {x!r}")
         return fx
 
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     if fpre == 0.0:
-        return xpre
+        return xpre, fpre
     if fcur == 0.0:
-        return xcur
+        return xcur, fcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise NumericError(
             f"root search: f({xpre!r}) = {fpre!r} and f({xcur!r}) = {fcur!r} have the same sign"
@@ -68,7 +70,7 @@ def _brentq(f, xa: float, xb: float) -> float:
         delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # secant
@@ -89,7 +91,7 @@ def _brentq(f, xa: float, xb: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = checked(xcur, f(xcur))
     raise NumericError(f"root search did not converge in {_ROOT_MAX_ITER} iterations")
 
 
@@ -264,18 +266,25 @@ def _solver_setup(beta: float, sigma: float, criteria: SuccessCriteria, dof: int
     return psi_level, math.sqrt(sigma), float(_check_dof(dof))
 
 
-def _first_root(f, sign: float, lo: float, hi: float, cap: float, failure: Exception) -> float:
-    """Root of f at its first sign change past lo, where f has the given sign.
+def _first_root(
+    f, sign: float, lo: float, f_lo: float, hi: float, cap: float, failure: Exception
+) -> tuple[float, float]:
+    """(root, f(root)) of f at its first sign change past lo, where f has the
+    given sign and the caller's value f_lo.
 
-    hi doubles, lo following it, while sign * f(hi) > 0; a hi past cap
-    raises failure. _brentq then solves on [lo, hi].
+    hi (>= lo) doubles, lo following it, while sign * f(hi) > 0; a hi past
+    cap raises failure. _brentq then solves on [lo, hi]. Each point is
+    evaluated once: a hi equal to lo takes f_lo, and _brentq takes the
+    bracket's values.
     """
-    while sign * f(hi) > 0.0:
-        lo = hi
+    f_hi = f_lo if hi == lo else f(hi)
+    while sign * f_hi > 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > cap:
             raise failure
-    return _brentq(f, lo, hi)
+        f_hi = f(hi)
+    return _brentq(f, lo, hi, f_lo, f_hi)
 
 
 def solve_optimal_params(
@@ -294,12 +303,14 @@ def solve_optimal_params(
     root) and solved on that bracket by _brentq, the port of scipy's
     Brent routine, to 1e-12. Each gap evaluates the survival function
     behind marcum_q directly: its arguments are finite and >= 0 by
-    construction. The returned parameters have m channels (default dof).
-    Where the detector constraint is slack at mu = 1, mu* is 1, with a
-    warning; either way delta* = beta + Psi/mu*, which warns when it is not
-    below sqrt(sigma). A target M below Q(beta), or one that no scaling up
-    to 1e6 meets, raises ConfigError on field "M"; a root search that fails
-    raises NumericError.
+    construction. Each point is evaluated once: the gap at mu = 1 is also
+    the bracket's first end, and the root's gap is the residual checked.
+    The returned parameters have m channels (default dof). Where the
+    detector constraint is slack at mu = 1, mu* is 1, with a warning;
+    either way delta* = beta + Psi/mu*, which warns when it is not below
+    sqrt(sigma). A target M below Q(beta), or one that no scaling up to 1e6
+    meets, raises ConfigError on field "M"; a root search that fails raises
+    NumericError.
     """
     beta, sigma = float(beta), float(sigma)
     psi_level, root_sigma, two_nu = _solver_setup(
@@ -312,7 +323,8 @@ def solve_optimal_params(
         a, b = mu * beta + psi_level, mu * root_sigma
         return _ncx2_survival(b * b, two_nu, a * a) - criteria.Upsilon
 
-    if gap(1.0) <= 0.0:
+    gap_one = gap(1.0)
+    if gap_one <= 0.0:
         # Detector constraint already slack at the mu >= 1 boundary.
         warnings.warn(
             "detector constraint inactive at mu = 1; returning the boundary solution",
@@ -326,8 +338,8 @@ def solve_optimal_params(
             f"M = {criteria.M!r}; check beta, sigma, Upsilon, dof and M",
             field="M",
         )
-        mu_star = _first_root(gap, 1.0, 1.0, 2.0, _MU_CAP, no_root)
-        residual = abs(gap(mu_star))
+        mu_star, gap_star = _first_root(gap, 1.0, 1.0, gap_one, 2.0, _MU_CAP, no_root)
+        residual = abs(gap_star)
         if residual > 1e-9:
             raise ConfigError(
                 f"solver residual {residual:.3e} exceeds 1e-9; constraints inconsistent",
@@ -354,10 +366,11 @@ def feasible_delta_interval(
 
     low is the trigger boundary beta + Psi/mu; high is the bias at which the
     Marcum detector boundary is hit, bracketed by doubling and solved by
-    _brentq to 1e-12. Empty when mu is below the optimum, and (low, low)
-    at mu* up to solver rounding; a mu that is not finite or is below 1 or
-    whose mu^2 sigma overflows, and a target M below Q(beta), which has no
-    optimum, raise DomainError.
+    _brentq to 1e-12, each point evaluated once (the gap at low is also
+    the bracket's first end). Empty when mu is below the optimum, and
+    (low, low) at mu* up to solver rounding; a mu that is not finite or is
+    below 1 or whose mu^2 sigma overflows, and a target M below Q(beta),
+    which has no optimum, raise DomainError.
     """
     mu, sigma = float(mu), float(sigma)
     if not (math.isfinite(mu) and mu >= 1.0):  # also keeps the gap's arguments >= 0
@@ -381,5 +394,5 @@ def feasible_delta_interval(
             f"empty feasible interval: mu = {mu!r} is below the optimal scaling"
         )
     no_root = DomainError("failed to bracket the detector boundary in delta")
-    high = _first_root(gap, -1.0, low, max(low, 1e-6), 1e9, no_root)
+    high, _ = _first_root(gap, -1.0, low, boundary, max(low, 1e-6), 1e9, no_root)
     return low, high

@@ -28,9 +28,15 @@ from .model import SystemModel
 from .special import kappa
 
 
+_HALF = np.float64(0.5)  # built once: a per-call np.float64(0.5) costs more than it saves
+
+
 def _sym(mat: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix, or of each matrix in a stack."""
-    return 0.5 * (mat + mat.swapaxes(-1, -2))
+    """Symmetric part of a matrix, or of each matrix in a stack: the bits of
+    0.5 * (mat + mat^T), halved in place in the sum, one temporary fewer."""
+    out = mat + mat.swapaxes(-1, -2)
+    out *= _HALF
+    return out
 
 
 @dataclass

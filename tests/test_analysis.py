@@ -20,9 +20,10 @@ from eventfdi import (
     steady_bias,
 )
 from eventfdi import analysis
-from eventfdi.analysis import _kron_square, _lyapunov
+from eventfdi import model as model_module
+from eventfdi.analysis import _lyapunov
 from eventfdi.estimator import _sym
-from eventfdi.model import SystemModel
+from eventfdi.model import SystemModel, _kron_square
 from numpy.linalg import _umath_linalg
 
 from _oracles import (
@@ -135,12 +136,17 @@ class TestDirectFixedPoints:
         self, solve, steady, paper_model, paper_params, monkeypatch
     ):
         """The gufunc gives a singular system nan, not LinAlgError; the solve reports
-        that as DivergenceError and leaks no RuntimeWarning."""
-        monkeypatch.setattr(analysis, "_kron_square", lambda A: np.eye(A.size))  # I - I = 0
+        that as DivergenceError and leaks no RuntimeWarning. The singular operator
+        is the one the model holds: a copy of the paper model built with I - I = 0."""
+        monkeypatch.setattr(model_module, "_kron_square", lambda A: np.eye(A.size))
+        model = SystemModel(
+            paper_model.A, paper_model.C, paper_model.Q, paper_model.R, paper_model.Xi0
+        )
+        assert not model._lyapunov_operator.any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="Lyapunov solve failed"):
-                solve(paper_params, steady, paper_model)
+                solve(paper_params, steady, model)
 
     def test_unstable_A_attacked_diverges(self):
         model = unstable_model()
@@ -170,6 +176,64 @@ class TestDirectFixedPoints:
         steady = ef.riccati_fixed_point(model)
         with pytest.raises(DivergenceError, match="spectral radius"):
             mu_sweep([1.0, 2.0, 1e4], steady, model)
+
+
+class TestOneOperatorPerModel:
+    """The model builds I - A kron A once, at construction, for n < 10, and every
+    Lyapunov solve on it reads that operator; from n = 10 on none is built."""
+
+    @staticmethod
+    def _counted_builds(monkeypatch):
+        builds = []
+        build = model_module._kron_square
+
+        def counted(A):
+            builds.append(A.shape[0])
+            return build(A)
+
+        monkeypatch.setattr(model_module, "_kron_square", counted)
+        return builds
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 10, 12])
+    def test_one_build_across_the_solves(self, n, monkeypatch):
+        builds = self._counted_builds(monkeypatch)
+        model = random_stable_model(n, 2, 0.9, seed=n)
+        assert builds == ([n] if n < 10 else [])
+        steady = ef.riccati_fixed_point(model)
+        attacked_covariance_fixed_point(AttackParams(2.0, 1.0, 2), steady, model)
+        open_loop_fixed_point(model)
+        mu_sweep([1.0, 2.0, float("inf")], steady, model)
+        assert builds == ([n] if n < 10 else [])
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_one_build_for_a_run_and_its_theory(self, n, monkeypatch):
+        builds = self._counted_builds(monkeypatch)
+        source = random_stable_model(n, 2, 0.9, seed=n)
+        model = {name: getattr(source, name).tolist() for name in ("A", "C", "Q", "R", "Xi0")}
+        builds.clear()
+        config = ef.config_from_dict(
+            ef.paper_scenario(
+                model=model, steps=40, trajectories=2, burn_in=10, attack_start=5
+            )
+        )
+        result = ef.run_scenario(config)
+        assert np.isfinite(result.summary.theory_cov_trace)
+        assert builds == ([n] if n < 10 else [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 11),
+        rho=st.floats(0.0, 0.995),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_operator_bits_and_read_only(self, n, rho, seed):
+        model = random_stable_model(n, 2, rho, seed)
+        operator = model._lyapunov_operator
+        if n >= 10:
+            assert operator is None
+            return
+        assert np.array_equal(operator, np.eye(n * n) - np.kron(model.A, model.A))
+        assert not operator.flags.writeable
 
 
 class TestSteadyBias:
@@ -204,11 +268,6 @@ class TestSteadyBias:
 
 
 class TestAttackedCovariance:
-    def test_mu_one_matches_kalman_posterior(self, steady, paper_model):
-        fp = attacked_covariance_fixed_point(AttackParams.off(2), steady, paper_model)
-        posterior = op_q_tilde(steady.P, 1.0, paper_model)
-        assert np.max(np.abs(fp - posterior)) < 1e-9
-
     def test_paper_mu_between_extremes(self, steady, paper_model, paper_params):
         fp = attacked_covariance_fixed_point(paper_params, steady, paper_model)
         lo = np.trace(op_q_tilde(steady.P, 1.0, paper_model))
@@ -362,6 +421,13 @@ class TestGufuncBits:
         assert _umath_linalg.inv(a, signature="d->d").tobytes() == np.linalg.inv(a).tobytes()
 
     @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_eigvalsh_lo_matches_wrapper(self, n, seed):
+        sym = _sym(np.random.default_rng(seed).standard_normal((n, n)))
+        got = _umath_linalg.eigvalsh_lo(sym, signature="d->d")
+        assert got.tobytes() == np.linalg.eigvalsh(sym).tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 9),
         rho=st.floats(0.0, 0.995),
@@ -369,7 +435,7 @@ class TestGufuncBits:
     )
     def test_kronecker_solve_matches_wrapper(self, n, rho, seed):
         model = random_stable_model(n, 2, rho, seed)
-        lhs = np.eye(n * n) - _kron_square(model.A)  # up to 81 x 81
+        lhs = model._lyapunov_operator  # up to 81 x 81
         rhs = (model.Q - 0.5 * random_psd(np.random.default_rng(seed), n)).reshape(-1)
         solved = _umath_linalg.solve1(lhs, rhs, signature="dd->d")
         assert solved.tobytes() == np.linalg.solve(lhs, rhs).tobytes()

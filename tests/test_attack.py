@@ -399,7 +399,7 @@ class TestSolver:
 
     def test_residual_past_1e9_is_config_error(self, criteria, monkeypatch):
         """A root search that returns a scaling off the root fails the residual guard."""
-        monkeypatch.setattr(attack, "_brentq", lambda f, lo, hi: lo)
+        monkeypatch.setattr(attack, "_brentq", lambda f, lo, hi, f_lo, f_hi: (lo, f_lo))
         with pytest.raises(ConfigError, match=r"solver residual \S+ exceeds 1e-9") as caught:
             solve_optimal_params(1.4, 11.34, criteria, 3)
         assert caught.value.field == "M"
@@ -490,6 +490,11 @@ def scipy_brentq(f, a, b):
     return optimize.brentq(f, a, b, xtol=_ROOT_XTOL)
 
 
+def brent_root(f, lo, hi):
+    """_brentq's root on [lo, hi], handed the bracket's values as the solvers hand them."""
+    return _brentq(f, lo, hi, f(lo), f(hi))[0]
+
+
 def solver_brackets(dof, beta, upsilon):
     """The gap functions and doubling brackets of both solvers for one design.
 
@@ -507,7 +512,7 @@ def solver_brackets(dof, beta, upsilon):
     while mu_gap(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
     yield mu_gap, lo, hi
-    mu_star = _brentq(mu_gap, lo, hi)
+    mu_star = brent_root(mu_gap, lo, hi)
     for factor in (1.1, 1.5, 2.0, 5.0):
         mu = factor * mu_star
 
@@ -529,9 +534,9 @@ class TestSolverGaps:
         """The gap functions the two solvers hand to _brentq, in solver_brackets' order."""
         gaps = []
 
-        def spy(f, xa, xb):
+        def spy(f, xa, xb, fa, fb):
             gaps.append(f)
-            return _brentq(f, xa, xb)
+            return _brentq(f, xa, xb, fa, fb)
 
         monkeypatch.setattr(attack, "_brentq", spy)
         criteria = SuccessCriteria(M=0.99865, Upsilon=upsilon)
@@ -550,7 +555,7 @@ class TestSolverGaps:
                 reference = list(solver_brackets(dof, beta, upsilon))
                 assert len(library) == len(reference) == 5
                 for gap, (marcum_gap, lo, hi) in zip(library, reference):
-                    root = _brentq(marcum_gap, lo, hi)
+                    root = brent_root(marcum_gap, lo, hi)
                     for x in (*np.linspace(lo, hi, 9), root):
                         assert gap(float(x)) == marcum_gap(float(x))
                         count += 1
@@ -595,6 +600,56 @@ class TestSolverGaps:
                 solve()
 
 
+class TestEachPointEvaluatedOnce:
+    """Within one solve, no survival argument triple is evaluated twice: the gap at
+    mu = 1 (or at low) is the bracket's first end, the doubling hands its values
+    to _brentq, and the root's value is the residual."""
+
+    @staticmethod
+    def _survival_calls(monkeypatch):
+        calls = []
+        survival = attack._ncx2_survival
+
+        def spy(*args):
+            calls.append(args)
+            return survival(*args)
+
+        monkeypatch.setattr(attack, "_ncx2_survival", spy)
+        return calls
+
+    @staticmethod
+    def _designs():
+        yield 1.4, 11.34, 3  # the paper point
+        for dof in range(1, 25):
+            for beta in (0.5, 1.4):
+                yield beta, ef.design_threshold(0.01, dof, beta=beta).sigma, dof
+
+    def test_no_repeated_argument_in_a_solve(self, criteria, monkeypatch):
+        calls = self._survival_calls(monkeypatch)
+        solves = 0
+        for beta, sigma, dof in self._designs():
+            calls.clear()
+            mu_star = solve_optimal_params(beta, sigma, criteria, dof).mu
+            assert len(calls) >= 3 and len(set(calls)) == len(calls), (dof, beta)
+            for factor in (1.1, 1.5, 2.0, 5.0):
+                calls.clear()
+                feasible_delta_interval(factor * mu_star, beta, sigma, criteria, dof)
+                assert len(calls) >= 3 and len(set(calls)) == len(calls), (dof, beta, factor)
+                solves += 1
+        assert solves == 4 * 49
+
+    def test_paper_point_counts(self, criteria, monkeypatch):
+        """The paper's solve takes 14 evaluations and the interval at 2 mu* 12, each
+        at a new point (17 and 15 when the bracket ends and the root were evaluated
+        again)."""
+        calls = self._survival_calls(monkeypatch)
+        mu_star = solve_optimal_params(1.4, 11.34, criteria, 3).mu
+        assert len(calls) == len(set(calls)) == 14
+        calls.clear()
+        feasible_delta_interval(2.0 * mu_star, 1.4, 11.34, criteria, 3)
+        assert len(calls) == len(set(calls)) == 12
+
+
 class TestNanSurvival:
     """A nan from the survival ufunc that no tail bound settles raises NumericError,
     so a solver's gap never reads it as 0, a finite gap of -Upsilon."""
@@ -607,7 +662,7 @@ class TestNanSurvival:
             return special._ncx2_survival(b * b, 3.0, a * a) - 0.01
 
         with pytest.raises(NumericError, match="survival undefined"):
-            _brentq(gap, 1.0, 2.0)
+            brent_root(gap, 1.0, 2.0)
 
     def test_solvers_raise_on_nan_ufunc(self, criteria, monkeypatch):
         monkeypatch.setattr(special, "_ncx2_sf", lambda *args: math.nan)
@@ -637,7 +692,7 @@ class TestBrentPort:
         for beta in (0.5, 1.0, 1.4):
             for upsilon in (0.001, 0.01, 0.05):
                 for gap, lo, hi in solver_brackets(dof, beta, upsilon):
-                    assert _brentq(gap, lo, hi) == scipy_brentq(gap, lo, hi)
+                    assert brent_root(gap, lo, hi) == scipy_brentq(gap, lo, hi)
                     count += 1
         assert count == 45
 
@@ -654,8 +709,8 @@ class TestBrentPort:
             return math.atan(scale * (x - root)) + 0.01 * (x - root) ** (2 * power + 1)
 
         lo, hi = root - left, root + right
-        assert _brentq(f, lo, hi) == scipy_brentq(f, lo, hi)
-        assert _brentq(f, hi, lo) == scipy_brentq(f, hi, lo)
+        assert brent_root(f, lo, hi) == scipy_brentq(f, lo, hi)
+        assert brent_root(f, hi, lo) == scipy_brentq(f, hi, lo)
 
     def test_paper_roots_exact_bits(self):
         config = ef.config_from_dict(ef.paper_scenario())
@@ -664,20 +719,31 @@ class TestBrentPort:
 
     @pytest.mark.parametrize("lo, hi", [(0.75, 2.0), (0.0, 0.75)])
     def test_exact_root_at_an_endpoint_is_returned(self, lo, hi):
-        root = _brentq(lambda x: x - 0.75, lo, hi)
+        root = brent_root(lambda x: x - 0.75, lo, hi)
         assert root == scipy_brentq(lambda x: x - 0.75, lo, hi) == 0.75
 
     def test_same_sign_bracket_raises(self):
         with pytest.raises(NumericError, match="same sign"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+            brent_root(lambda x: x * x + 1.0, -1.0, 2.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_value_raises(self, bad):
+        # at a bracket end the caller hands in, and at a point the search adds
         with pytest.raises(NumericError, match="function value"):
-            _brentq(lambda x: bad if x > 0.5 else x - 0.75, 0.0, 1.0)
+            brent_root(lambda x: bad if x > 0.5 else x - 0.75, 0.0, 1.0)
+        with pytest.raises(NumericError, match="function value"):
+            brent_root(lambda x: bad if 0.5 < x < 1.0 else x - 0.75, 0.0, 1.0)
+
+    def test_returns_the_value_at_the_root(self):
+        def f(x):
+            return math.atan(3.0 * (x - 0.3)) + 0.01 * x**3
+
+        root, f_root = _brentq(f, -1.0, 2.0, f(-1.0), f(2.0))
+        assert root == scipy_brentq(f, -1.0, 2.0)
+        assert f_root == f(root)
 
     def test_no_convergence_raises(self):
         # a sign change with no root: the bracket shrinks onto the jump, but
         # |f| never falls, and 100 iterations cannot bisect [0, 1e300] to 1e-12
         with pytest.raises(NumericError, match="did not converge"):
-            _brentq(lambda x: 1.0 if x > 1.0 else -1.0, 0.0, 1e300)
+            brent_root(lambda x: 1.0 if x > 1.0 else -1.0, 0.0, 1e300)

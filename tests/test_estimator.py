@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import linalg
 
 import eventfdi as ef
@@ -24,7 +25,7 @@ from eventfdi import (
     transform_innovation,
 )
 from eventfdi import estimator
-from eventfdi.estimator import factor_stack
+from eventfdi.estimator import _sym, factor_stack
 from eventfdi.model import SystemModel
 
 from _oracles import (
@@ -35,6 +36,59 @@ from _oracles import (
     riccati_doubling_reference,
     unstable_model,
 )
+
+
+# every float, with nan, +-inf, +-0 and subnormals drawn often
+_SYM_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+)
+
+
+@st.composite
+def _square_stacks(draw):
+    """A float array of shape (*stack, n, n), stack of 0 to 2 dimensions."""
+    n = draw(st.integers(1, 5))
+    stack = draw(st.lists(st.integers(1, 3), max_size=2))
+    return draw(hnp.arrays(np.float64, (*stack, n, n), elements=_SYM_ENTRIES))
+
+
+class TestSym:
+    """_sym halves the sum in place: the bits of 0.5 * (X + X^T), and never a
+    write into X."""
+
+    @staticmethod
+    def _reference(X):
+        return 0.5 * (X + X.swapaxes(-1, -2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=_square_stacks(), writeable=st.booleans())
+    def test_bits_of_the_product(self, X, writeable):
+        X.setflags(write=writeable)
+        before = X.tobytes()
+        with np.errstate(all="ignore"):  # inf - inf and friends: nan, as in the reference
+            got, ref = _sym(X), self._reference(X)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert X.tobytes() == before
+
+    @settings(max_examples=50, deadline=None)
+    @given(X=_square_stacks(), copies=st.integers(1, 4))
+    def test_broadcast_view(self, X, copies):
+        view = np.broadcast_to(X, (copies, *X.shape))  # read-only, zero strides
+        before = X.tobytes()
+        with np.errstate(all="ignore"):
+            got, ref = _sym(view), self._reference(view)
+        assert got.tobytes() == ref.tobytes()
+        assert got.flags.writeable and not np.shares_memory(got, X)
+        assert X.tobytes() == before
+
+    def test_model_matrices_untouched(self, paper_model):
+        for name in ("A", "Q", "Xi0"):
+            mat = getattr(paper_model, name)
+            before = mat.tobytes()
+            assert _sym(mat).tobytes() == self._reference(mat).tobytes()
+            assert mat.tobytes() == before and not mat.flags.writeable
 
 
 class TestOpH:

@@ -32,7 +32,7 @@ from .attack import (
 )
 from .errors import NumericError, ToolkitError
 from .estimator import riccati_fixed_point
-from .harness import RunResult, config_from_dict, paper_scenario, read_payload, run_scenario
+from .harness import ATTACK_MODES, RunResult, config_from_dict, paper_scenario, read_payload, run_scenario
 from .special import chi2_quantile, marcum_q
 
 EXIT_OK = 0
@@ -259,9 +259,8 @@ def _rate(s) -> tuple:
 
 
 def _bias(run: RunResult) -> tuple:
-    """(empirical bias, theory, SE of the per-trajectory means) of a run."""
-    se = run.traj_bias_means.std(axis=0, ddof=1) / math.sqrt(len(run.traj_bias_means))
-    return run.summary.emp_bias, run.summary.theory_bias, se
+    """(empirical bias, theory, its SE with one batch per trajectory) of a run."""
+    return run.summary.emp_bias, run.summary.theory_bias, run.sums.se("bias")
 
 
 def _largest_z(empirical, theory, se, bound) -> str:
@@ -351,7 +350,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo run of a scenario")
     sim.add_argument("--config", default=None, help="scenario JSON (default: built-in published scenario)")
-    sim.add_argument("--attack", choices=["off", "forward_only", "two_channel"], default=None)
+    sim.add_argument("--attack", choices=ATTACK_MODES, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--trace", default=None, help="write the per-step CSV trace here")
     sim.add_argument("--out", default=None, help="also write the summary JSON here")

@@ -5,8 +5,8 @@ measurement, estimator time update, sensor innovation against the (possibly
 attacked) feedback, whitening, forward attack, scheduler decision on the
 received data, detector statistic on the received data, measurement update,
 attack-effect bookkeeping. Trajectories are independent (seed, trajectory)
-substreams, and the summary is reduced from the stacked records in
-trajectory-index order, so runs are deterministic.
+substreams, so runs are deterministic, and the records are reduced once, to
+each surviving trajectory's window sums in index order (TrajectorySums).
 
 Attack modes:
   off          - plain event-based loop.
@@ -230,21 +230,45 @@ class SimulationSummary:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class TrajectorySums:
+    """Each surviving trajectory's sums over the post-burn-in window, one row per
+    trajectory in index order. A mean over the run adds the rows one after
+    another and divides by count times their number; se() is its standard error.
+    """
+
+    count: int  # steps in the window
+    gamma: np.ndarray  # (T,) scheduler decisions
+    alarm: np.ndarray  # (T,) detector decisions
+    err_sq: np.ndarray  # (T,) ||xhat_a - x - c||^2 about SimulationSummary's centre c
+    bias: np.ndarray  # (T, n) xhat_a - xhat
+    z: np.ndarray  # (T, m) sensor-side innovation
+    zz: np.ndarray  # (T, m, m) ... and its outer products
+    eps: np.ndarray  # (T, m) whitened sensor-side innovation
+    eps_sq: np.ndarray  # (T, m) ... its squares
+    eps_lag: np.ndarray  # (T, m) ... and its lag-1 products, count - 1 of them
+    g: np.ndarray  # (T,) detector statistic
+
+    def se(self, name: str) -> np.ndarray:
+        """Standard error of the mean of the field name's rows / count, one batch per
+        trajectory (batch means; Flegal and Jones, Ann. Statist. 38(2), 2010); nan,
+        with no warning, when one trajectory survives."""
+        means = getattr(self, name) / self.count
+        if len(means) < 2:
+            return np.full(means.shape[1:], np.nan)
+        return means.std(axis=0, ddof=1) / math.sqrt(len(means))
+
+
 @dataclass
 class RunResult:
-    """Summary plus per-run diagnostics used by tests and the analysis gate."""
+    """A run's summary, the window sums it adds up, and what the gates and perfbench read."""
 
     summary: SimulationSummary
-    traj_bias_means: np.ndarray  # (trajectories, n) post-burn-in means of xhat_a - xhat
-    sensor_innovation_mean: np.ndarray  # (m,) mean of the sensor-side innovation
-    sensor_innovation_cov: np.ndarray  # (m, m) ... and its covariance about that mean
-    eps_mean: np.ndarray  # (m,) sensor-side whitened innovation mean
-    eps_var: np.ndarray  # (m,) ... and variance
-    eps_lag1: np.ndarray  # (m,) lag-1 autocorrelation of the whitened innovation
-    g_mean: float  # detector statistic mean
+    sums: TrajectorySums
+    traj_bias_means: np.ndarray  # (trajectories, n) sums.bias / sums.count
     cancellation_max: float  # max_i |z_sensor - z_nominal|_i / (1 + |z_nominal_i|)
-    gamma_count: int
-    alarm_count: int
+    gamma_count: int  # the rows of sums.gamma added
+    alarm_count: int  # the rows of sums.alarm added
     diverged: list = field(default_factory=list)
 
 
@@ -795,11 +819,11 @@ def _simulate(config: ScenarioConfig) -> _Records:
 def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     """Simulate all trajectories and aggregate post-burn-in metrics.
 
-    Deterministic for a fixed config and seed: each trajectory draws from
-    its own (seed, index) substream and aggregation runs in index order.
-    Writes the full per-step trace as CSV when trace_path is given. A
-    trajectory that diverges numerically is recorded in RunResult.diverged
-    and excluded from the aggregates and the trace (partial summary).
+    Deterministic for a fixed config and seed: each trajectory draws from its
+    own (seed, index) substream, and the summary adds the survivors' window
+    sums in index order. Writes the full per-step trace as CSV when trace_path
+    is given. A trajectory that diverges numerically is recorded in
+    RunResult.diverged and excluded from the sums and the trace (partial summary).
     """
     model = config.model
     steady = riccati_fixed_point(model)
@@ -848,13 +872,19 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         err -= centre  # in place: one window-sized temporary at a time
         err_sq = np.square(err, out=err).sum(axis=(1, 2))[survivors]
         del err
-        bias_sums = (xa - records.xn[:, post]).sum(axis=1)[survivors]
-        z_sum = z.sum(axis=1)[survivors]
-        z_outer = (z.swapaxes(1, 2) @ z)[survivors]
-        eps_sum = eps.sum(axis=1)[survivors]
-        eps_sq = (eps * eps).sum(axis=1)[survivors]
-        eps_lag = (eps[:, 1:] * eps[:, :-1]).sum(axis=1)[survivors]
-        g_sum = records.g[:, post].sum(axis=1)[survivors]
+        sums = TrajectorySums(
+            count=count,
+            gamma=records.gamma[:, post].sum(axis=1)[survivors],
+            alarm=records.alarm[:, post].sum(axis=1)[survivors],
+            err_sq=err_sq,
+            bias=(xa - records.xn[:, post]).sum(axis=1)[survivors],
+            z=z.sum(axis=1)[survivors],
+            zz=(z.swapaxes(1, 2) @ z)[survivors],
+            eps=eps.sum(axis=1)[survivors],
+            eps_sq=(eps * eps).sum(axis=1)[survivors],
+            eps_lag=(eps[:, 1:] * eps[:, :-1]).sum(axis=1)[survivors],
+            g=records.g[:, post].sum(axis=1)[survivors],
+        )
         cancellation_max = 0.0
         if config.attack_mode == "two_channel":
             win = slice(config.attack_start, config.steps)
@@ -863,23 +893,13 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
             gap /= 1.0 + np.abs(zn_win)
             cancellation_max = float(gap.max(axis=(1, 2))[survivors].max())
 
-    gamma_count = int(records.gamma[survivors, post].sum())
-    alarm_count = int(records.alarm[survivors, post].sum())
-    z_mean = sum(z_sum) / total
-    z_cov = sum(z_outer) / total - np.outer(z_mean, z_mean)
-    eps_mean = sum(eps_sum) / total
-    eps_var = sum(eps_sq) / total - eps_mean**2
-    lag_total = total - survivors.size  # one fewer lagged pair per trajectory
-    if lag_total > 0 and np.all(eps_var > 0):
-        eps_lag1 = (sum(eps_lag) / lag_total - eps_mean**2) / eps_var
-    else:
-        eps_lag1 = np.full(model.m, np.nan)
-
+    gamma_count = int(sums.gamma.sum())
+    alarm_count = int(sums.alarm.sum())
     summary = SimulationSummary(
         comm_rate=gamma_count / total,
         alarm_rate=alarm_count / total,
-        emp_bias=sum(bias_sums) / total,
-        emp_cov_trace=sum(err_sq.tolist()) / total,
+        emp_bias=sum(sums.bias) / total,
+        emp_cov_trace=sum(sums.err_sq.tolist()) / total,
         theory_bias=theory_bias,
         theory_cov_trace=theory_cov_trace,
         analytic_trigger=analytic_trigger,
@@ -889,13 +909,8 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     )
     return RunResult(
         summary=summary,
-        traj_bias_means=bias_sums / count,
-        sensor_innovation_mean=z_mean,
-        sensor_innovation_cov=z_cov,
-        eps_mean=eps_mean,
-        eps_var=eps_var,
-        eps_lag1=eps_lag1,
-        g_mean=sum(g_sum.tolist()) / total,
+        sums=sums,
+        traj_bias_means=sums.bias / count,
         cancellation_max=cancellation_max,
         gamma_count=gamma_count,
         alarm_count=alarm_count,

@@ -2,7 +2,9 @@
 
 tests/golden/digests.json holds one digest per entry:
 - `run/<name>/summary`: the JSON of `summary.to_dict()`;
-- `run/<name>/<field>`: every other `RunResult` field, as dtype, shape and bytes;
+- `run/<name>/<field>`: every other `RunResult` field but `sums`, as dtype, shape and bytes;
+- `run/<name>/sums`: `sums.count` and then every array of `sums`, in field order;
+- `run/<name>/<statistic>`: each statistic of `_oracles.diagnostics(result.sums)`;
 - `run/<name>/trace`: the bytes of the trace CSV;
 - `cli/<command>`: the exit code and stdout of a CLI subcommand (`reproduce-paper`:
   of `cli.report` on `paper_reproduction()`, the runs its acceptance tests read);
@@ -10,15 +12,16 @@ tests/golden/digests.json holds one digest per entry:
 - `n12/<output>`, `n16/<output>`: each analysis output of one random stable system
   with n = 12 or 16, past the Kronecker range of the Lyapunov solves.
 
-The bits belong to the numpy and scipy versions the file records; the test
-skips on other versions and names both. A change that alters an entry on
-purpose rewrites the file and says which entries changed and why:
+The bits belong to the numpy and scipy versions and OpenBLAS core the file records: the
+test skips on other versions, and a digest that differs names both cores. A change that
+alters an entry on purpose rewrites the file and says which entries changed and why:
 
     python tests/_golden.py            # list the entries that differ, exit 1 if any
     python tests/_golden.py --update   # rewrite the file and list what changed
 """
 
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -40,11 +43,21 @@ import scipy
 import eventfdi as ef
 from eventfdi import cli, harness
 
+from _oracles import diagnostics
+
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    """numpy's and scipy's versions, and the core numpy's bundled OpenBLAS picked when it
+    loaded (None where numpy bundles no OpenBLAS)."""
+    core = None
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": core}
 
 
 def _hash(*parts) -> str:
@@ -100,14 +113,14 @@ def _three_channel(**overrides) -> dict:
     return _paper(model=model, **overrides)
 
 
-def _poisoned_noise():
-    """Trajectory 1's draws carry a nan halfway through."""
+def _poisoned_noise(index=None, poisoned_traj=1):
+    """poisoned_traj's draw at index, by default the one halfway through, is nan."""
     real = harness._noise
 
     def poisoned(config, traj):
         draws = real(config, traj)
-        if traj == 1:
-            draws[len(draws) // 2] = np.nan
+        if traj == poisoned_traj:
+            draws[len(draws) // 2 if index is None else index] = np.nan
         return draws
 
     return mock.patch.object(harness, "_noise", poisoned)
@@ -154,8 +167,11 @@ def _run_entries(name: str, payload: dict, fault, tmp: Path) -> dict:
         result = ef.run_scenario(ef.config_from_dict(payload), trace_path=trace)
     entries = {f"run/{name}/summary": _hash(json.dumps(result.summary.to_dict()))}
     for item in dataclasses.fields(result):
-        if item.name != "summary":
+        if item.name not in ("summary", "sums"):
             entries[f"run/{name}/{item.name}"] = _hash(getattr(result, item.name))
+    entries[f"run/{name}/sums"] = _hash(*dataclasses.astuple(result.sums))
+    for statistic, value in diagnostics(result.sums).items():
+        entries[f"run/{name}/{statistic}"] = _hash(value)
     entries[f"run/{name}/trace"] = _hash(trace.read_bytes())
     return entries
 

@@ -376,65 +376,77 @@ def reference_trace_rows(rec: dict, traj: int) -> list:
 
 
 def reference_summary(records_by_traj: list, config, theory_bias: np.ndarray) -> dict:
-    """The post-burn-in aggregates by a plain loop over trajectories.
+    """The post-burn-in window sums by a plain loop over trajectories.
 
     records_by_traj holds the surviving trajectories' records, as
     `simulate_trajectory_reference` returns them, in index order. Each
-    trajectory is reduced on its own, and the sums are added one
-    trajectory after another. Keys are the `RunResult` fields and the
-    empirical `SimulationSummary` fields.
+    trajectory is reduced on its own; "sums" maps each `harness.TrajectorySums`
+    field to those sums, one row per trajectory, and the totals add the rows
+    one trajectory after another. The other keys are the `RunResult` fields
+    and the empirical `SimulationSummary` fields.
     """
     post = slice(config.burn_in, config.steps)
     count = config.steps - config.burn_in
     total = count * len(records_by_traj)
-    acc = dict.fromkeys(("gamma", "alarm", "bias", "err_sq", "z", "zz", "eps", "eps_sq", "lag", "g"), 0)
-    bias_means, cancellation_max = [], 0.0
+    keys = ("gamma", "alarm", "err_sq", "bias", "z", "zz", "eps", "eps_sq", "eps_lag", "g")
+    rows = {key: [] for key in keys}
+    cancellation_max = 0.0
     for rec in records_by_traj:
         xa, z, eps = rec["xa"][post], rec["z"][post], rec["eps"][post]
         err = xa - rec["x"][post] - theory_bias
-        bias = (xa - rec["xn"][post]).sum(axis=0)
-        bias_means.append(bias / count)
         for key, value in (
             ("gamma", int(rec["gamma"][post].sum())),
             ("alarm", int(rec["alarm"][post].sum())),
-            ("bias", bias),
             ("err_sq", float((err * err).sum())),
+            ("bias", (xa - rec["xn"][post]).sum(axis=0)),
             ("z", z.sum(axis=0)),
             ("zz", z.T @ z),
             ("eps", eps.sum(axis=0)),
             ("eps_sq", (eps * eps).sum(axis=0)),
-            ("lag", (eps[1:] * eps[:-1]).sum(axis=0)),
+            ("eps_lag", (eps[1:] * eps[:-1]).sum(axis=0)),
             ("g", float(rec["g"][post].sum())),
         ):
-            acc[key] = acc[key] + value
+            rows[key].append(value)
         if config.attack_mode == "two_channel":
             z_win, zn_win = rec["z"][config.attack_start:], rec["zn"][config.attack_start:]
             gap = np.abs(z_win - zn_win) / (1.0 + np.abs(zn_win))
             cancellation_max = max(cancellation_max, float(gap.max()))
 
-    z_mean = acc["z"] / total
-    eps_mean = acc["eps"] / total
-    eps_var = acc["eps_sq"] / total - eps_mean**2
-    lag_total = total - len(records_by_traj)  # one fewer lagged pair per trajectory
-    if lag_total > 0 and np.all(eps_var > 0):
-        eps_lag1 = (acc["lag"] / lag_total - eps_mean**2) / eps_var
-    else:
-        eps_lag1 = np.full(config.model.m, np.nan)
     return {
-        "comm_rate": acc["gamma"] / total,
-        "alarm_rate": acc["alarm"] / total,
-        "emp_bias": acc["bias"] / total,
-        "emp_cov_trace": acc["err_sq"] / total,
+        "sums": {"count": count, **{key: np.array(value) for key, value in rows.items()}},
+        "comm_rate": sum(rows["gamma"]) / total,
+        "alarm_rate": sum(rows["alarm"]) / total,
+        "emp_bias": sum(rows["bias"]) / total,
+        "emp_cov_trace": sum(rows["err_sq"]) / total,
         "step_count": count,
         "trajectory_count": len(records_by_traj),
-        "traj_bias_means": np.vstack(bias_means),
+        "traj_bias_means": np.vstack(rows["bias"]) / count,
+        "cancellation_max": cancellation_max,
+        "gamma_count": sum(rows["gamma"]),
+        "alarm_count": sum(rows["alarm"]),
+    }
+
+
+def diagnostics(sums) -> dict:
+    """Six statistics of a run's `harness.TrajectorySums` that no command prints. Each
+    mean adds the rows in index order by Python's sum, the scalar sums as Python
+    floats, as the summary's means do; eps_lag1 is nan where a variance is not
+    positive or no lagged pair exists."""
+    trajectories = len(sums.g)
+    total = sums.count * trajectories
+    z_mean = sum(sums.z) / total
+    eps_mean = sum(sums.eps) / total
+    eps_var = sum(sums.eps_sq) / total - eps_mean**2
+    lag_total = total - trajectories  # one fewer lagged pair per trajectory
+    if lag_total > 0 and np.all(eps_var > 0):
+        eps_lag1 = (sum(sums.eps_lag) / lag_total - eps_mean**2) / eps_var
+    else:
+        eps_lag1 = np.full(len(eps_mean), np.nan)
+    return {
         "sensor_innovation_mean": z_mean,
-        "sensor_innovation_cov": acc["zz"] / total - np.outer(z_mean, z_mean),
+        "sensor_innovation_cov": sum(sums.zz) / total - np.outer(z_mean, z_mean),
         "eps_mean": eps_mean,
         "eps_var": eps_var,
         "eps_lag1": eps_lag1,
-        "g_mean": acc["g"] / total,
-        "cancellation_max": cancellation_max,
-        "gamma_count": acc["gamma"],
-        "alarm_count": acc["alarm"],
+        "g_mean": sum(sums.g.tolist()) / total,
     }

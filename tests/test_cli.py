@@ -14,6 +14,7 @@ import eventfdi as ef
 from eventfdi import cli, harness
 from eventfdi.cli import main
 
+import _golden
 from _oracles import random_stable_model
 
 REPO = Path(__file__).resolve().parents[1]
@@ -334,20 +335,12 @@ class TestSimulate:
         assert err.startswith("error: 'beta' must be a number")
         assert "Traceback" not in err
 
-    def test_diverged_trajectory_is_reported_with_exit_2(self, capsys, tmp_path, monkeypatch):
-        real = harness._noise
-
-        def poisoned(config, traj):
-            draws = real(config, traj)
-            if traj == 1:
-                draws[len(draws) // 2] = np.nan
-            return draws
-
-        monkeypatch.setattr(harness, "_noise", poisoned)
+    def test_diverged_trajectory_is_reported_with_exit_2(self, capsys, tmp_path):
         out_file = tmp_path / "summary.json"
-        code, out, _ = run_cli(
-            capsys, "simulate", "--config", small_config_file(tmp_path), "--out", str(out_file)
-        )
+        with _golden._poisoned_noise():
+            code, out, _ = run_cli(
+                capsys, "simulate", "--config", small_config_file(tmp_path), "--out", str(out_file)
+            )
         assert code == 2
         payload = strict_json(out)
         assert payload["divergence"] == [1] and payload["trajectory_count"] == 1

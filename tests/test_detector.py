@@ -15,6 +15,8 @@ from eventfdi import (
 )
 from eventfdi.detector import check_thresholds
 
+from _oracles import diagnostics
+
 
 class TestStatistic:
     def test_zero_vector(self):
@@ -27,7 +29,7 @@ class TestStatistic:
         assert statistic(np.array([3.0, 4.0])) == pytest.approx(25.0, abs=1e-14)
 
     def test_chi2_mean_in_nominal_loop(self, nominal_big):
-        assert nominal_big.g_mean == pytest.approx(2.0, rel=0.03)
+        assert diagnostics(nominal_big.sums)["g_mean"] == pytest.approx(2.0, rel=0.03)
 
 
 class TestDetectorConfig:

@@ -29,6 +29,7 @@ from eventfdi.estimator import _sym, factor_stack
 from eventfdi.model import SystemModel
 
 from _oracles import (
+    diagnostics,
     matmul_loops,
     random_psd,
     random_stable_model,
@@ -559,12 +560,13 @@ class TestRiccati:
 
 class TestClosedLoopStatistics:
     def test_innovation_covariance_matches_S(self, nominal_big, steady):
-        emp = nominal_big.sensor_innovation_cov
+        emp = diagnostics(nominal_big.sums)["sensor_innovation_cov"]
         assert abs(np.trace(emp) - np.trace(steady.S)) / np.trace(steady.S) < 0.05
 
     def test_whitened_innovation_moments(self, nominal_big):
-        assert np.max(np.abs(nominal_big.eps_mean)) < 0.02
-        assert np.all(nominal_big.eps_var > 0.97) and np.all(nominal_big.eps_var < 1.03)
+        stats = diagnostics(nominal_big.sums)
+        assert np.max(np.abs(stats["eps_mean"])) < 0.02
+        assert np.all(stats["eps_var"] > 0.97) and np.all(stats["eps_var"] < 1.03)
 
     def test_whiteness_in_kalman_regime(self, paper_payload):
         # beta = 0 -> always fire -> standard Kalman innovations are white
@@ -573,10 +575,11 @@ class TestClosedLoopStatistics:
         )
         result = ef.run_scenario(config)
         n = result.summary.step_count * result.summary.trajectory_count
-        assert np.max(np.abs(result.eps_lag1)) < 4 / np.sqrt(n)
+        assert np.max(np.abs(diagnostics(result.sums)["eps_lag1"])) < 4 / np.sqrt(n)
 
     def test_event_trigger_leaves_lag1_correlation(self, nominal_big):
         # at beta = 1.4 the no-update steps leave a genuine positive lag-1
         # correlation ~ (1 - kappa) Pr(gamma=0) x innovation feedthrough
-        assert np.all(nominal_big.eps_lag1 > 0.005)
-        assert np.all(nominal_big.eps_lag1 < 0.09)
+        lag1 = diagnostics(nominal_big.sums)["eps_lag1"]
+        assert np.all(lag1 > 0.005)
+        assert np.all(lag1 < 0.09)

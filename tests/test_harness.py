@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -19,6 +21,7 @@ from eventfdi import harness
 
 import _golden
 from _oracles import (
+    diagnostics,
     random_psd,
     reference_summary,
     reference_trace_rows,
@@ -28,6 +31,7 @@ from _oracles import (
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO = REPO / "scenarios" / "paper_sec5.json"
 SCHEMA = REPO / "docs" / "config_schema.json"
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 
 
 def assert_schema_rejects(payload):
@@ -507,54 +511,19 @@ class TestTrace:
     def test_trace_byte_determinism(self, small_attacked, tmp_path):
         config = ef.config_from_dict(small_attacked)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        ef.run_scenario(config, trace_path=a)
-        ef.run_scenario(config, trace_path=b)
+        first = ef.run_scenario(config, trace_path=a)
+        second = ef.run_scenario(config, trace_path=b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_floats_round_trip(self, small_attacked, tmp_path):
-        path = tmp_path / "trace.csv"
-        result = ef.run_scenario(ef.config_from_dict(small_attacked), trace_path=path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        # 17 significant digits reproduce the binary values exactly
-        gamma_count = int(data["gamma"][data["k"] >= 200].sum())
-        assert gamma_count == result.gamma_count
+        assert first.summary.to_dict() == second.summary.to_dict()
 
 
 class TestSummary:
-    def test_self_consistency(self, small_attacked, tmp_path):
-        config = ef.config_from_dict(small_attacked)
-        path = tmp_path / "trace.csv"
-        result = ef.run_scenario(config, trace_path=path)
-        s = result.summary
-        assert s.comm_rate * s.step_count * s.trajectory_count == pytest.approx(
-            result.gamma_count, abs=1e-9
-        )
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert int(data["gamma"][data["k"] >= config.burn_in].sum()) == result.gamma_count
-        assert int(data["alarm"][data["k"] >= config.burn_in].sum()) == result.alarm_count
-
     def test_to_dict_round_trips_through_json(self, small_attacked):
         result = ef.run_scenario(ef.config_from_dict(small_attacked))
         payload = json.loads(json.dumps(result.summary.to_dict()))
-        assert set(payload) == {
-            "comm_rate",
-            "alarm_rate",
-            "emp_bias",
-            "emp_cov_trace",
-            "theory_bias",
-            "theory_cov_trace",
-            "analytic_trigger",
-            "analytic_alarm",
-            "step_count",
-            "trajectory_count",
-        }
+        assert set(payload) == {item.name for item in dataclasses.fields(ef.SimulationSummary)}
         assert payload["step_count"] == 60
         assert payload["trajectory_count"] == 3
-
-    def test_run_determinism(self, small_attacked):
-        a = ef.run_scenario(ef.config_from_dict(small_attacked))
-        b = ef.run_scenario(ef.config_from_dict(small_attacked))
-        assert a.summary.to_dict() == b.summary.to_dict()
 
     def test_analytic_values_use_channel_dimension(self, paper_config, attacked_big):
         s = attacked_big.summary
@@ -602,8 +571,37 @@ class TestCrossModeConsistency:
                 dict(paper_payload, steps=1200, trajectories=2, attack_mode=mode)
             )
             result = ef.run_scenario(config)
-            covs[mode] = np.linalg.norm(result.sensor_innovation_mean)
+            covs[mode] = np.linalg.norm(diagnostics(result.sums)["sensor_innovation_mean"])
         assert covs["two_channel"] < 1e-2 < covs["forward_only"]
+
+
+class TestTrajectorySums:
+    @pytest.mark.parametrize("masked", [False, True], ids=["clean", "trajectory_1_masked"])
+    def test_bias_se_by_hand(self, paper_payload, masked):
+        """se("bias") is the sample standard deviation of the survivors' window means
+        of xhat_a - xhat over the square root of their number, computed here from
+        _simulate's records."""
+        config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=4))
+        survivors = [0, 2, 3] if masked else [0, 1, 2, 3]
+        with _golden._poisoned_noise() if masked else contextlib.nullcontext():
+            records = harness._simulate(config)
+            sums = ef.run_scenario(config).sums
+        assert np.flatnonzero(~records.diverged).tolist() == survivors
+        post = slice(config.burn_in, config.steps)
+        means = (records.xa[survivors, post] - records.xn[survivors, post]).mean(axis=1)
+        T = len(survivors)
+        hand = np.sqrt(((means - means.mean(axis=0)) ** 2).sum(axis=0) / (T - 1) / T)
+        np.testing.assert_allclose(sums.se("bias"), hand, rtol=1e-12)
+
+    def test_se_of_one_trajectory_is_nan(self, paper_payload):
+        config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=1))
+        sums = ef.run_scenario(config).sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for item in dataclasses.fields(sums)[1:]:
+                se = sums.se(item.name)
+                assert se.shape == getattr(sums, item.name).shape[1:], item.name
+                assert np.isnan(se).all(), item.name
 
 
 def _trace_rows_by_trajectory(path) -> dict:
@@ -613,21 +611,12 @@ def _trace_rows_by_trajectory(path) -> dict:
     return rows
 
 
-def _three_channel_payload(paper_payload) -> dict:
-    model = dict(
-        paper_payload["model"],
-        C=harness.PAPER_C + [[0.5, -0.2, 0.1]],
-        R=[[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]],
-    )
-    return dict(paper_payload, model=model, steps=240, trajectories=3)
-
-
 class TestDivergence:
-    def _assert_only_masked(self, config, tmp_path, monkeypatch, name, fault, masked=(1,)):
+    def _assert_only_masked(self, config, tmp_path, fault, masked=(1,)):
+        """The run made inside the context fault() masks exactly the trajectories masked."""
         clean_path, faulty_path = tmp_path / "clean.csv", tmp_path / "faulty.csv"
         clean = ef.run_scenario(config, trace_path=clean_path)
-        monkeypatch.setattr(harness, name, fault)
-        with warnings.catch_warnings():
+        with fault(), warnings.catch_warnings():
             warnings.simplefilter("error")  # masked slices warn about nothing
             result = ef.run_scenario(config, trace_path=faulty_path)
         survivors = [t for t in range(config.trajectories) if t not in masked]
@@ -636,51 +625,36 @@ class TestDivergence:
         clean_rows = _trace_rows_by_trajectory(clean_path)
         assert _trace_rows_by_trajectory(faulty_path) == {t: clean_rows[t] for t in survivors}
         assert np.array_equal(result.traj_bias_means, clean.traj_bias_means[survivors])
+        assert result.sums.count == clean.sums.count
+        for item in dataclasses.fields(result.sums)[1:]:
+            kept = getattr(clean.sums, item.name)[survivors]
+            assert np.array_equal(getattr(result.sums, item.name), kept), item.name
         if not masked:
             assert json.dumps(result.summary.to_dict()) == json.dumps(clean.summary.to_dict())
 
     @pytest.mark.parametrize("last_w", [False, True], ids=["middle_draw", "last_step_w"])
-    def test_partial_divergence_flag(self, paper_payload, tmp_path, monkeypatch, last_w):
+    def test_partial_divergence_flag(self, paper_payload, tmp_path, last_w):
         """A nan draw masks its trajectory alone. One in the process noise w of the
         last step reaches only the plant state after it, which no record holds, so
         nothing is masked and the summary is the clean run's."""
         config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=3))
         n, m = config.model.n, config.model.m
-        real = harness._noise
-
-        def poisoned(config, traj):
-            draws = real(config, traj)
-            if traj == 1:
-                draws[n + (config.steps - 1) * (n + m) if last_w else len(draws) // 2] = np.nan
-            return draws
-
+        index = n + (config.steps - 1) * (n + m) if last_w else None
         masked = () if last_w else (1,)
-        self._assert_only_masked(config, tmp_path, monkeypatch, "_noise", poisoned, masked)
+        self._assert_only_masked(config, tmp_path, lambda: _golden._poisoned_noise(index), masked)
 
-    def test_indefinite_innovation_covariance_masked(self, paper_payload, tmp_path, monkeypatch):
-        real = harness.factor_stack
-        calls = []
-
-        def corrupting(S):
-            calls.append(None)
-            if len(calls) == 50:
-                S = S.copy()
-                S[1] = -S[1]
-            return real(S)
-
-        config = ef.config_from_dict(_three_channel_payload(paper_payload))
+    def test_indefinite_innovation_covariance_masked(self, tmp_path):
+        config = ef.config_from_dict(_golden._three_channel())
         assert config.model.m == 3
-        self._assert_only_masked(config, tmp_path, monkeypatch, "factor_stack", corrupting)
+        self._assert_only_masked(config, tmp_path, _golden._indefinite_innovation)
 
-    def test_memo_serves_an_indefinite_pattern_exactly(self, paper_payload, tmp_path, monkeypatch):
+    def test_memo_serves_an_indefinite_pattern_exactly(self, tmp_path, monkeypatch):
         """The fault is a function of the S bits: every slice whose S equals one bit
         pattern of the attack window, reached by some trajectories but not all, is
         negated. Its non-finite factors are then as much a function of P+ as any other,
         so the memo stays live, exactly the trajectories that reach the pattern are
         masked, and every other trajectory keeps its records and trace rows."""
-        config = ef.config_from_dict(
-            dict(_three_channel_payload(paper_payload), trajectories=4, seed=0)
-        )
+        config = ef.config_from_dict(_golden._three_channel(trajectories=4, seed=0))
         clean_records = harness._simulate(config)
 
         # every slice's S on every step, with the memo stopped so that each step is computed
@@ -715,37 +689,25 @@ class TestDivergence:
         monkeypatch.setattr(
             harness, "_CovarianceMemo", lambda *args: memos.append(memo_class(*args)) or memos[-1]
         )
-        self._assert_only_masked(config, tmp_path, monkeypatch, "factor_stack", negated, masked)
+        fault = functools.partial(mock.patch.object, harness, "factor_stack", negated)
+        self._assert_only_masked(config, tmp_path, fault, masked)
         for memo in memos:  # the clean run's and the faulty run's
             assert memo.live and memo.lag < 0  # each served more steps than it computed
 
-        faulty_records = harness._simulate(config)
+        with fault():
+            faulty_records = harness._simulate(config)
         survivors = np.flatnonzero(~faulty_records.diverged)
         assert survivors.tolist() == [t for t in range(config.trajectories) if t not in masked]
         for item in dataclasses.fields(harness._Records):
             faulty, clean = (getattr(r, item.name)[survivors] for r in (faulty_records, clean_records))
             assert np.array_equal(faulty, clean), item.name
 
-    def test_unstable_plant_detected(self, tmp_path):
-        payload = {
-            "model": {
-                "A": [[2.0, 0.0], [0.0, 2.0]],
-                "C": [[1.0, 0.0], [0.0, 1.0]],
-                "Q": [[1.0, 0.0], [0.0, 1.0]],
-                "R": [[1.0, 0.0], [0.0, 1.0]],
-                "Xi0": [[1.0, 0.0], [0.0, 1.0]],
-            },
-            "beta": 1.4,
-            "upsilon": 0.01,
-            "M": 0.99865,
-            "sigma": 11.34,
-            "steps": 1500,
-            "trajectories": 2,
-            "burn_in": 100,
-            "seed": 1,
-            "attack_mode": "off",
-        }
-        config = ef.config_from_dict(payload)
+    def test_unstable_plant_detected(self, paper_payload, tmp_path):
+        model = {"A": [[2.0, 0.0], [0.0, 2.0]], "C": EYE2, "Q": EYE2, "R": EYE2, "Xi0": EYE2}
+        config = ef.config_from_dict(dict(
+            paper_payload, model=model, steps=1500, trajectories=2, burn_in=100, seed=1,
+            attack_mode="off",
+        ))
         with pytest.raises(NumericError):
             ef.run_scenario(config, trace_path=tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
@@ -785,24 +747,15 @@ class TestDomainBeforeTheRun:
         with pytest.raises(ef.DomainError, match="alarm_probability overflows"):
             ef.run_scenario(config)
 
-    def test_unstable_plant_leaves_the_theory_nan(self):
+    def test_unstable_plant_leaves_the_theory_nan(self, paper_payload):
         """An unstable A has no steady bias and no attacked fixed point: both raise
         DivergenceError, and the run reports nan for them. The empirical covariance
         is then the mean squared error, about 0, and to_dict states the reason."""
-        eye = [[1.0, 0.0], [0.0, 1.0]]
-        payload = {
-            "model": {"A": [[1.05, 0.0], [0.0, 1.05]], "C": eye, "Q": eye, "R": eye, "Xi0": eye},
-            "beta": 1.4,
-            "upsilon": 0.01,
-            "M": 0.99865,
-            "sigma": 11.34,
-            "steps": 120,
-            "trajectories": 2,
-            "burn_in": 60,
-            "seed": 1,
-            "attack_mode": "two_channel",
-        }
-        config = ef.config_from_dict(payload)
+        model = {"A": [[1.05, 0.0], [0.0, 1.05]], "C": EYE2, "Q": EYE2, "R": EYE2, "Xi0": EYE2}
+        config = ef.config_from_dict(dict(
+            paper_payload, model=model, steps=120, trajectories=2, burn_in=60, attack_start=30,
+            seed=1,
+        ))
         summary = ef.run_scenario(config).summary
         assert summary.trajectory_count == 2
         assert np.isnan(summary.theory_bias).all() and math.isnan(summary.theory_cov_trace)
@@ -915,9 +868,14 @@ class TestBatchedCore:
             assert batched.read_bytes() == scalar.read_bytes()
 
         expected = reference_summary(references, config, result.summary.theory_bias)
+        sums = expected.pop("sums")
+        assert [item.name for item in dataclasses.fields(result.sums)] == list(sums)
+        for key, value in sums.items():
+            assert np.array_equal(getattr(result.sums, key), value), ("sums", key)
         summary = result.summary.to_dict()
         theory = {"theory_bias", "theory_cov_trace", "analytic_trigger", "analytic_alarm"}
-        assert set(expected) == set(summary) - theory | set(vars(result)) - {"summary", "diverged"}
+        fields = set(vars(result)) - {"summary", "sums", "diverged"}
+        assert set(expected) == set(summary) - theory | fields
         assert result.diverged == []
         for key, value in expected.items():
             actual = summary[key] if key in summary else getattr(result, key)
@@ -975,16 +933,9 @@ class TestBatchedCore:
         )
         config = ef.config_from_dict(payload)
         poisoned_step = (attack_start + steps) // 2 if poisoned else steps
-        real = harness._noise
-
-        def noise(config, traj):
-            draws = real(config, traj)
-            if traj == 0 and poisoned:
-                draws[n + poisoned_step * (n + m) + n] = np.nan  # v of that step
-            return draws
-
-        with mock.patch.object(harness, "_attack_block", lambda n, m: block), \
-                mock.patch.object(harness, "_noise", noise):
+        v = n + poisoned_step * (n + m) + n  # the measurement noise of that step
+        fault = _golden._poisoned_noise(v, 0) if poisoned else contextlib.nullcontext()
+        with mock.patch.object(harness, "_attack_block", lambda n, m: block), fault:
             records = harness._simulate(config)
         assert records.diverged.tolist() == [poisoned and traj == 0 for traj in range(trajectories)]
         for traj in range(trajectories):

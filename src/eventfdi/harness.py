@@ -24,8 +24,14 @@ Simulation core: one step loop advances every trajectory at once. State
 vectors are (T, n, 1) columns, covariances (T, n, n), and S, L, F, K are
 held per trajectory. The plant does not depend on the estimator, so each
 trajectory's noise is drawn in one block from its own (seed, trajectory)
-stream and the plant path is computed before the filter loop. The scalar
-functions in estimator, model, attack and detector stay the specification:
+stream and the plant path is computed before the filter loop. The records
+stay trajectory-major, (T, steps, ...), so that a trajectory's reductions
+read its own contiguous rows. The measurements and the loop's per-step
+buffers are step-major, (steps, T, ...) and (block, T, ...), so that every
+operand of a step is one contiguous (T, ...) slab; the loop copies each
+block of its buffers into the records with one assignment per array. The
+scalar functions in estimator, model, attack and detector stay the
+specification:
 each trajectory's records equal, bit for bit, what a loop over those
 functions produces (tests/_oracles.py keeps that loop as the reference).
 That holds because every product is a stacked np.matmul, which runs the
@@ -51,11 +57,13 @@ recursion of one matmul and two adds per step, the rest stacked products
 over the block; the attack mode decides only the sensor's z. The
 recursions keep their bits because np.where(gamma, x + u, x) equals x +
 np.where(gamma, u, -0.0): x + (-0.0) is x for every double, signed zeros,
-infinities and nan included. The block length is what _ATTACK_PASS_BYTES
-holds per trajectory at the run's n and m, so the pass's buffers are O(T x
-block) whatever the number of steps. Under attack "off" the sensor's data
-is the received data and the remote estimate the nominal one, so xa, z and
-eps are the arrays xn, zn and epst.
+infinities and nan included. The loop and the pass share one block length,
+_attack_block(n, m), and the loop's blocks also end at attack_start, so
+each block of the pass is one block of the loop and flush() reads the
+loop's buffers of it. The buffers are O(T x block) whatever the number of
+steps. Under attack "off" the sensor's data is the received data and the
+remote estimate the nominal one, so xa, z and eps are the arrays xn, zn and
+epst.
 
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching
@@ -77,15 +85,17 @@ and it is left out of the aggregates and the trace.
 Memory: the measurements and every per-step record of every trajectory
 are kept until the run ends, T * steps * (3n + 5m + 1) doubles under an
 attack and T * steps * (2n + 3m + 1) with it off (three records are
-shared); the noise block is freed before the filter loop, and the
+shared). The plant's path holds less: the noise block, x and y, and one
+y-sized temporary, and the noise is freed before the filter loop. The
 summary's reductions hold one or two window-sized temporaries at a time:
-about 37 MB for the paper's 50 x 4200 run. The attack pass holds about
-_ATTACK_PASS_BYTES (8 KiB) more per trajectory under either attacked mode,
-and at least one step's worth: 27 steps on the paper system. The memo
-holds at most _MEMO_NODES nodes of n^2 + 2m^2 + nm doubles each, plus an
-n^2-double key: the paper's attacked runs make about 450 nodes at 10 x 700,
-2,200 at 50 x 4200 and 7,400 at 200 x 700. Measured peaks are in
-CHANGES.md and BENCH_*.json.
+about 37 MB for the paper's 50 x 4200 run. One block is 27 steps on the
+paper system. The attack pass's buffers of one block take about
+_ATTACK_PASS_BYTES (8 KiB) per trajectory under either attacked mode, and
+the loop's buffers n + 2m doubles and a bool per trajectory-step of it, in
+every mode. The memo holds at most _MEMO_NODES nodes of n^2 + 2m^2 + nm
+doubles each, plus an n^2-double key: the paper's attacked runs make about
+450 nodes at 10 x 700, 2,200 at 50 x 4200 and 7,400 at 200 x 700. Measured
+peaks are in CHANGES.md and BENCH_*.json.
 """
 
 import itertools
@@ -618,14 +628,17 @@ class _CovarianceMemo:
 
 
 # Bytes per trajectory the attack pass may hold for one block of attacked steps;
-# it sets the block length, so the pass's buffers stay O(T x block). Blocks much
-# longer than this leave the cache at large T, and much shorter ones pay the
-# pass's fixed calls too often at small T.
+# it sets the one block length of the scheduler loop's step-major buffers and of
+# the pass, so both stay O(T x block). The loop's buffers, n + 2m doubles and a
+# bool per step, come on top. Blocks much longer than this leave the cache at
+# large T, and much shorter ones pay the pass's fixed calls and the block copies
+# too often at small T.
 _ATTACK_PASS_BYTES = 8 << 10
 
 
 def _attack_block(n: int, m: int) -> int:
-    """Attacked steps per block of the attack pass: as many as _ATTACK_PASS_BYTES holds.
+    """Steps per block of the scheduler loop and the attack pass: as many attacked
+    steps as _ATTACK_PASS_BYTES holds in the pass.
 
     One attacked step of one trajectory holds about nm + 2m^2 + 5n + 4m
     doubles there: its K, L and F, the two estimates' priors and
@@ -638,16 +651,17 @@ class _AttackPass:
     """x_a, x_tilde, z and eps of the attacked steps, one block at a time (see the
     module docstring). Made at attack_start: x_a's first prior is A x_n, x_tilde's
     is 0. push() takes a step's K, L, F and K z_nominal from the scheduler loop,
-    flush() computes the block. x_a and x_tilde are one (T, 2, n, 1) stack under
-    both attacked modes; the mode decides only the sensor's z."""
+    flush() computes the block from the loop's buffers of it. x_a and x_tilde are
+    one (T, 2, n, 1) stack under both attacked modes; the mode decides only the
+    sensor's z."""
 
-    def __init__(self, config: ScenarioConfig, xn_post, ys, gammas, epsts, xas, zs, epss):
+    def __init__(self, config: ScenarioConfig, xn_post, ys, xas, zs, epss):
         model = config.model
         n, m, T = model.n, model.m, config.trajectories
         self.A, self.C = model.A, model.C
         self.mu, self.delta = config.attack_params.mu, config.attack_params.delta.reshape(m, 1)
         self.two_channel = config.attack_mode == "two_channel"
-        self.ys, self.gammas, self.epsts = ys, gammas, epsts
+        self.ys = ys  # (steps, T, m, 1)
         self.xas, self.zs, self.epss = xas, zs, epss
         self.start = config.attack_start  # first step of the open block
         self.count = 0  # steps in the open block
@@ -669,18 +683,15 @@ class _AttackPass:
         np.copyto(self.F[j], f_storage(F))
         return np.matmul(K, z_nominal, out=self.post[j, :, 1])  # x_tilde's first increment
 
-    def flush(self) -> None:
-        """Compute the open block's steps and write their x_a, z and eps records."""
+    def flush(self, epst, gamma) -> None:
+        """Compute the open block's steps from their received eps (b, T, m, 1) and
+        gamma (b, T), and write their x_a, z and eps records."""
         b, k0 = self.count, self.start
-        if not b:
-            return
         window = slice(k0, k0 + b)
+        ys = self.ys[window]
         # (b, T, ...) views of the records: steps first, each slab's inner block contiguous
-        ys, epst, xas, zs, epss = (
-            a[:, window].swapaxes(0, 1) for a in (self.ys, self.epsts, self.xas, self.zs, self.epss)
-        )
+        xas, zs, epss = (a[:, window].swapaxes(0, 1) for a in (self.xas, self.zs, self.epss))
         K, L, F = self.K[:b], self.L[:b], f_storage(self.F[:b])
-        gamma = self.gammas[:, window].T
         silent = ~gamma[..., None, None]
         prior, post, second = self.prior, self.post[:b], self.inc[:b]
 
@@ -707,6 +718,12 @@ class _AttackPass:
         self.count = 0
 
 
+def _square_sums(a: np.ndarray) -> np.ndarray:
+    """Each trajectory's sum of squares of a (T, ...) C-contiguous array."""
+    flat = a.reshape(len(a), -1)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 @np.errstate(all="ignore")
 def _simulate(config: ScenarioConfig) -> _Records:
     """Advance every trajectory of the scenario together; see the module docstring.
@@ -728,15 +745,19 @@ def _simulate(config: ScenarioConfig) -> _Records:
     # The plant does not see the estimator, so its whole path comes first.
     draws = np.stack([_noise(config, traj) for traj in range(T)])[..., None]
     noise = draws[:, n:].reshape(T, steps, n + m, 1)
-    # the last step's process noise is drawn but moves no state the run records
-    w = model._q_factor @ noise[:, :-1, :n]
     xs = np.empty((T, steps, n, 1))
     xs[:, 0] = model._xi0_factor @ draws[:, :n]
+    # x_{k+1} = w_k + A x_k, with w_k written into x_{k+1} first and y = C x + v
+    # added in place, so the plant's path holds one temporary of y's size at most.
+    # The last step's process noise is drawn but moves no state the run records.
+    np.matmul(model._q_factor, noise[:, :-1, :n], out=xs[:, 1:])
     for k in range(steps - 1):
-        np.matmul(A, xs[:, k], out=xs[:, k + 1])
-        xs[:, k + 1] += w[:, k]
-    ys = C @ xs + model._r_factor @ noise[:, :, n:]
-    del draws, noise, w
+        xs[:, k + 1] += A @ xs[:, k]
+    ys = C @ xs
+    ys += model._r_factor @ noise[:, :, n:]
+    del draws, noise
+    ys_energy = _square_sums(ys)  # trajectory-major, as the records' terms below
+    ys = np.ascontiguousarray(ys.swapaxes(0, 1))  # (steps, T, m, 1): ys[k] is contiguous
 
     filt = initial_filter_state(model)
     P, L, F, K = (np.broadcast_to(a, (T, *a.shape)) for a in (filt.P_prior, filt.L, filt.F, filt.K))
@@ -749,6 +770,11 @@ def _simulate(config: ScenarioConfig) -> _Records:
         zs, epss = (np.empty((T, steps, m, 1)) for _ in range(2))
     else:  # the received data is the sensor's, and the remote estimate the nominal one
         xas, zs, epss = xns, zns, epsts
+    # The loop writes each step into step-major buffers of one block, so every
+    # per-step operand is contiguous, and copies each block into the records.
+    block = min(_attack_block(n, m), steps)
+    gamma_b, xn_b = np.empty((block, T), dtype=bool), np.empty((block, T, n, 1))
+    zn_b, epst_b = np.empty((block, T, m, 1)), np.empty((block, T, m, 1))
 
     def prior(P_post):
         P = _sym(A @ P_post @ At + Q)
@@ -761,14 +787,16 @@ def _simulate(config: ScenarioConfig) -> _Records:
     # z_nominal, so nothing the attack pass computes feeds back into this loop.
     memo = _CovarianceMemo(n, m) if attacked else None
     attack = None
-    per_step = zip(*(a.swapaxes(0, 1) for a in (ys, zns, epsts, xns, gammas)))
-    for k, (y, zn, epst, xn, gamma) in enumerate(per_step):
+    k0 = 0  # first step of the open block; blocks also end at attack_start
+    for k in range(steps):
         if attacked and k == config.attack_start:
-            attack = _AttackPass(config, xn_post, ys, gammas, epsts, xas, zs, epss)
+            attack = _AttackPass(config, xn_post, ys, xas, zs, epss)
         if k > 0:
             P, L, F, K = memo.prior(P_post, prior) if attack is not None else prior(P_post)
+        j = k - k0
+        gamma, xn, zn, epst = gamma_b[j], xn_b[j], zn_b[j], epst_b[j]
         xn_prior = A @ xn_post
-        z_nominal = np.subtract(y, C @ xn_prior, out=zn)
+        z_nominal = np.subtract(ys[k], C @ xn_prior, out=zn)
         eps_received = np.matmul(F.swapaxes(-1, -2), z_nominal, out=epst)
         if attack is not None:
             eps_received /= mu
@@ -783,11 +811,15 @@ def _simulate(config: ScenarioConfig) -> _Records:
         else:
             gain = attack.push(K, L, F, z_nominal)
         xn_post = np.add(xn_prior, np.where(fired, gain, -0.0), out=xn)
-        if attack is not None and attack.count == attack.block:
-            attack.flush()
+        if j + 1 == block or k + 1 in (config.attack_start, steps):
+            window, b = slice(k0, k + 1), j + 1
+            for record, buffer in zip((gammas, xns, zns, epsts), (gamma_b, xn_b, zn_b, epst_b)):
+                record[:, window] = buffer[:b].swapaxes(0, 1)
+            if attack is not None:
+                attack.flush(epst_b[:b], gamma_b[:b])
+            k0 = k + 1
 
     if attacked:
-        attack.flush()
         before = slice(0, config.attack_start)
         xas[:, before], zs[:, before], epss[:, before] = (
             xns[:, before], zns[:, before], epsts[:, before]
@@ -797,10 +829,9 @@ def _simulate(config: ScenarioConfig) -> _Records:
     # The one divergence rule: 4T times the sum of squares of a trajectory's plant
     # states and its records, each array once, is not finite. A squared error,
     # product or sum that the summary forms over at most T trajectories stays below
-    # that, so it is finite.
-    kept = (xs, ys, xns, zns, epsts) + ((xas, zs, epss) if attacked else ())
-    flat = (a.reshape(T, -1) for a in kept)
-    energy = sum(np.einsum("ij,ij->i", a, a) for a in flat)
+    # that, so it is finite. The measurements' term was taken before the loop.
+    kept = (xns, zns, epsts) + ((xas, zs, epss) if attacked else ())
+    energy = sum([_square_sums(xs), ys_energy, *map(_square_sums, kept)])
     return _Records(
         gamma=gammas,
         alarm=g >= config.detector.sigma,

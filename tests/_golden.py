@@ -16,8 +16,12 @@ The bits belong to the numpy and scipy versions and OpenBLAS core the file recor
 test skips on other versions, and a digest that differs names both cores. A change that
 alters an entry on purpose rewrites the file and says which entries changed and why:
 
-    python tests/_golden.py            # list the entries that differ, exit 1 if any
-    python tests/_golden.py --update   # rewrite the file and list what changed
+    python tests/_golden.py               # list the entries that differ, exit 1 if any
+    python tests/_golden.py --update      # rewrite the file and list what changed
+    python tests/_golden.py --write PATH  # write the computed digests to PATH, nothing else
+
+`--write` leaves digests.json alone, so two checkouts run under the same
+OPENBLAS_CORETYPE can be compared with `cmp` on their files.
 """
 
 import contextlib
@@ -328,7 +332,13 @@ def changed(recorded: dict, current: dict) -> list:
 
 def main(argv) -> int:
     update = "--update" in argv
+    write = argv[argv.index("--write") + 1] if "--write" in argv else None
     current = compute()
+    if write is not None:
+        with open(write, "w", encoding="utf-8", newline="\n") as handle:
+            json.dump(current, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        return 0
     recorded = load()["digests"] if DIGESTS.exists() else {}
     diff = changed(recorded, current)
     for name in diff:

@@ -906,8 +906,9 @@ class TestBatchedCore:
         assume(revisit is not None and revisit < config.attack_start + harness._MEMO_GRACE)
         assert spy.call_count < config.steps - 1
 
-    @pytest.mark.parametrize("attack_start", [0, 5])
-    @pytest.mark.parametrize("mode", ["forward_only", "two_channel"])
+    # 7 is past the first block, so a block ends early there
+    @pytest.mark.parametrize("attack_start", [0, 5, 7])
+    @pytest.mark.parametrize("mode", harness.ATTACK_MODES)
     # attack windows of blocks * block + extra steps: 1, block - 1, block, block + 1, 2 block + 1
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
     @settings(max_examples=5, deadline=None)
@@ -922,10 +923,11 @@ class TestBatchedCore:
     def test_attack_blocks_match_scalar_reference(
         self, attack_start, mode, blocks, extra, n, m, trajectories, block, poisoned, seed
     ):
-        """Attack windows on both sides of the attack pass's block boundaries, bit for
-        bit on every record. A poisoned slice (a nan in its measurement noise in the
-        middle of the window) diverges without touching the others, and its records
-        match up to that step."""
+        """Attack windows on both sides of the block boundaries of the scheduler loop's
+        buffers and the attack pass, bit for bit on every record, with the attack off
+        too. A poisoned slice (a nan in its measurement noise in the middle of the
+        window) diverges without touching the others, and its records match up to
+        that step."""
         steps = attack_start + blocks * block + extra
         payload = dict(
             _random_stable_payload(n, m, trajectories, mode, seed),
@@ -953,14 +955,16 @@ class TestBatchedCore:
         block = harness._attack_block(config.model.n, config.model.m)
         assert config.steps - config.attack_start > 2 * block + 1
 
-    def test_attack_pass_memory_does_not_grow_with_steps(self, paper_payload, monkeypatch):
-        """From 10 x 700 to 10 x 2800 attacked steps, the attack pass keeps the same
-        buffers, and the traced peak grows by no more than the per-step arrays the
-        run keeps: the records and the measurements, T * steps * (3n + 5m + 1)
-        doubles and two bools. The peak holds all of them, so the two growths are
-        equal to within what Python-side state, such as the memo's index of P+
-        patterns, adds: 1 % here. Blocks as long as the window would add about
-        5 MB."""
+    @pytest.mark.parametrize("mode", ["off", "two_channel"])
+    def test_block_buffers_do_not_grow_with_steps(self, paper_payload, monkeypatch, mode):
+        """From 10 x 700 to 10 x 2800 steps, the scheduler loop's step-major buffers
+        and the attack pass's keep their size, and the traced peak grows by no more
+        than the per-step arrays the run keeps: the records and the measurements,
+        T * steps * (3n + 5m + 1) doubles and two bools under the attack, and
+        T * steps * (2n + 3m + 1) doubles and two bools with it off. The peak holds
+        all of them, so the two growths are equal to within what Python-side state,
+        such as the memo's index of P+ patterns, adds: 1 % here. Blocks as long as
+        the window would add about 5 MB."""
         passes = []
         real = harness._AttackPass
 
@@ -971,7 +975,9 @@ class TestBatchedCore:
         monkeypatch.setattr(harness, "_AttackPass", spy)
         peaks, kept = [], []
         for steps in (700, 2800):
-            config = ef.config_from_dict(dict(paper_payload, steps=steps, trajectories=10))
+            config = ef.config_from_dict(
+                dict(paper_payload, steps=steps, trajectories=10, attack_mode=mode)
+            )
             tracemalloc.start()
             try:
                 harness._simulate(config)
@@ -979,10 +985,12 @@ class TestBatchedCore:
             finally:
                 tracemalloc.stop()
             n, m, T = config.model.n, config.model.m, config.trajectories
-            kept.append(T * steps * (8 * (3 * n + 5 * m + 1) + 2))
-        buffers = [[getattr(p, name).nbytes for name in ("K", "L", "F", "prior", "post", "inc")]
-                   for p in passes]
-        assert buffers[0] == buffers[1] and passes[0].block < 700 - 100
+            per_step = 3 * n + 5 * m + 1 if mode == "two_channel" else 2 * n + 3 * m + 1
+            kept.append(T * steps * (8 * per_step + 2))
+        if mode == "two_channel":
+            buffers = [[getattr(p, name).nbytes for name in ("K", "L", "F", "prior", "post", "inc")]
+                       for p in passes]
+            assert buffers[0] == buffers[1] and passes[0].block < 700 - 100
         assert peaks[1] - peaks[0] <= 1.01 * (kept[1] - kept[0]), (peaks, kept)
 
     def test_memo_capacity_stop_keeps_the_summary(self, paper_payload, monkeypatch):

@@ -36,13 +36,22 @@ each trajectory's records equal, bit for bit, what a loop over those
 functions produces (tests/_oracles.py keeps that loop as the reference).
 That holds because every product is a stacked np.matmul, which runs the
 same kernel per slice as the 2-D product, and everything else is an
-elementwise ufunc or np.where; einsum, `X @ A.T` rewrites and `sum`
-contractions change the rounding and are not used. S is factorized by
-estimator.factor_stack, the factorization the scalar functions use: in
-closed form elementwise for m <= 2 and by a stacked Cholesky for m >= 3,
-each slice with the bits it gets alone. For every m, a slice that is not
-positive definite gets non-finite factors, where the scalar functions
-raise NumericError.
+elementwise ufunc, a masked ufunc write (where=) or a max/min reduction;
+einsum, `X @ A.T` rewrites and `sum` contractions change the rounding and
+are not used. A per-step choice is the where= mask of the ufunc that
+consumes it, not an np.where temporary: np.add(x, u, out=x, where=gamma)
+has the bits of x + np.where(gamma, u, -0.0), and np.multiply(kappa, c,
+out=c, where=~gamma) those of np.where(gamma, 1.0, kappa) * c, since
+x + (-0.0) and 1.0 * x are x for every double that arithmetic makes,
+signed zeros, infinities and nan included, and where= leaves the
+masked-out entries as they are. The one exception is a sum of two nans,
+which keeps either one's sign and payload as numpy's loop for the operands
+picks; only a diverged slice carries nan, and no output reads its records.
+S is factorized by estimator.factor_stack, the factorization the scalar
+functions use: in closed form elementwise for m <= 2 and by a stacked
+Cholesky for m >= 3, each slice with the bits it gets alone. For every m,
+a slice that is not positive definite gets non-finite factors, where the
+scalar functions raise NumericError.
 
 The core runs in two parts. The received data eps_tilde = F^T z_nominal /
 mu + delta is built from the nominal innovation, so the scheduler
@@ -55,15 +64,15 @@ time. The loop makes the pass at attack_start, from x_n's posterior there,
 and hands it each attacked step: x_a and x_tilde are one (T, 2, n, 1)
 recursion of one matmul and two adds per step, the rest stacked products
 over the block; the attack mode decides only the sensor's z. The
-recursions keep their bits because np.where(gamma, x + u, x) equals x +
-np.where(gamma, u, -0.0): x + (-0.0) is x for every double, signed zeros,
-infinities and nan included. The loop and the pass share one block length,
-_attack_block(n, m), and the loop's blocks also end at attack_start, so
-each block of the pass is one block of the loop and flush() reads the
-loop's buffers of it. The buffers are O(T x block) whatever the number of
-steps. Under attack "off" the sensor's data is the received data and the
-remote estimate the nominal one, so xa, z and eps are the arrays xn, zn and
-epst.
+recursions keep their bits by the same rule: a silent step adds -0.0, and
+x_a's half of x_tilde's second increment is -0.0 throughout, so each step
+adds that increment as one contiguous (T, 2, n, 1) slab. The loop and the
+pass share one block length, _attack_block(n, m), and the loop's blocks
+also end at attack_start, so each block of the pass is one block of the
+loop and flush() reads the loop's buffers of it. The buffers are
+O(T x block) whatever the number of steps. Under attack "off" the sensor's
+data is the received data and the remote estimate the nominal one, so xa,
+z and eps are the arrays xn, zn and epst.
 
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching
@@ -88,7 +97,7 @@ attack and T * steps * (2n + 3m + 1) with it off (three records are
 shared). The plant's path holds less: the noise block, x and y, and one
 y-sized temporary, and the noise is freed before the filter loop. The
 summary's reductions hold one or two window-sized temporaries at a time:
-about 37 MB for the paper's 50 x 4200 run. One block is 27 steps on the
+about 37 MB for the paper's 50 x 4200 run. One block is 25 steps on the
 paper system. The attack pass's buffers of one block take about
 _ATTACK_PASS_BYTES (8 KiB) per trajectory under either attacked mode, and
 the loop's buffers n + 2m doubles and a bool per trajectory-step of it, in
@@ -607,7 +616,7 @@ class _CovarianceMemo:
             return False
         self.last = (self.nodes, gamma.view(np.int8))
         nxt = self.next[self.last]
-        self.nodes = nxt if nxt.min() >= 0 else None
+        self.nodes = nxt if np.minimum.reduce(nxt) >= 0 else None
         return self.nodes is not None
 
     def _add(self, keys, stacks):
@@ -640,11 +649,11 @@ def _attack_block(n: int, m: int) -> int:
     """Steps per block of the scheduler loop and the attack pass: as many attacked
     steps as _ATTACK_PASS_BYTES holds in the pass.
 
-    One attacked step of one trajectory holds about nm + 2m^2 + 5n + 4m
-    doubles there: its K, L and F, the two estimates' priors and
-    posteriors, x_tilde's second increment, and the temporaries.
+    One attacked step of one trajectory holds about nm + 2m^2 + 6n + 4m
+    doubles there: its K, L and F, the two estimates' priors, posteriors
+    and second increments (x_a's is -0.0), and the temporaries.
     """
-    return max(1, _ATTACK_PASS_BYTES // (8 * (n * m + 2 * m * m + 5 * n + 4 * m)))
+    return max(1, _ATTACK_PASS_BYTES // (8 * (n * m + 2 * m * m + 6 * n + 4 * m)))
 
 
 class _AttackPass:
@@ -672,7 +681,7 @@ class _AttackPass:
         self.prior = np.zeros((block + 1, T, 2, n, 1))
         self.prior[0, :, 0] = self.A @ xn_post
         self.post = np.empty((block, T, 2, n, 1))  # first the increments, then the posteriors
-        self.inc = np.empty((block, T, n, 1))  # x_tilde's second increment
+        self.inc = np.full((block, T, 2, n, 1), -0.0)  # x_tilde's second increment; x_a's is -0.0
 
     def push(self, K, L, F, z_nominal) -> np.ndarray:
         """Take one attacked step's factors and return K z_nominal."""
@@ -693,17 +702,18 @@ class _AttackPass:
         xas, zs, epss = (a[:, window].swapaxes(0, 1) for a in (self.xas, self.zs, self.epss))
         K, L, F = self.K[:b], self.L[:b], f_storage(self.F[:b])
         silent = ~gamma[..., None, None]
-        prior, post, second = self.prior, self.post[:b], self.inc[:b]
+        prior, post, incs = self.prior, self.post[:b], self.inc[:b]
 
-        # np.where(gamma, x + u, x) == x + np.where(gamma, u, -0.0): x + (-0.0) is x
+        # np.where(gamma, x + u, x) == x + np.where(gamma, u, -0.0): x + (-0.0) is x, so x_a's
+        # half of inc stays -0.0 and each step adds inc as one contiguous (T, 2, n, 1) slab
         post[:, :, 1] *= (gamma / self.mu - gamma)[..., None, None]
-        np.matmul(K, L @ self.delta, out=second)
-        np.copyto(second, -0.0, where=silent)
+        np.matmul(K, L @ self.delta, out=incs[:, :, 1])
+        np.copyto(incs[:, :, 1], -0.0, where=silent)
         np.matmul(K, L @ epst, out=post[:, :, 0])
         np.copyto(post[:, :, 0], -0.0, where=silent)
-        for x_prior, x_post, x_next, inc in zip(prior, post, prior[1:], second):
+        for x_prior, x_post, x_next, inc in zip(prior, post, prior[1:], incs):
             np.add(x_prior, x_post, out=x_post)
-            x_post[:, 1] += inc
+            np.add(x_post, inc, out=x_post)
             np.matmul(self.A, x_post, out=x_next)
 
         np.copyto(xas, post[:, :, 0])
@@ -795,22 +805,23 @@ def _simulate(config: ScenarioConfig) -> _Records:
             P, L, F, K = memo.prior(P_post, prior) if attack is not None else prior(P_post)
         j = k - k0
         gamma, xn, zn, epst = gamma_b[j], xn_b[j], zn_b[j], epst_b[j]
-        xn_prior = A @ xn_post
+        xn_prior = np.matmul(A, xn_post, out=xn)
         z_nominal = np.subtract(ys[k], C @ xn_prior, out=zn)
         eps_received = np.matmul(F.swapaxes(-1, -2), z_nominal, out=epst)
         if attack is not None:
             eps_received /= mu
             eps_received += delta
 
-        np.logical_not(np.abs(eps_received).max(axis=(1, 2)) <= beta, out=gamma)
-        fired = gamma[:, None, None]
+        quiet = np.maximum.reduce(np.abs(eps_received), axis=(1, 2)) <= beta
+        np.logical_not(quiet, out=gamma)
         if attack is None or not memo.advance(gamma):
-            P_post = _sym(P - np.where(fired, 1.0, kappa_beta) * (K @ (C @ P)))
+            KCP = K @ (C @ P)
+            P_post = _sym(P - np.multiply(kappa_beta, KCP, out=KCP, where=quiet[:, None, None]))
         if attack is None:
             gain = K @ (L @ eps_received)
         else:
             gain = attack.push(K, L, F, z_nominal)
-        xn_post = np.add(xn_prior, np.where(fired, gain, -0.0), out=xn)
+        xn_post = np.add(xn, gain, out=xn, where=gamma[:, None, None])
         if j + 1 == block or k + 1 in (config.attack_start, steps):
             window, b = slice(k0, k + 1), j + 1
             for record, buffer in zip((gammas, xns, zns, epsts), (gamma_b, xn_b, zn_b, epst_b)):

@@ -12,8 +12,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import eventfdi as ef
 from eventfdi import ConfigError, NumericError
@@ -838,6 +839,74 @@ def _assert_same_bits(actual, expected, label):
     assert actual.tobytes() == expected.tobytes(), label
 
 
+# every float, with nan, +-inf, +-0 and subnormals drawn often
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+)
+
+
+def _quiet(a: np.ndarray) -> np.ndarray:
+    """a with every nan made quiet in place, payload and sign kept. Arithmetic makes
+    only quiet nans, and quiets a signaling one, which a masked-out write leaves as it is."""
+    bits = a.view(np.uint64)
+    bits[np.isnan(a)] |= np.uint64(1 << 51)
+    return a
+
+
+@st.composite
+def _masked_operands(draw):
+    """Two float arrays of one (T, r, c) shape with quiet nans, and a (T, 1, 1) bool mask."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    x, u = (_quiet(draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))) for _ in range(2))
+    return x, u, draw(hnp.arrays(np.bool_, (shape[0], 1, 1)))
+
+
+class TestMaskedWrites:
+    """The scheduler loop's masked ufunc writes and ufunc reductions give the bits of
+    the select temporaries and ndarray methods they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_masked_operands())
+    # the in-place add keeps u's nan here, where x + u keeps x's
+    @example(ops=(np.full((1, 1, 1), np.nan), np.full((1, 1, 1), -np.nan),
+                  np.ones((1, 1, 1), bool)))
+    def test_masked_add(self, ops):
+        """Where x and u are both nan, the sum keeps either one's bits, as numpy's loop
+        for the operands picks (an in-place or masked loop may pick u); a trajectory
+        that carries nan has diverged, and no output reads its records."""
+        x, u, fired = ops
+        both = np.isnan(x) & np.isnan(u) & fired
+        got = x.copy()
+        with np.errstate(all="ignore"):
+            expected = x + np.where(fired, u, -0.0)
+            np.add(got, u, out=got, where=fired)
+        bits = got.view(np.uint64)
+        assert np.array_equal(bits[~both], expected.view(np.uint64)[~both])
+        assert ((bits == x.view(np.uint64)) | (bits == u.view(np.uint64)))[both].all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_masked_operands(), kappa=_ENTRIES.filter(lambda v: not math.isnan(v)))
+    def test_masked_kappa_multiply(self, ops, kappa):
+        """kappa(beta) is never nan, so the product of two nans does not arise."""
+        c, _, fired = ops
+        got = c.copy()
+        with np.errstate(all="ignore"):
+            expected = np.where(fired, 1.0, kappa) * c
+            np.multiply(kappa, got, out=got, where=~fired)
+        _assert_same_bits(got, expected, "kappa * c where quiet")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3), elements=_ENTRIES),
+        nodes=hnp.arrays(np.int64, hnp.array_shapes(max_dims=1)),
+    )
+    def test_ufunc_reductions(self, x, nodes):
+        _assert_same_bits(np.maximum.reduce(x, axis=(1, 2)), x.max(axis=(1, 2)), "max")
+        for a in (x.ravel(), nodes):
+            _assert_same_bits(np.minimum.reduce(a), a.min(), "min")
+
+
 class TestBatchedCore:
     """The batched step loop and its summary against the scalar reference loop, bit for bit."""
 
@@ -906,7 +975,8 @@ class TestBatchedCore:
         assume(revisit is not None and revisit < config.attack_start + harness._MEMO_GRACE)
         assert spy.call_count < config.steps - 1
 
-    # 7 is past the first block, so a block ends early there
+    # 7 is past the first block, so a block ends early there; with blocks of one step
+    # the loop's matmul writes x_n's prior over the buffer slot that holds its posterior
     @pytest.mark.parametrize("attack_start", [0, 5, 7])
     @pytest.mark.parametrize("mode", harness.ATTACK_MODES)
     # attack windows of blocks * block + extra steps: 1, block - 1, block, block + 1, 2 block + 1
@@ -916,7 +986,7 @@ class TestBatchedCore:
         n=st.integers(1, 4),
         m=st.integers(1, 4),
         trajectories=st.sampled_from([1, 2, 3]),
-        block=st.integers(2, 6),
+        block=st.integers(1, 6),
         poisoned=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -928,6 +998,7 @@ class TestBatchedCore:
         too. A poisoned slice (a nan in its measurement noise in the middle of the
         window) diverges without touching the others, and its records match up to
         that step."""
+        assume(blocks * block + extra > 0)  # one-step blocks have no window of block - 1
         steps = attack_start + blocks * block + extra
         payload = dict(
             _random_stable_payload(n, m, trajectories, mode, seed),
@@ -964,7 +1035,9 @@ class TestBatchedCore:
         T * steps * (2n + 3m + 1) doubles and two bools with it off. The peak holds
         all of them, so the two growths are equal to within what Python-side state,
         such as the memo's index of P+ patterns, adds: 1 % here. Blocks as long as
-        the window would add about 5 MB."""
+        the window would add about 5 MB. The pass's buffers hold the nm + 2m^2 + 6n
+        doubles per trajectory-step that _attack_block counts, and its block leaves
+        room for the 4m doubles of temporaries on top."""
         passes = []
         real = harness._AttackPass
 
@@ -991,6 +1064,9 @@ class TestBatchedCore:
             buffers = [[getattr(p, name).nbytes for name in ("K", "L", "F", "prior", "post", "inc")]
                        for p in passes]
             assert buffers[0] == buffers[1] and passes[0].block < 700 - 100
+            block, per_step = passes[0].block, n * m + 2 * m * m + 6 * n
+            assert sum(buffers[0]) == 8 * T * (block * per_step + 2 * n)  # and prior[block]
+            assert block == harness._ATTACK_PASS_BYTES // (8 * (per_step + 4 * m)) == 25
         assert peaks[1] - peaks[0] <= 1.01 * (kept[1] - kept[0]), (peaks, kept)
 
     def test_memo_capacity_stop_keeps_the_summary(self, paper_payload, monkeypatch):

@@ -52,11 +52,13 @@ from .harness import (
     RunResult,
     ScenarioConfig,
     SimulationSummary,
+    Theory,
     config_from_dict,
     config_schema,
     load_config,
     paper_scenario,
     run_scenario,
+    theory,
     trace_header,
     write_trace,
 )

@@ -16,7 +16,7 @@ linear solve on the operator I - A kron A that the model builds once, at
 construction, for all its solves; from n = 10 on, by Smith's squared
 doubling, which stops by the rule of the Riccati doubling (see _lyapunov).
 They, the steady bias and the sweep exist iff A is stable, the one rule
-_check_stable checks against the spectral radius the model computed once
+check_stable checks against the spectral radius the model computed once
 at construction. The equation is linear in its forcing, and
 1 - (2/mu - 1/mu^2) = (1 - 1/mu)^2, so across scaling values the attacked
 fixed point is
@@ -59,7 +59,7 @@ class SweepPoint:
     fixed_point: np.ndarray
 
 
-def _check_stable(model: SystemModel, name: str) -> None:
+def check_stable(model: SystemModel, name: str) -> None:
     """Raise DivergenceError unless A is stable: a direct solve on an unstable A
     still returns a matrix, so the spectral radius is checked before any solve."""
     rho = model.spectral_radius()
@@ -71,7 +71,7 @@ def steady_bias(
     params: AttackParams, steady: SteadyState, model: SystemModel
 ) -> BiasVector:
     """Solve (I - A) E = K F^{-T} delta; an unstable A (unbounded bias) raises DivergenceError."""
-    _check_stable(model, "steady bias")
+    check_stable(model, "steady bias")
     rhs = steady.K @ (steady.L @ params.delta)  # K F^{-T} delta
     value = _umath_linalg.solve1(np.eye(model.n) - model.A, rhs, signature="dd->d")
     return BiasVector(value=value, prior_value=model.A @ value)
@@ -143,7 +143,7 @@ def _lyapunov(model: SystemModel, forcing: np.ndarray) -> np.ndarray:
 
 
 def _lyapunov_fixed_point(model: SystemModel, forcing: np.ndarray, name: str) -> np.ndarray:
-    _check_stable(model, name)
+    check_stable(model, name)
     return _lyapunov(model, forcing)
 
 
@@ -179,7 +179,7 @@ def mu_sweep(
     mus = [float(mu) for mu in mu_grid]
     if not all(mu >= 1.0 for mu in mus):
         raise DomainError(f"mu grid entries must be >= 1, got {mus!r}")
-    _check_stable(model, "attacked covariance")
+    check_stable(model, "attacked covariance")
     shape = _injection_shape(steady, model)
     kalman = _lyapunov(model, model.Q - shape)
     injected = _lyapunov(model, shape)

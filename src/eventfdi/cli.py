@@ -14,6 +14,7 @@ exit code 0.
 
 import argparse
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -21,15 +22,8 @@ import sys
 
 import numpy as np
 
-from . import analysis
-from .attack import (
-    AttackParams,
-    SuccessCriteria,
-    alarm_probability,
-    feasible_delta_interval,
-    solve_optimal_params,
-    trigger_probability,
-)
+from . import analysis, harness
+from .attack import AttackParams, SuccessCriteria, feasible_delta_interval, solve_optimal_params
 from .errors import NumericError, ToolkitError
 from .estimator import riccati_fixed_point
 from .harness import ATTACK_MODES, RunResult, config_from_dict, paper_scenario, read_payload, run_scenario
@@ -168,25 +162,23 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     config = _load(args)
-    model = config.model
-    steady = riccati_fixed_point(model)
-    params = config.attack_params
+    model, params = config.model, config.attack_params
     if args.mu is not None:
         params = AttackParams(args.mu, params.delta_bar, model.m)
-    bias = analysis.steady_bias(params, steady, model)
-    attacked_fp = analysis.attacked_covariance_fixed_point(params, steady, model)
-    open_fp = analysis.open_loop_fixed_point(model)
+        config = dataclasses.replace(config, attack_params=params)
+    theory = harness.theory(config)
+    analysis.check_stable(model, "steady bias")  # no values to print for an unstable A
     _emit(
         {
             "mu": params.mu,
             "delta_bar": params.delta_bar,
-            "bias": [float(v) for v in bias.value],
-            "bias_prior": [float(v) for v in bias.prior_value],
-            "attacked_cov_trace": float(np.trace(attacked_fp)),
-            "kalman_prior_cov_trace": float(np.trace(steady.P)),
-            "open_loop_cov_trace": float(np.trace(open_fp)),
-            "analytic_trigger": trigger_probability(params, config.beta),
-            "analytic_alarm": alarm_probability(params, config.detector.sigma, model.m),
+            "bias": [float(v) for v in theory.bias],
+            "bias_prior": [float(v) for v in model.A @ theory.bias],
+            "attacked_cov_trace": theory.cov_trace,
+            "kalman_prior_cov_trace": float(np.trace(theory.steady.P)),
+            "open_loop_cov_trace": theory.open_trace,
+            "analytic_trigger": theory.trigger,
+            "analytic_alarm": theory.alarm,
         }
     )
     return EXIT_OK
@@ -207,7 +199,7 @@ def _cmd_sweep(args) -> int:
 
 # The published experiment's three runs and the analysis values GATES read.
 Reproduction = collections.namedtuple(
-    "Reproduction", "config steady open_trace nominal attacked bias_run")
+    "Reproduction", "config theory nominal attacked bias_run")
 
 
 def reproduce_paper(quick: bool = False) -> Reproduction:
@@ -217,8 +209,7 @@ def reproduce_paper(quick: bool = False) -> Reproduction:
     config = config_from_dict(base)
     return Reproduction(
         config=config,
-        steady=riccati_fixed_point(config.model),
-        open_trace=float(np.trace(analysis.open_loop_fixed_point(config.model))),
+        theory=harness.theory(config),
         nominal=run_scenario(config_from_dict(dict(base, attack_mode="off"))),
         attacked=run_scenario(config),
         bias_run=run_scenario(config_from_dict(paper_scenario(**bias))),
@@ -278,9 +269,10 @@ def _covariance(s) -> tuple:
 
 def _large_scaling(r: Reproduction) -> tuple:
     """(attacked fixed-point trace at scaling 1e4, open-loop trace)."""
-    params = AttackParams(1e4, r.config.attack_params.delta_bar, r.config.model.m)
-    fixed_point = analysis.attacked_covariance_fixed_point(params, r.steady, r.config.model)
-    return float(np.trace(fixed_point)), r.open_trace
+    model = r.config.model
+    params = AttackParams(1e4, r.config.attack_params.delta_bar, model.m)
+    fixed_point = analysis.attacked_covariance_fixed_point(params, r.theory.steady, model)
+    return float(np.trace(fixed_point)), r.theory.open_trace
 
 
 # The acceptance gates of arXiv 2110.07378, section 5, each bound stated once:
@@ -291,7 +283,7 @@ GATES = (
     Gate("threshold sigma (1% tail, 3 dof)", lambda r: chi2_quantile(0.01, 3), (11.345, 5e-3),
          "near"),
     Gate("confidence level Psi", lambda r: r.config.criteria.Psi, (3.0, 1e-3), "near"),
-    Gate("open-loop covariance trace", lambda r: r.open_trace, (0.0915, 5e-4), "near"),
+    Gate("open-loop covariance trace", lambda r: r.theory.open_trace, (0.0915, 5e-4), "near"),
     Gate("nominal communication rate", lambda r: r.nominal.summary.comm_rate, (0.2969, 5e-3),
          "near"),
     Gate("attacked communication rate", lambda r: _rate(r.attacked.summary), 3, "within SE",

@@ -213,9 +213,9 @@ class SimulationSummary:
 
     comm_rate and alarm_rate are fractions of step_count * trajectory_count
     decisions, where step_count counts post-burn-in steps per trajectory.
-    theory_* values come from the bias law and the attacked-covariance
-    fixed point at the scenario's attack parameters; both need a stable A
-    and are nan otherwise. emp_cov_trace is the mean of
+    theory_bias, theory_cov_trace, analytic_trigger and analytic_alarm are
+    the bias, cov_trace, trigger and alarm of theory(config); the first two
+    need a stable A and are nan otherwise. emp_cov_trace is the mean of
     ||xhat_a - x - c||^2 about the centre c = theory_bias, or c = 0 (the
     mean squared error) where the theory is undefined. to_dict writes an
     undefined theory as null, with the reason under "theory".
@@ -858,6 +858,31 @@ def _simulate(config: ScenarioConfig) -> _Records:
     )
 
 
+# The analytic values of one scenario, computed once by theory(config).
+Theory = namedtuple("Theory", "steady bias cov_trace open_trace trigger alarm")
+
+
+def theory(config: ScenarioConfig) -> Theory:
+    """config's Kalman steady state, steady bias (zeros when the attack is off),
+    attacked and open-loop covariance traces, and analytic trigger and alarm
+    rates. The bias and the traces exist only for a stable A: they are nan for an
+    unstable one, and the bias a nan vector. An undetectable pair raises from
+    riccati_fixed_point."""
+    model, params = config.model, config.attack_params
+    steady = riccati_fixed_point(model)
+    try:
+        if params.is_off:
+            bias = np.zeros(model.n)
+        else:
+            bias = analysis.steady_bias(params, steady, model).value
+        cov_trace = float(np.trace(analysis.attacked_covariance_fixed_point(params, steady, model)))
+        open_trace = float(np.trace(analysis.open_loop_fixed_point(model)))
+    except DivergenceError:
+        bias, cov_trace, open_trace = np.full(model.n, np.nan), math.nan, math.nan
+    return Theory(steady, bias, cov_trace, open_trace, trigger_probability(params, config.beta),
+                  alarm_probability(params, config.detector.sigma, model.m))
+
+
 def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     """Simulate all trajectories and aggregate post-burn-in metrics.
 
@@ -868,28 +893,8 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     RunResult.diverged and excluded from the sums and the trace (partial summary).
     """
     model = config.model
-    steady = riccati_fixed_point(model)
-    params = config.attack_params
-
-    # theory references degrade to nan when A is unstable (bias and the
-    # covariance fixed points only exist for stable dynamics), and the
-    # empirical covariance is then taken about 0
-    try:
-        if params.is_off:
-            theory_bias = np.zeros(model.n)
-        else:
-            theory_bias = analysis.steady_bias(params, steady, model).value
-        theory_cov_trace = float(
-            np.trace(analysis.attacked_covariance_fixed_point(params, steady, model))
-        )
-        centre = theory_bias
-    except DivergenceError:
-        theory_bias = np.full(model.n, np.nan)
-        theory_cov_trace = float("nan")
-        centre = 0.0
-    # before the run, so that a domain error costs no simulation
-    analytic_trigger = trigger_probability(params, config.beta)
-    analytic_alarm = alarm_probability(params, config.detector.sigma, model.m)
+    known = theory(config)  # before the run, so that a domain error costs no simulation
+    centre = 0.0 if np.isnan(known.bias).any() else known.bias
 
     records = _simulate(config)
     survivors = np.flatnonzero(~records.diverged)
@@ -942,10 +947,10 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
         alarm_rate=alarm_count / total,
         emp_bias=sum(sums.bias) / total,
         emp_cov_trace=sum(sums.err_sq.tolist()) / total,
-        theory_bias=theory_bias,
-        theory_cov_trace=theory_cov_trace,
-        analytic_trigger=analytic_trigger,
-        analytic_alarm=analytic_alarm,
+        theory_bias=known.bias,
+        theory_cov_trace=known.cov_trace,
+        analytic_trigger=known.trigger,
+        analytic_alarm=known.alarm,
         step_count=count,
         trajectory_count=survivors.size,
     )

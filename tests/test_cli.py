@@ -444,6 +444,11 @@ class TestAnalyze:
         payload = strict_json(out)
         assert payload["analytic_alarm"] == 0.0 and payload["analytic_trigger"] == 1.0
 
+    def test_unstable_plant_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "analyze", "--config", unstable_config_file(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("numeric error: steady bias diverges; A has spectral radius")
+
     def test_tiny_sigma_alarm_is_one(self, capsys, tmp_path):
         # the alarm's ufunc overflows at x = mu^2 sigma = 4e-28, noncentrality 400
         path = small_config_file(

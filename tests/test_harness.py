@@ -748,6 +748,11 @@ class TestDomainBeforeTheRun:
         with pytest.raises(ef.DomainError, match="alarm_probability overflows"):
             ef.run_scenario(config)
 
+    def test_off_theory_has_no_bias(self, paper_payload):
+        known = ef.theory(ef.config_from_dict(dict(paper_payload, attack_mode="off")))
+        assert known.bias.tolist() == [0.0, 0.0, 0.0] and not np.signbit(known.bias).any()
+        assert known.cov_trace < known.open_trace
+
     def test_unstable_plant_leaves_the_theory_nan(self, paper_payload):
         """An unstable A has no steady bias and no attacked fixed point: both raise
         DivergenceError, and the run reports nan for them. The empirical covariance
@@ -757,6 +762,9 @@ class TestDomainBeforeTheRun:
             paper_payload, model=model, steps=120, trajectories=2, burn_in=60, attack_start=30,
             seed=1,
         ))
+        known = ef.theory(config)
+        assert np.isnan(known.bias).all() and math.isnan(known.open_trace)
+        assert np.isfinite(known.steady.P).all() and 0.0 < known.trigger < 1.0
         summary = ef.run_scenario(config).summary
         assert summary.trajectory_count == 2
         assert np.isnan(summary.theory_bias).all() and math.isnan(summary.theory_cov_trace)

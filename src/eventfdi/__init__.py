@@ -11,6 +11,7 @@ from .analysis import (
     SweepPoint,
     attacked_covariance_fixed_point,
     attacked_covariance_step,
+    event_based_covariance,
     mu_sweep,
     open_loop_fixed_point,
     steady_bias,

@@ -1,4 +1,4 @@
-"""Theoretical performance of the remote estimator under the attack.
+"""Theoretical performance of the remote estimator under the attack, and without it.
 
 With the scheduler effectively always firing, the attacked estimate is
 biased by E = (I - A)^{-1} K F^{-T} delta and its error covariance about
@@ -31,6 +31,13 @@ near mu = 1 for a slow A. The one-step maps stay as the recursions'
 definition and as an independent residual check of the solves:
 attacked_covariance_step for the attacked recursion, and estimator.op_h,
 the time update, for the open loop.
+
+With the attack off the scheduler fires on part of the steps only, and
+the filter updates with weight kappa(beta) on the others. The expected
+covariance is then the fixed point of the modified algebraic Riccati
+equation at the average weight w (event_based_covariance), iterated from
+the Kalman prior and stopped by the Riccati doubling's rule within a cap
+of its own.
 """
 
 from dataclasses import dataclass
@@ -40,8 +47,9 @@ from numpy.linalg import _umath_linalg
 
 from .attack import AttackParams
 from .errors import DivergenceError, DomainError
-from .estimator import SteadyState, _doubling_limit, _sym, op_h
+from .estimator import SteadyState, _doubling_limit, _sym, op_h, op_q_tilde
 from .model import SystemModel
+from .special import gaussian_q, kappa
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,36 @@ def open_loop_fixed_point(model: SystemModel) -> np.ndarray:
     """Fixed point of P <- op_h(P) = A P A^T + Q, the estimator with no
     corrections at all; exists iff A is stable."""
     return _lyapunov_fixed_point(model, model.Q, "open-loop covariance")
+
+
+_EVENT_STEPS = 10_000  # cap of the event-based iteration; slow systems take thousands
+
+
+def event_based_covariance(beta: float, steady: SteadyState, model: SystemModel) -> np.ndarray:
+    """Expected posterior covariance of the event-based filter with no attack.
+
+    The whitened innovation is N(0, I) to first order, so the scheduler fires
+    with p = 1 - (1 - 2 Q(beta))^m, and the update weight averages
+    w = p + (1 - p) kappa(beta) (Wu et al., IEEE TAC 58(4), 2013). The prior
+    covariance is the fixed point of the modified algebraic Riccati equation
+    X = op_h(op_q_tilde(X, w)) (Sinopoli et al., IEEE TAC 49(9), 2004); the
+    result is op_q_tilde(X, w). The iteration starts at the Kalman prior
+    steady.P, where w = 1, and stops by the doubling rule, within
+    _EVENT_STEPS steps: it contracts linearly, so what is left is about the
+    last change over one less the rate, 1e-8 of X at the slowest systems
+    measured.
+    """
+    p = 1.0 - (1.0 - 2.0 * gaussian_q(beta)) ** model.m
+    w = p + (1.0 - p) * kappa(beta)
+
+    def iterates():
+        X = steady.P
+        while True:
+            X = op_h(op_q_tilde(X, w, model), model)
+            yield X
+
+    X = _doubling_limit(iterates(), steady.P, "event-based covariance", _EVENT_STEPS, "steps")
+    return op_q_tilde(X, w, model)
 
 
 def mu_sweep(

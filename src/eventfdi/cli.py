@@ -254,6 +254,11 @@ def _bias(run: RunResult) -> tuple:
     return run.summary.emp_bias, run.summary.theory_bias, run.sums.se("bias")
 
 
+def _nominal_covariance(run: RunResult) -> tuple:
+    """(empirical covariance trace, event-based theory, its SE with one batch per trajectory)."""
+    return run.summary.emp_cov_trace, run.summary.theory_cov_trace, run.sums.se("err_sq")
+
+
 def _largest_z(empirical, theory, se, bound) -> str:
     """The component whose gap is the most SEs from its theory value, against bound."""
     gap = empirical - theory
@@ -286,6 +291,9 @@ GATES = (
     Gate("open-loop covariance trace", lambda r: r.theory.open_trace, (0.0915, 5e-4), "near"),
     Gate("nominal communication rate", lambda r: r.nominal.summary.comm_rate, (0.2969, 5e-3),
          "near"),
+    Gate("nominal covariance trace (3-SE)", lambda r: _nominal_covariance(r.nominal), 3,
+         "within SE", lambda r, v, b: f"{v[0]:.6g} vs event-based theory {v[1]:.6g} "
+         f"(z {(v[0] - v[1]) / v[2]:.3g}, {b}-SE band)"),
     Gate("attacked communication rate", lambda r: _rate(r.attacked.summary), 3, "within SE",
          lambda r, v, b: f"{v[0]:.6g} (analytic {v[1]:.6g}, {b}-SE band)"),
     Gate("attacked alarm rate", lambda r: r.attacked.summary.alarm_rate, 0.012, "at most",

@@ -242,24 +242,27 @@ _DOUBLINGS = 64
 _DOUBLING_RTOL = 1e-10
 
 
-def _doubling_limit(iterates, start: np.ndarray, name: str) -> np.ndarray:
+def _doubling_limit(
+    iterates, start: np.ndarray, name: str, cap: int = _DOUBLINGS, steps: str = "doubling steps"
+) -> np.ndarray:
     """The limit of a doubling iteration: the first of the iterates after start
     whose max-norm change is at most _DOUBLING_RTOL of its max norm. The rule is
     relative, so inputs scaled by a power of two scale the limit exactly; as each
     doubling squares the contraction, what is left is about the change squared.
     A non-finite iterate raises DivergenceError (finite iterates whose difference
-    overflows keep iterating), and so do _DOUBLINGS iterates without the stop.
+    overflows keep iterating), and so do cap iterates without the stop. A plain
+    fixed-point iteration stops by the same rule with a cap and steps of its own.
     """
     P = start
     with np.errstate(all="ignore"):  # the iterates may carry nan into this check
-        for P_next in itertools.islice(iterates, _DOUBLINGS):
+        for P_next in itertools.islice(iterates, cap):
             change = np.abs(P_next - P).max()
             if not math.isfinite(change) and not np.isfinite(P_next).all():
                 raise DivergenceError(f"{name} produced non-finite values")
             if change <= _DOUBLING_RTOL * np.abs(P_next).max():
                 return P_next
             P = P_next
-    raise DivergenceError(f"{name} did not converge within {_DOUBLINGS} doubling steps")
+    raise DivergenceError(f"{name} did not converge within {cap} {steps}")
 
 
 def _riccati_doublings(model: SystemModel, X0: np.ndarray):

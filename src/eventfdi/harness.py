@@ -214,11 +214,13 @@ class SimulationSummary:
     comm_rate and alarm_rate are fractions of step_count * trajectory_count
     decisions, where step_count counts post-burn-in steps per trajectory.
     theory_bias, theory_cov_trace, analytic_trigger and analytic_alarm are
-    the bias, cov_trace, trigger and alarm of theory(config); the first two
-    need a stable A and are nan otherwise. emp_cov_trace is the mean of
-    ||xhat_a - x - c||^2 about the centre c = theory_bias, or c = 0 (the
-    mean squared error) where the theory is undefined. to_dict writes an
-    undefined theory as null, with the reason under "theory".
+    the bias, cov_trace, trigger and alarm of theory(config); the covariance
+    is the attacked fixed point under an attack and the event-based filter's
+    with the attack off. The first two need a stable A and are nan
+    otherwise. emp_cov_trace is the mean of ||xhat_a - x - c||^2 about the
+    centre c = theory_bias, or c = 0 (the mean squared error) where the
+    theory is undefined. to_dict writes an undefined theory as null, with
+    the reason under "theory".
     """
 
     comm_rate: float
@@ -864,19 +866,23 @@ Theory = namedtuple("Theory", "steady bias cov_trace open_trace trigger alarm")
 
 def theory(config: ScenarioConfig) -> Theory:
     """config's Kalman steady state, steady bias (zeros when the attack is off),
-    attacked and open-loop covariance traces, and analytic trigger and alarm
-    rates. The bias and the traces exist only for a stable A: they are nan for an
-    unstable one, and the bias a nan vector. An undetectable pair raises from
-    riccati_fixed_point."""
+    covariance and open-loop traces, and analytic trigger and alarm rates. The
+    covariance is the attacked fixed point under an attack, and the event-based
+    filter's (analysis.event_based_covariance) with the attack off. The bias and
+    the traces exist only for a stable A: they are nan for an unstable one, and
+    the bias a nan vector. An undetectable pair raises from riccati_fixed_point."""
     model, params = config.model, config.attack_params
     steady = riccati_fixed_point(model)
     try:
+        # first, so that an unstable A raises before the event-based iteration runs
+        open_trace = float(np.trace(analysis.open_loop_fixed_point(model)))
         if params.is_off:
             bias = np.zeros(model.n)
+            cov = analysis.event_based_covariance(config.beta, steady, model)
         else:
             bias = analysis.steady_bias(params, steady, model).value
-        cov_trace = float(np.trace(analysis.attacked_covariance_fixed_point(params, steady, model)))
-        open_trace = float(np.trace(analysis.open_loop_fixed_point(model)))
+            cov = analysis.attacked_covariance_fixed_point(params, steady, model)
+        cov_trace = float(np.trace(cov))
     except DivergenceError:
         bias, cov_trace, open_trace = np.full(model.n, np.nan), math.nan, math.nan
     return Theory(steady, bias, cov_trace, open_trace, trigger_probability(params, config.beta),

@@ -13,6 +13,7 @@ from eventfdi import (
     DomainError,
     attacked_covariance_fixed_point,
     attacked_covariance_step,
+    event_based_covariance,
     mu_sweep,
     open_loop_fixed_point,
     op_h,
@@ -334,6 +335,66 @@ class TestOpenLoop:
         )
         with pytest.raises(DivergenceError):
             open_loop_fixed_point(model)
+
+
+def _event_weight(beta: float, m: int) -> float:
+    p = 1.0 - (1.0 - 2.0 * ef.gaussian_q(beta)) ** m
+    return p + (1.0 - p) * ef.kappa(beta)
+
+
+class TestEventBasedCovariance:
+    """The attack-off theory: the event-based filter's expected posterior covariance."""
+
+    def test_paper_value(self, steady, paper_model):
+        assert _event_weight(1.4, 2) == pytest.approx(0.64846, abs=1e-5)
+        trace = np.trace(event_based_covariance(1.4, steady, paper_model))
+        assert trace == pytest.approx(0.068368, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "n, m, rho, seed", [(3, 2, 0.8, 101), (5, 4, 0.95, 103), (2, 1, 0.999, 109)]
+    )
+    def test_fixed_point_residual(self, n, m, rho, seed):
+        """(2, 1, 0.999, 109) takes 2,366 steps, far past the doubling cap of 64."""
+        model = random_stable_model(n, m, rho, seed)
+        w = _event_weight(1.4, m)
+        posterior = event_based_covariance(1.4, ef.riccati_fixed_point(model), model)
+        assert relative_gap(op_q_tilde(op_h(posterior, model), w, model), posterior) < 1e-7
+
+    def test_always_firing_is_the_kalman_posterior(self, steady, paper_model):
+        posterior = event_based_covariance(0.0, steady, paper_model)
+        assert relative_gap(posterior, op_q_tilde(steady.P, 1.0, paper_model)) < 1e-12
+
+    def test_cap_raises(self, steady, paper_model, monkeypatch):
+        monkeypatch.setattr(analysis, "_EVENT_STEPS", 3)
+        with pytest.raises(DivergenceError, match="event-based covariance did not converge "
+                           "within 3 steps"):
+            event_based_covariance(1.4, steady, paper_model)
+
+    @pytest.mark.parametrize(
+        "n, m, rho, seed",
+        [(3, 2, 0.8, 101), (4, 3, 0.9, 102), (5, 4, 0.95, 103), (3, 4, 0.95, 104)],
+    )
+    def test_matches_monte_carlo(self, n, m, rho, seed):
+        """run_scenario's attack-off theory against 100 x 2,000 window steps: within 1 %
+        (the closure is first order), with an SE below 0.5 %, while the always-transmit
+        fixed point that was the theory before lies more than 20 SEs away."""
+        source = random_stable_model(n, m, rho, seed)
+        model = {name: getattr(source, name).tolist() for name in ("A", "C", "Q", "R", "Xi0")}
+        config = ef.config_from_dict(ef.paper_scenario(
+            model=model, sigma=None, solver_dof=m, steps=2200, trajectories=100, burn_in=200,
+            seed=seed, attack_mode="off",
+        ))
+        result = ef.run_scenario(config)
+        empirical, theory = result.summary.emp_cov_trace, result.summary.theory_cov_trace
+        se = float(result.sums.se("err_sq"))
+        always = np.trace(attacked_covariance_fixed_point(
+            AttackParams.off(m), ef.riccati_fixed_point(config.model), config.model
+        ))
+        print(f"gap {(empirical - theory) / theory:+.2%}, z {(empirical - theory) / se:+.2f}, "
+              f"SE {se / empirical:.2%}, always-transmit z {(empirical - always) / se:+.0f}")
+        assert se < 0.005 * empirical
+        assert abs(empirical - theory) <= 0.01 * theory
+        assert abs(empirical - always) > 20 * se
 
 
 class TestMuSweep:

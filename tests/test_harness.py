@@ -927,6 +927,9 @@ class TestBatchedCore:
         mode=st.sampled_from(harness.ATTACK_MODES),
         seed=st.integers(0, 2**32 - 1),
     )
+    # past the drawn sizes: n = 12 runs BLAS products the small systems do not
+    @example(n=12, m=4, trajectories=3, mode="two_channel", seed=1)
+    @example(n=12, m=12, trajectories=3, mode="forward_only", seed=1)
     def test_matches_scalar_reference(self, n, m, trajectories, mode, seed):
         config = ef.config_from_dict(_random_stable_payload(n, m, trajectories, mode, seed))
         records = harness._simulate(config)

@@ -7,7 +7,6 @@ degradation against Monte Carlo runs.
 """
 
 from .analysis import (
-    BiasVector,
     SweepPoint,
     attacked_covariance_fixed_point,
     attacked_covariance_step,

@@ -32,8 +32,9 @@ definition and as an independent residual check of the solves:
 attacked_covariance_step for the attacked recursion, and estimator.op_h,
 the time update, for the open loop.
 
-With the attack off the scheduler fires on part of the steps only, and
-the filter updates with weight kappa(beta) on the others. The expected
+With the attack off the scheduler fires on part of the steps only, at the
+rate attack.trigger_probability gives for mu = 1 and delta = 0, and the
+filter updates with weight kappa(beta) on the others. The expected
 covariance is then the fixed point of the modified algebraic Riccati
 equation at the average weight w (event_based_covariance), iterated from
 the Kalman prior and stopped by the Riccati doubling's rule within a cap
@@ -45,19 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .attack import AttackParams
+from .attack import AttackParams, trigger_probability
 from .errors import DivergenceError, DomainError
 from .estimator import SteadyState, _doubling_limit, _sym, op_h, op_q_tilde
 from .model import SystemModel
-from .special import gaussian_q, kappa
-
-
-@dataclass(frozen=True)
-class BiasVector:
-    """Steady offset of the attacked estimate: value = E, prior_value = A E."""
-
-    value: np.ndarray
-    prior_value: np.ndarray
+from .special import kappa
 
 
 @dataclass(frozen=True)
@@ -75,14 +68,12 @@ def check_stable(model: SystemModel, name: str) -> None:
         raise DivergenceError(f"{name} diverges; A has spectral radius {rho:.6f} >= 1")
 
 
-def steady_bias(
-    params: AttackParams, steady: SteadyState, model: SystemModel
-) -> BiasVector:
-    """Solve (I - A) E = K F^{-T} delta; an unstable A (unbounded bias) raises DivergenceError."""
+def steady_bias(params: AttackParams, steady: SteadyState, model: SystemModel) -> np.ndarray:
+    """The steady offset E of the attacked estimate, the solution of
+    (I - A) E = K F^{-T} delta; an unstable A (unbounded bias) raises DivergenceError."""
     check_stable(model, "steady bias")
     rhs = steady.K @ (steady.L @ params.delta)  # K F^{-T} delta
-    value = _umath_linalg.solve1(np.eye(model.n) - model.A, rhs, signature="dd->d")
-    return BiasVector(value=value, prior_value=model.A @ value)
+    return _umath_linalg.solve1(np.eye(model.n) - model.A, rhs, signature="dd->d")
 
 
 def _injection_shape(steady: SteadyState, model: SystemModel) -> np.ndarray:
@@ -177,7 +168,8 @@ def event_based_covariance(beta: float, steady: SteadyState, model: SystemModel)
     """Expected posterior covariance of the event-based filter with no attack.
 
     The whitened innovation is N(0, I) to first order, so the scheduler fires
-    with p = 1 - (1 - 2 Q(beta))^m, and the update weight averages
+    with p = 1 - (1 - 2 Q(beta))^m, trigger_probability with the attack off,
+    and the update weight averages
     w = p + (1 - p) kappa(beta) (Wu et al., IEEE TAC 58(4), 2013). The prior
     covariance is the fixed point of the modified algebraic Riccati equation
     X = op_h(op_q_tilde(X, w)) (Sinopoli et al., IEEE TAC 49(9), 2004); the
@@ -187,7 +179,7 @@ def event_based_covariance(beta: float, steady: SteadyState, model: SystemModel)
     last change over one less the rate, 1e-8 of X at the slowest systems
     measured.
     """
-    p = 1.0 - (1.0 - 2.0 * gaussian_q(beta)) ** model.m
+    p = trigger_probability(AttackParams.off(model.m), beta)
     w = p + (1.0 - p) * kappa(beta)
 
     def iterates():
@@ -196,7 +188,7 @@ def event_based_covariance(beta: float, steady: SteadyState, model: SystemModel)
             X = op_h(op_q_tilde(X, w, model), model)
             yield X
 
-    X = _doubling_limit(iterates(), steady.P, "event-based covariance", _EVENT_STEPS, "steps")
+    X = _doubling_limit(iterates(), steady.P, "event-based covariance", _EVENT_STEPS)
     return op_q_tilde(X, w, model)
 
 

@@ -5,7 +5,8 @@ applies the Kalman correction when the scheduler fired (gamma = 1) and the
 kappa(beta)-weighted partial covariance update q_tilde_{kappa(beta)} when it
 did not. The innovation is whitened by the factor F with F F^T = S^{-1},
 S = C P^- C^T + R, fixed to the lower-triangular Cholesky convention so
-traces are bit-reproducible.
+traces are bit-reproducible. A state at a prior carries copies of it as its
+posterior; measurement_update returns a new state that shares all but those.
 
 The per-step updates run millions of times in Monte Carlo loops, so the
 filter carries the Cholesky factor L of S alongside F = L^{-T}: every
@@ -18,7 +19,7 @@ factors; the scalar functions here raise NumericError on them.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -152,38 +153,22 @@ def _derived(P_prior: np.ndarray, model: SystemModel):
     return S, L, F, K
 
 
+def _prior_state(x_prior: np.ndarray, P_prior: np.ndarray, model: SystemModel) -> FilterState:
+    """The filter at a prior, with its gain and factors; the posterior is a copy of
+    the prior until a measurement update."""
+    S, L, F, K = _derived(P_prior, model)
+    return FilterState(x_prior=x_prior, x_post=x_prior.copy(), P_prior=P_prior,
+                       P_post=P_prior.copy(), K=K, F=F, S=S, L=L)
+
+
 def initial_filter_state(model: SystemModel) -> FilterState:
     """Filter at k = 0 before any measurement: prior mean 0, prior covariance Xi0."""
-    x0 = np.zeros(model.n)
-    P0 = model.Xi0.copy()
-    S, L, F, K = _derived(P0, model)
-    return FilterState(
-        x_prior=x0,
-        x_post=x0.copy(),
-        P_prior=P0,
-        P_post=P0.copy(),
-        K=K,
-        F=F,
-        S=S,
-        L=L,
-    )
+    return _prior_state(np.zeros(model.n), model.Xi0.copy(), model)
 
 
 def time_update(prev: FilterState, model: SystemModel) -> FilterState:
     """Propagate posterior to the next prior and refresh gain and whitening factor."""
-    x_prior = model.A @ prev.x_post
-    P_prior = op_h(prev.P_post, model)
-    S, L, F, K = _derived(P_prior, model)
-    return FilterState(
-        x_prior=x_prior,
-        x_post=x_prior.copy(),
-        P_prior=P_prior,
-        P_post=P_prior.copy(),
-        K=K,
-        F=F,
-        S=S,
-        L=L,
-    )
+    return _prior_state(model.A @ prev.x_post, op_h(prev.P_post, model), model)
 
 
 def innovation(y: np.ndarray, x_prior: np.ndarray, model: SystemModel) -> np.ndarray:
@@ -226,32 +211,21 @@ def measurement_update(
         x_post = state.x_prior + state.K @ (state.L @ eps_received)
     else:
         x_post = state.x_prior.copy()
-    return FilterState(
-        x_prior=state.x_prior,
-        x_post=x_post,
-        P_prior=state.P_prior,
-        P_post=P_post,
-        K=state.K,
-        F=state.F,
-        S=state.S,
-        L=state.L,
-    )
+    return replace(state, x_post=x_post, P_post=P_post)
 
 
 _DOUBLINGS = 64
 _DOUBLING_RTOL = 1e-10
 
 
-def _doubling_limit(
-    iterates, start: np.ndarray, name: str, cap: int = _DOUBLINGS, steps: str = "doubling steps"
-) -> np.ndarray:
+def _doubling_limit(iterates, start: np.ndarray, name: str, cap: int = _DOUBLINGS) -> np.ndarray:
     """The limit of a doubling iteration: the first of the iterates after start
     whose max-norm change is at most _DOUBLING_RTOL of its max norm. The rule is
     relative, so inputs scaled by a power of two scale the limit exactly; as each
     doubling squares the contraction, what is left is about the change squared.
     A non-finite iterate raises DivergenceError (finite iterates whose difference
     overflows keep iterating), and so do cap iterates without the stop. A plain
-    fixed-point iteration stops by the same rule with a cap and steps of its own.
+    fixed-point iteration stops by the same rule with a cap of its own.
     """
     P = start
     with np.errstate(all="ignore"):  # the iterates may carry nan into this check
@@ -262,7 +236,7 @@ def _doubling_limit(
             if change <= _DOUBLING_RTOL * np.abs(P_next).max():
                 return P_next
             P = P_next
-    raise DivergenceError(f"{name} did not converge within {cap} {steps}")
+    raise DivergenceError(f"{name} did not converge within {cap} iterations")
 
 
 def _riccati_doublings(model: SystemModel, X0: np.ndarray):

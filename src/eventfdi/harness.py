@@ -870,21 +870,23 @@ def theory(config: ScenarioConfig) -> Theory:
     covariance is the attacked fixed point under an attack, and the event-based
     filter's (analysis.event_based_covariance) with the attack off. The bias and
     the traces exist only for a stable A: they are nan for an unstable one, and
-    the bias a nan vector. An undetectable pair raises from riccati_fixed_point."""
+    the bias a nan vector. Any other DivergenceError propagates: an undetectable
+    pair's from riccati_fixed_point, or an iteration's that did not converge."""
     model, params = config.model, config.attack_params
     steady = riccati_fixed_point(model)
     try:
-        # first, so that an unstable A raises before the event-based iteration runs
+        analysis.check_stable(model, "steady bias")
+    except DivergenceError:
+        bias, cov_trace, open_trace = np.full(model.n, np.nan), math.nan, math.nan
+    else:
         open_trace = float(np.trace(analysis.open_loop_fixed_point(model)))
         if params.is_off:
             bias = np.zeros(model.n)
             cov = analysis.event_based_covariance(config.beta, steady, model)
         else:
-            bias = analysis.steady_bias(params, steady, model).value
+            bias = analysis.steady_bias(params, steady, model)
             cov = analysis.attacked_covariance_fixed_point(params, steady, model)
         cov_trace = float(np.trace(cov))
-    except DivergenceError:
-        bias, cov_trace, open_trace = np.full(model.n, np.nan), math.nan, math.nan
     return Theory(steady, bias, cov_trace, open_trace, trigger_probability(params, config.beta),
                   alarm_probability(params, config.detector.sigma, model.m))
 

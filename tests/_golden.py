@@ -1,6 +1,6 @@
 """Golden digests: sha256 of the bits a fixed set of runs, commands and analyses produce.
 
-tests/golden/digests.json holds one digest per entry:
+tests/golden/digests.json holds, for each OpenBLAS kernel family, one digest per entry:
 - `run/<name>/summary`: the JSON of `summary.to_dict()`;
 - `run/<name>/<field>`: every other `RunResult` field but `sums`, as dtype, shape and bytes;
 - `run/<name>/sums`: `sums.count` and then every array of `sums`, in field order;
@@ -12,16 +12,20 @@ tests/golden/digests.json holds one digest per entry:
 - `n12/<output>`, `n16/<output>`: each analysis output of one random stable system
   with n = 12 or 16, past the Kronecker range of the Lyapunov solves.
 
-The bits belong to the numpy and scipy versions and OpenBLAS core the file records: the
-test skips on other versions, and a digest that differs names both cores. A change that
-alters an entry on purpose rewrites the file and says which entries changed and why:
+The bits belong to the numpy and scipy versions the file records, where the test skips
+on others, and to the OpenBLAS kernel. The file keeps one digest map per kernel family,
+named by a core: FAMILIES maps each core measured to give a family's bits to that family,
+and the test checks the map of the family of the core this process runs, or skips and
+names a core that belongs to none. A change that alters an entry on purpose rewrites the
+map of each family it can run (an AVX-512 host can run both, under OPENBLAS_CORETYPE=Haswell
+for the second; an AVX2-only host only Haswell) and says which entries changed and why:
 
     python tests/_golden.py               # list the entries that differ, exit 1 if any
-    python tests/_golden.py --update      # rewrite the file and list what changed
+    python tests/_golden.py --update      # rewrite the running family's map, list what changed
     python tests/_golden.py --write PATH  # write the computed digests to PATH, nothing else
 
 `--write` leaves digests.json alone, so two checkouts run under the same
-OPENBLAS_CORETYPE can be compared with `cmp` on their files.
+OPENBLAS_CORETYPE can be compared with `cmp` on their files, on any core.
 """
 
 import contextlib
@@ -50,6 +54,12 @@ from eventfdi import cli, harness
 from _oracles import diagnostics
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
+
+# OpenBLAS core -> the family whose digest map it checks: the cores of one family gave
+# byte-identical --write files, and the two families differ in about half the entries.
+FAMILIES = {
+    "SkylakeX": "SkylakeX", "Cooperlake": "SkylakeX", "Haswell": "Haswell", "Zen": "Haswell",
+}
 
 
 def versions() -> dict:
@@ -255,7 +265,7 @@ def _grid_outputs(model, dof: int) -> dict:
         steady = ef.riccati_fixed_point(model)
         out["steady"] = (steady.P, steady.K, steady.F, steady.S, steady.L)
         bias = ef.steady_bias(params, steady, model)
-        out["bias"] = (bias.value, bias.prior_value)
+        out["bias"] = (bias, model.A @ bias)  # E and A E, the digests' recorded pair
         out["attacked_fixed_point"] = ef.attacked_covariance_fixed_point(params, steady, model)
         out["open_loop_fixed_point"] = ef.open_loop_fixed_point(model)
         sweep = ef.mu_sweep([1.0, params.mu, 10.0 * params.mu, 1e4], steady, model)
@@ -325,33 +335,42 @@ def load() -> dict:
         return json.load(handle)
 
 
+def _dump(content: dict, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(content, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 def changed(recorded: dict, current: dict) -> list:
     """Names of the entries added, removed or different, sorted."""
     return sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
 
 
 def main(argv) -> int:
-    update = "--update" in argv
-    write = argv[argv.index("--write") + 1] if "--write" in argv else None
-    current = compute()
-    if write is not None:
-        with open(write, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(current, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+    if "--write" in argv:
+        _dump(compute(), argv[argv.index("--write") + 1])
         return 0
-    recorded = load()["digests"] if DIGESTS.exists() else {}
+    here = versions()
+    family = FAMILIES.get(here["openblas"])
+    if family is None:
+        print(f"the OpenBLAS core {here['openblas']} belongs to no family of FAMILIES: "
+              "no digests to compare or update (--write still works)")
+        return 1
+    pinned = {"numpy": here["numpy"], "scipy": here["scipy"]}
+    stored = load() if DIGESTS.exists() else {"versions": pinned, "digests": {}}
+    recorded, current = stored["digests"].get(family, {}), compute()
     diff = changed(recorded, current)
     for name in diff:
         status = "removed" if name not in current else "changed" if name in recorded else "added"
         print(f"{status}: {name}")
-    if update:
+    if "--update" in argv:
+        # the other families' maps stay only while they belong to these versions
+        kept = stored["digests"] if stored["versions"] == pinned else {}
         DIGESTS.parent.mkdir(exist_ok=True)
-        with open(DIGESTS, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump({"versions": versions(), "digests": current}, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {len(current)} digests ({len(diff)} changed) to {DIGESTS.name}")
+        _dump({"versions": pinned, "digests": {**kept, family: current}}, DIGESTS)
+        print(f"wrote {len(current)} {family} digests ({len(diff)} changed) to {DIGESTS.name}")
         return 0
-    print(f"{len(diff)} of {len(current)} digests differ")
+    print(f"{len(diff)} of {len(current)} {family} digests differ")
     return 1 if diff else 0
 
 

@@ -20,6 +20,17 @@ def paper_payload():
 
 
 @pytest.fixture(scope="session")
+def slow_plant_payload():
+    """A stable but slow, barely observed plant with the attack off: its event-based
+    covariance iteration does not converge within its cap."""
+    model = {"A": [[0.99999]], "C": [[0.001]], "Q": [[0.01]], "R": [[1.0]], "Xi0": [[1.0]]}
+    return ef.paper_scenario(
+        model=model, sigma=None, solver_dof=1, steps=300, trajectories=2, burn_in=150,
+        attack_start=75, attack_mode="off",
+    )
+
+
+@pytest.fixture(scope="session")
 def paper_config(paper_payload):
     return ef.config_from_dict(paper_payload)
 

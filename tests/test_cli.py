@@ -39,11 +39,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def small_config_file(tmp_path, **overrides):
-    payload = ef.paper_scenario(steps=260, trajectories=2, **overrides)
+def payload_file(tmp_path, payload):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def small_config_file(tmp_path, **overrides):
+    return payload_file(tmp_path, ef.paper_scenario(steps=260, trajectories=2, **overrides))
 
 
 def unstable_config_file(tmp_path):
@@ -65,6 +68,14 @@ def large_config_file(tmp_path):
     path = tmp_path / "n12.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_unconverged_theory_exits_2(capsys, tmp_path, payload, command):
+    """A stable A whose theory the code cannot finish is a numeric error, not an
+    undefined theory."""
+    code, out, err = run_cli(capsys, command, "--config", payload_file(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err.startswith("numeric error: event-based covariance did not converge")
 
 
 def assert_one_error_line(code, err):
@@ -395,6 +406,9 @@ class TestSimulate:
         assert payload["emp_cov_trace"] > 0.0 and "undefined" not in payload
         assert out_file.read_text() == out
 
+    def test_unconverged_theory_exits_2(self, capsys, tmp_path, slow_plant_payload):
+        assert_unconverged_theory_exits_2(capsys, tmp_path, slow_plant_payload, "simulate")
+
     def test_missing_config_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
         assert code == 1
@@ -448,6 +462,9 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--config", unstable_config_file(tmp_path))
         assert code == 2 and out == ""
         assert err.startswith("numeric error: steady bias diverges; A has spectral radius")
+
+    def test_unconverged_theory_exits_2(self, capsys, tmp_path, slow_plant_payload):
+        assert_unconverged_theory_exits_2(capsys, tmp_path, slow_plant_payload, "analyze")
 
     def test_tiny_sigma_alarm_is_one(self, capsys, tmp_path):
         # the alarm's ufunc overflows at x = mu^2 sigma = 4e-28, noncentrality 400

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -367,6 +368,39 @@ class TestMeasurementUpdate:
             measurement_update(filt, np.zeros(2), 2, 1.4, paper_model)
 
 
+class TestFilterStateAliasing:
+    """The posterior a prior state carries is a copy, and a measurement update writes
+    only new arrays, so a caller may keep or change any state it was handed."""
+
+    @staticmethod
+    def _posterior_copies_prior(filt):
+        for post, prior in ((filt.x_post, filt.x_prior), (filt.P_post, filt.P_prior)):
+            assert np.array_equal(post, prior) and not np.shares_memory(post, prior)
+
+    def test_initial_state(self, paper_model):
+        filt = initial_filter_state(paper_model)
+        self._posterior_copies_prior(filt)
+        assert not np.shares_memory(filt.P_prior, paper_model.Xi0)
+
+    def test_time_update(self, paper_model, rng):
+        filt = measurement_update(
+            initial_filter_state(paper_model), rng.standard_normal(2), 1, 1.4, paper_model
+        )
+        upd = time_update(filt, paper_model)
+        self._posterior_copies_prior(upd)
+        assert not np.shares_memory(upd.P_prior, filt.P_post)
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    def test_measurement_update_leaves_its_input_unchanged(self, paper_model, rng, gamma):
+        filt = time_update(initial_filter_state(paper_model), paper_model)
+        before = {f.name: getattr(filt, f.name).copy() for f in dataclasses.fields(filt)}
+        upd = measurement_update(filt, rng.standard_normal(2), gamma, 1.4, paper_model)
+        for name, value in before.items():
+            assert np.array_equal(getattr(filt, name), value), name
+        assert not np.shares_memory(upd.x_post, filt.x_prior)
+        assert not np.shares_memory(upd.P_post, filt.P_prior)
+
+
 class TestTimeUpdate:
     def test_zero_posterior_gives_zero_prior(self, paper_model):
         filt = initial_filter_state(paper_model)
@@ -431,7 +465,7 @@ class TestRiccati:
             R=np.eye(1),
             Xi0=np.zeros((2, 2)),
         )
-        with pytest.raises(DivergenceError, match="did not converge within 64 doubling steps"):
+        with pytest.raises(DivergenceError, match="Riccati iteration did not converge within 64 iterations"):
             riccati_fixed_point(model)
 
     # scipy's DARE fails its QZ reordering when A is scaled to a spectral

@@ -748,6 +748,19 @@ class TestDomainBeforeTheRun:
         with pytest.raises(ef.DomainError, match="alarm_probability overflows"):
             ef.run_scenario(config)
 
+    def test_unconverged_theory_costs_no_run(self, slow_plant_payload, monkeypatch):
+        """A stable A whose event-based covariance hits its iteration cap is a numeric
+        error before the Monte Carlo, not an undefined theory."""
+        config = ef.config_from_dict(slow_plant_payload)
+        assert config.model.spectral_radius() < 1.0
+
+        def no_run(config):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(harness, "_simulate", no_run)
+        with pytest.raises(ef.DivergenceError, match="event-based covariance did not converge"):
+            ef.run_scenario(config)
+
     def test_off_theory_has_no_bias(self, paper_payload):
         known = ef.theory(ef.config_from_dict(dict(paper_payload, attack_mode="off")))
         assert known.bias.tolist() == [0.0, 0.0, 0.0] and not np.signbit(known.bias).any()

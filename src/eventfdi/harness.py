@@ -97,14 +97,16 @@ attack and T * steps * (2n + 3m + 1) with it off (three records are
 shared). The plant's path holds less: the noise block, x and y, and one
 y-sized temporary, and the noise is freed before the filter loop. The
 summary's reductions hold one or two window-sized temporaries at a time:
-about 37 MB for the paper's 50 x 4200 run. One block is 25 steps on the
-paper system. The attack pass's buffers of one block take about
-_ATTACK_PASS_BYTES (8 KiB) per trajectory under either attacked mode, and
-the loop's buffers n + 2m doubles and a bool per trajectory-step of it, in
-every mode. The memo holds at most _MEMO_NODES nodes of n^2 + 2m^2 + nm
-doubles each, plus an n^2-double key: the paper's attacked runs make about
-450 nodes at 10 x 700, 2,200 at 50 x 4200 and 7,400 at 200 x 700. Measured
-peaks are in CHANGES.md and BENCH_*.json.
+the paper's 50 x 4200 run peaks at 38.1 MB under an attack and 23.8 MB off.
+A trace adds one _TRACE_CHUNK of rows, about 0.2 MB at n = 3, m = 2,
+whatever the number of steps. One block is 25 steps on the paper system.
+The attack pass's buffers of one block take about _ATTACK_PASS_BYTES
+(8 KiB) per trajectory under either attacked mode, and the loop's buffers
+n + 2m doubles and a bool per trajectory-step of it, in every mode. The
+memo holds at most _MEMO_NODES nodes of n^2 + 2m^2 + nm doubles each, plus
+an n^2-double key: the paper's attacked runs make about 450 nodes at
+10 x 700, 2,200 at 50 x 4200 and 7,400 at 200 x 700. Measured peaks are in
+CHANGES.md and BENCH_*.json.
 """
 
 import itertools
@@ -498,23 +500,23 @@ def write_trace(records, path) -> None:
     _write_rows(path, len(first[5]), len(first[8]), rows)
 
 
-_TRACE_CHUNK = 2048  # rows turned into Python values at a time, bounding the trace's memory
+# Rows of one trajectory copied out of the records and turned into Python values at a
+# time: a trace holds one chunk (about 0.2 MB at n = 3, m = 2) whatever the number of steps.
+_TRACE_CHUNK = 256
 
 
 def _record_rows(records: "_Records", survivors):
     """Flat trace rows of the surviving trajectories, in index order, from their records."""
+    vectors = (records.x, records.xn, records.xa, records.z, records.eps, records.epst)
     for traj in survivors:
-        values = np.hstack([
-            records.g[traj][:, None], records.x[traj], records.xn[traj], records.xa[traj],
-            records.z[traj], records.eps[traj], records.epst[traj],
-        ])
-        for start in range(0, len(values), _TRACE_CHUNK):
-            stop = start + _TRACE_CHUNK
+        for start in range(0, records.g.shape[1], _TRACE_CHUNK):
+            chunk = slice(start, start + _TRACE_CHUNK)
+            values = np.hstack([records.g[traj, chunk, None], *(v[traj, chunk] for v in vectors)])
             for k, gamma, alarm, vals in zip(
-                range(start, stop),
-                records.gamma[traj, start:stop].tolist(),
-                records.alarm[traj, start:stop].tolist(),
-                values[start:stop].tolist(),
+                range(start, chunk.stop),
+                records.gamma[traj, chunk].tolist(),
+                records.alarm[traj, chunk].tolist(),
+                values.tolist(),
             ):
                 yield (k, traj, gamma, alarm, *vals)
 

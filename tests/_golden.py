@@ -170,7 +170,8 @@ RUNS = {
     "masked_indefinite_m3": (_three_channel(), _indefinite_innovation),
     "paper_attack_from_0": (_paper(attack_start=0), contextlib.nullcontext),
     "random_m3_forward_only": (_random(4, 3, "forward_only"), contextlib.nullcontext),
-    # an attack window of 540 steps over 40 trajectories: several blocks of the attack pass
+    # an attack window of 540 steps over 40 trajectories: several blocks of the attack pass;
+    # each trajectory's 600 trace rows cross two harness._TRACE_CHUNK (256-row) boundaries
     "paper_long_window": (_paper(steps=600, trajectories=40), contextlib.nullcontext),
 }
 

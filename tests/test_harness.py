@@ -614,17 +614,21 @@ def _trace_rows_by_trajectory(path) -> dict:
 
 class TestDivergence:
     def _assert_only_masked(self, config, tmp_path, fault, masked=(1,)):
-        """The run made inside the context fault() masks exactly the trajectories masked."""
+        """The run made inside the context fault() masks exactly the trajectories masked,
+        and its trace holds the clean run's rows of the others, also when trace chunks
+        of 1 to 7 rows split each trajectory's rows."""
         clean_path, faulty_path = tmp_path / "clean.csv", tmp_path / "faulty.csv"
         clean = ef.run_scenario(config, trace_path=clean_path)
-        with fault(), warnings.catch_warnings():
-            warnings.simplefilter("error")  # masked slices warn about nothing
-            result = ef.run_scenario(config, trace_path=faulty_path)
         survivors = [t for t in range(config.trajectories) if t not in masked]
+        clean_rows = _trace_rows_by_trajectory(clean_path)
+        for chunk in (1, 2, 7, harness._TRACE_CHUNK):
+            with fault(), warnings.catch_warnings(), mock.patch.object(harness, "_TRACE_CHUNK", chunk):
+                warnings.simplefilter("error")  # masked slices warn about nothing
+                result = ef.run_scenario(config, trace_path=faulty_path)
+            rows = _trace_rows_by_trajectory(faulty_path)
+            assert rows == {t: clean_rows[t] for t in survivors}, chunk
         assert result.diverged == list(masked)
         assert result.summary.trajectory_count == len(survivors)
-        clean_rows = _trace_rows_by_trajectory(clean_path)
-        assert _trace_rows_by_trajectory(faulty_path) == {t: clean_rows[t] for t in survivors}
         assert np.array_equal(result.traj_bias_means, clean.traj_bias_means[survivors])
         assert result.sums.count == clean.sums.count
         for item in dataclasses.fields(result.sums)[1:]:
@@ -939,11 +943,13 @@ class TestBatchedCore:
         trajectories=st.sampled_from([1, 2, 5, 12]),
         mode=st.sampled_from(harness.ATTACK_MODES),
         seed=st.integers(0, 2**32 - 1),
+        # trace chunks of 1 to 7 rows split the drawn 1-39 steps of each trajectory
+        chunk=st.integers(1, 7),
     )
     # past the drawn sizes: n = 12 runs BLAS products the small systems do not
-    @example(n=12, m=4, trajectories=3, mode="two_channel", seed=1)
-    @example(n=12, m=12, trajectories=3, mode="forward_only", seed=1)
-    def test_matches_scalar_reference(self, n, m, trajectories, mode, seed):
+    @example(n=12, m=4, trajectories=3, mode="two_channel", seed=1, chunk=harness._TRACE_CHUNK)
+    @example(n=12, m=12, trajectories=3, mode="forward_only", seed=1, chunk=1)
+    def test_matches_scalar_reference(self, n, m, trajectories, mode, seed, chunk):
         config = ef.config_from_dict(_random_stable_payload(n, m, trajectories, mode, seed))
         records = harness._simulate(config)
         assert not records.diverged.any()
@@ -956,7 +962,8 @@ class TestBatchedCore:
 
         with tempfile.TemporaryDirectory() as tmp:
             batched, scalar = Path(tmp) / "batched.csv", Path(tmp) / "scalar.csv"
-            result = ef.run_scenario(config, trace_path=batched)
+            with mock.patch.object(harness, "_TRACE_CHUNK", chunk):
+                result = ef.run_scenario(config, trace_path=batched)
             ef.write_trace(rows, scalar)
             assert batched.read_bytes() == scalar.read_bytes()
 
@@ -1092,6 +1099,34 @@ class TestBatchedCore:
             assert sum(buffers[0]) == 8 * T * (block * per_step + 2 * n)  # and prior[block]
             assert block == harness._ATTACK_PASS_BYTES // (8 * (per_step + 4 * m)) == 25
         assert peaks[1] - peaks[0] <= 1.01 * (kept[1] - kept[0]), (peaks, kept)
+
+    def test_trace_does_not_grow_with_steps(self, paper_payload, tmp_path, monkeypatch):
+        """From 1 x 1500 to 1 x 6000 steps with the attack off, a traced run's peak
+        grows by no more than an untraced one's, by the 1 % rule above: the trace
+        holds one _TRACE_CHUNK of rows, not a copy of the trajectory's records. The
+        records are made before tracemalloc starts (tracing the step loop's
+        allocations takes seconds), and a first traced run fills Python's free list
+        of row tuples, which tracemalloc counts as held."""
+        configs = [
+            ef.config_from_dict(dict(paper_payload, steps=steps, trajectories=1, attack_mode="off"))
+            for steps in (1500, 6000)
+        ]
+        records = {id(config): harness._simulate(config) for config in configs}
+        monkeypatch.setattr(harness, "_simulate", lambda config: records[id(config)])
+        trace = tmp_path / "trace.csv"
+        ef.run_scenario(configs[1], trace_path=trace)
+        growth = {}
+        for path in (None, trace):
+            peaks = []
+            for config in configs:
+                tracemalloc.start()
+                try:
+                    ef.run_scenario(config, trace_path=path)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            growth[path] = peaks[1] - peaks[0]
+        assert growth[trace] <= 1.01 * growth[None], growth
 
     def test_memo_capacity_stop_keeps_the_summary(self, paper_payload, monkeypatch):
         """A memo too small for the run stops at its capacity, once, and the

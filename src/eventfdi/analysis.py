@@ -36,9 +36,8 @@ With the attack off the scheduler fires on part of the steps only, at the
 rate attack.trigger_probability gives for mu = 1 and delta = 0, and the
 filter updates with weight kappa(beta) on the others. The expected
 covariance is then the fixed point of the modified algebraic Riccati
-equation at the average weight w (event_based_covariance), iterated from
-the Kalman prior and stopped by the Riccati doubling's rule within a cap
-of its own.
+equation at the average weight w (event_based_covariance), solved by
+Riccati doublings at the information its own fixed point gives.
 """
 
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ from numpy.linalg import _umath_linalg
 
 from .attack import AttackParams, trigger_probability
 from .errors import DivergenceError, DomainError
-from .estimator import SteadyState, _doubling_limit, _sym, op_h, op_q_tilde
+from .estimator import SteadyState, _doubling_limit, _riccati_doublings, _sym, op_h, op_q_tilde
 from .model import SystemModel
 from .special import kappa
 
@@ -161,9 +160,6 @@ def open_loop_fixed_point(model: SystemModel) -> np.ndarray:
     return _lyapunov_fixed_point(model, model.Q, "open-loop covariance")
 
 
-_EVENT_STEPS = 10_000  # cap of the event-based iteration; slow systems take thousands
-
-
 def event_based_covariance(beta: float, steady: SteadyState, model: SystemModel) -> np.ndarray:
     """Expected posterior covariance of the event-based filter with no attack.
 
@@ -173,22 +169,27 @@ def event_based_covariance(beta: float, steady: SteadyState, model: SystemModel)
     w = p + (1 - p) kappa(beta) (Wu et al., IEEE TAC 58(4), 2013). The prior
     covariance is the fixed point of the modified algebraic Riccati equation
     X = op_h(op_q_tilde(X, w)) (Sinopoli et al., IEEE TAC 49(9), 2004); the
-    result is op_q_tilde(X, w). The iteration starts at the Kalman prior
-    steady.P, where w = 1, and stops by the doubling rule, within
-    _EVENT_STEPS steps: it contracts linearly, so what is left is about the
-    last change over one less the rate, 1e-8 of X at the slowest systems
-    measured.
+    result is op_q_tilde(X, w). With V = R + (1 - w) C X C^T, op_q_tilde(X, w)
+    is the Kalman update at information G = w C^T V^{-1} C (G, not V / w, so
+    w = 0 stays finite): each step is the Riccati doubling's limit at the G of
+    the last X, from the Kalman prior steady.P, and the steps stop by the
+    doubling rule on V, not on X, which each limit reproduces only to about
+    its own stop.
     """
     p = trigger_probability(AttackParams.off(model.m), beta)
     w = p + (1.0 - p) * kappa(beta)
+    X = steady.P
 
-    def iterates():
-        X = steady.P
+    def noises():
+        nonlocal X
         while True:
-            X = op_h(op_q_tilde(X, w, model), model)
-            yield X
+            V = _sym(model.R + (1.0 - w) * (model.C @ X @ model.C.T))
+            yield V
+            G = w * _sym(model.C.T @ _umath_linalg.solve(V, model.C, signature="dd->d"))
+            X = _doubling_limit(_riccati_doublings(model, X, G), X, "event-based covariance")
 
-    X = _doubling_limit(iterates(), steady.P, "event-based covariance", _EVENT_STEPS)
+    steps = noises()
+    _doubling_limit(steps, next(steps), "event-based covariance")
     return op_q_tilde(X, w, model)
 
 

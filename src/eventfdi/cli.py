@@ -243,10 +243,9 @@ def evaluate(gate: Gate, reproduction: Reproduction) -> tuple:
     return ok, f"{'PASS' if ok else 'FAIL'}  {gate.name}: {text}"
 
 
-def _rate(s) -> tuple:
-    """(trigger rate, analytic rate, binomial SE over every decision) of a summary."""
-    p = s.analytic_trigger
-    return s.comm_rate, p, math.sqrt(p * (1 - p) / (s.step_count * s.trajectory_count))
+def _rate(run: RunResult) -> tuple:
+    """(trigger rate, analytic rate, its SE with one batch per trajectory) of a run."""
+    return run.summary.comm_rate, run.summary.analytic_trigger, run.sums.se("gamma")
 
 
 def _bias(run: RunResult) -> tuple:
@@ -294,7 +293,7 @@ GATES = (
     Gate("nominal covariance trace (3-SE)", lambda r: _nominal_covariance(r.nominal), 3,
          "within SE", lambda r, v, b: f"{v[0]:.6g} vs event-based theory {v[1]:.6g} "
          f"(z {(v[0] - v[1]) / v[2]:.3g}, {b}-SE band)"),
-    Gate("attacked communication rate", lambda r: _rate(r.attacked.summary), 3, "within SE",
+    Gate("attacked communication rate", lambda r: _rate(r.attacked), 3, "within SE",
          lambda r, v, b: f"{v[0]:.6g} (analytic {v[1]:.6g}, {b}-SE band)"),
     Gate("attacked alarm rate", lambda r: r.attacked.summary.alarm_rate, 0.012, "at most",
          lambda r, v, b: f"{v:.6g} (must stay <= {b:.6g}; "

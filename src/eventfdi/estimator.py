@@ -218,34 +218,31 @@ _DOUBLINGS = 64
 _DOUBLING_RTOL = 1e-10
 
 
-def _doubling_limit(iterates, start: np.ndarray, name: str, cap: int = _DOUBLINGS) -> np.ndarray:
+def _doubling_limit(iterates, start: np.ndarray, name: str) -> np.ndarray:
     """The limit of a doubling iteration: the first of the iterates after start
     whose max-norm change is at most _DOUBLING_RTOL of its max norm. The rule is
     relative, so inputs scaled by a power of two scale the limit exactly; as each
     doubling squares the contraction, what is left is about the change squared.
     A non-finite iterate raises DivergenceError (finite iterates whose difference
-    overflows keep iterating), and so do cap iterates without the stop. A plain
-    fixed-point iteration stops by the same rule with a cap of its own.
+    overflows keep iterating), and so do _DOUBLINGS iterates without the stop.
     """
     P = start
     with np.errstate(all="ignore"):  # the iterates may carry nan into this check
-        for P_next in itertools.islice(iterates, cap):
+        for P_next in itertools.islice(iterates, _DOUBLINGS):
             change = np.abs(P_next - P).max()
             if not math.isfinite(change) and not np.isfinite(P_next).all():
                 raise DivergenceError(f"{name} produced non-finite values")
             if change <= _DOUBLING_RTOL * np.abs(P_next).max():
                 return P_next
             P = P_next
-    raise DivergenceError(f"{name} did not converge within {cap} iterations")
+    raise DivergenceError(f"{name} did not converge within {_DOUBLINGS} iterations")
 
 
-def _riccati_doublings(model: SystemModel, X0: np.ndarray):
-    """Iterates 1, 2, 4, ... of the Riccati map from X0 (see riccati_fixed_point);
-    W^{-1} is formed only when the next one is asked for."""
+def _riccati_doublings(model: SystemModel, X0: np.ndarray, G: np.ndarray):
+    """Iterates 1, 2, 4, ... from X0 of the Riccati map at information G (see
+    riccati_fixed_point); W^{-1} is formed only when the next one is asked for."""
     eye = np.eye(model.n)
-    A_k = model.A.T
-    G_k = _sym(model.C.T @ _umath_linalg.solve(model.R, model.C, signature="dd->d"))
-    H_k = model.Q
+    A_k, G_k, H_k = model.A.T, G, model.Q
     while True:
         step = _umath_linalg.solve(eye + G_k @ X0, A_k, signature="dd->d")
         yield _sym(H_k + A_k.T @ X0 @ step)
@@ -284,6 +281,7 @@ def riccati_fixed_point(model: SystemModel) -> SteadyState:
     effectively undetectable pair.
     """
     X0 = model.Xi0 if np.any(model.Xi0) else model.Q
-    P = _doubling_limit(_riccati_doublings(model, X0), X0, "Riccati iteration")
+    G = _sym(model.C.T @ _umath_linalg.solve(model.R, model.C, signature="dd->d"))
+    P = _doubling_limit(_riccati_doublings(model, X0, G), X0, "Riccati iteration")
     S, L, F, K = _derived(P, model)
     return SteadyState(P=P, K=K, F=F, S=S, L=L)

@@ -245,6 +245,25 @@ def random_stable_model(n: int, m: int, rho: float, seed: int):
     )
 
 
+def admitted_systems(count: int):
+    """The first count (matrices, beta) pairs of a seeded generator over the domain the
+    config schema admits, matrices a dict of SystemModel's arguments: n 1-8, m 1-4,
+    spectral radius 1 - 10^U(-5, -0.3), C scaled by 10^U(-4, 2), R by 10^U(-8, 3),
+    beta U(0, 4)."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        rho = 1.0 - 10.0 ** rng.uniform(-5, -0.3)
+        A = rng.standard_normal((n, n))
+        A *= rho / np.abs(np.linalg.eigvals(A)).max()
+        C = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-4, 2)
+        G, H = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        r, beta = 10.0 ** rng.uniform(-8, 3), rng.uniform(0, 4)
+        Q = 0.01 * (G @ G.T / n + 0.1 * np.eye(n))
+        R = r * (H @ H.T / m + 0.5 * np.eye(m))
+        yield {"A": A, "C": C, "Q": Q, "R": R, "Xi0": np.eye(n)}, float(beta)
+
+
 def unstable_model():
     """A detectable system with one unstable mode (eigenvalue 1.05)."""
     from eventfdi.model import SystemModel

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import settings
 import eventfdi as ef
 
 import _golden
+from _oracles import admitted_systems
 
 # CI runs every property test on the same examples and without a per-example
 # deadline, so a result does not depend on the draw or on the runner's speed.
@@ -21,12 +23,24 @@ def paper_payload():
 
 @pytest.fixture(scope="session")
 def slow_plant_payload():
-    """A stable but slow, barely observed plant with the attack off: its event-based
-    covariance iteration does not converge within its cap."""
+    """A stable but slow, barely observed plant with the attack off."""
     model = {"A": [[0.99999]], "C": [[0.001]], "Q": [[0.01]], "R": [[1.0]], "Xi0": [[1.0]]}
     return ef.paper_scenario(
         model=model, sigma=None, solver_dof=1, steps=300, trajectories=2, burn_in=150,
         attack_start=75, attack_mode="off",
+    )
+
+
+@pytest.fixture(scope="session")
+def unconverged_payload():
+    """System 1978 of _oracles.admitted_systems with the attack off: a stable A
+    (spectral radius 0.99969, n = 4, m = 1, R 8.8e-8) whose event-based covariance
+    does not finish, its outer steps contracting at about 0.8."""
+    matrices, beta = next(itertools.islice(admitted_systems(1979), 1978, None))
+    return ef.paper_scenario(
+        model={name: value.tolist() for name, value in matrices.items()}, beta=beta,
+        sigma=11.34, solver_dof=1, steps=300, trajectories=2, burn_in=150, attack_start=75,
+        attack_mode="off",
     )
 
 

@@ -28,6 +28,7 @@ from eventfdi.model import SystemModel, _kron_square
 from numpy.linalg import _umath_linalg
 
 from _oracles import (
+    admitted_systems,
     lyapunov_kron,
     random_psd,
     random_stable_model,
@@ -340,33 +341,55 @@ def _event_weight(beta: float, m: int) -> float:
     return p + (1.0 - p) * ef.kappa(beta)
 
 
+def _mare_residual(model, beta: float) -> float:
+    """The event-based posterior's distance from one more MARE step, relative to it."""
+    posterior = event_based_covariance(beta, ef.riccati_fixed_point(model), model)
+    w = _event_weight(beta, model.m)
+    return relative_gap(op_q_tilde(op_h(posterior, model), w, model), posterior)
+
+
 class TestEventBasedCovariance:
     """The attack-off theory: the event-based filter's expected posterior covariance."""
 
     def test_paper_value(self, steady, paper_model):
         assert _event_weight(1.4, 2) == pytest.approx(0.64846, abs=1e-5)
         trace = np.trace(event_based_covariance(1.4, steady, paper_model))
-        assert trace == pytest.approx(0.068368, abs=1e-6)
+        assert trace == pytest.approx(0.0683678, abs=1e-7)
+        assert _mare_residual(paper_model, 1.4) <= 1e-10
 
     @pytest.mark.parametrize(
-        "n, m, rho, seed", [(3, 2, 0.8, 101), (5, 4, 0.95, 103), (2, 1, 0.999, 109)]
+        "n, m, rho, seed",
+        [(3, 2, 0.8, 101), (4, 3, 0.9, 102), (5, 4, 0.95, 103), (3, 4, 0.95, 104),
+         (2, 1, 0.999, 109)],
     )
     def test_fixed_point_residual(self, n, m, rho, seed):
-        """(2, 1, 0.999, 109) takes 2,366 steps, far past the doubling cap of 64."""
-        model = random_stable_model(n, m, rho, seed)
-        w = _event_weight(1.4, m)
-        posterior = event_based_covariance(1.4, ef.riccati_fixed_point(model), model)
-        assert relative_gap(op_q_tilde(op_h(posterior, model), w, model), posterior) < 1e-7
+        """(2, 1, 0.999, 109) is the slowest: the plain MARE iteration took 2,366 steps
+        there, the Riccati-limit steps take 5."""
+        assert _mare_residual(random_stable_model(n, m, rho, seed), 1.4) <= 1e-10
+
+    def test_slow_plant_value(self, slow_plant_payload):
+        """A slow, barely observed plant (rho 0.99999) that the plain MARE iteration
+        needed 83,279 steps for: trace 115.13 there."""
+        config = ef.config_from_dict(slow_plant_payload)
+        steady = ef.riccati_fixed_point(config.model)
+        trace = np.trace(event_based_covariance(config.beta, steady, config.model))
+        assert trace == pytest.approx(115.1266, abs=1e-4)
+        assert _mare_residual(config.model, config.beta) <= 1e-10
+
+    def test_admitted_domain(self):
+        """The first 250 systems of a seeded generator over the admitted domain, spectral
+        radius up to 1 - 1e-5, R down to 1e-8: each finishes on a fixed point."""
+        for matrices, beta in admitted_systems(250):
+            assert _mare_residual(SystemModel(**matrices), beta) <= 1e-7
 
     def test_always_firing_is_the_kalman_posterior(self, steady, paper_model):
         posterior = event_based_covariance(0.0, steady, paper_model)
         assert relative_gap(posterior, op_q_tilde(steady.P, 1.0, paper_model)) < 1e-12
 
-    def test_cap_raises(self, steady, paper_model, monkeypatch):
-        monkeypatch.setattr(analysis, "_EVENT_STEPS", 3)
-        with pytest.raises(DivergenceError, match="event-based covariance did not converge "
-                           "within 3 iterations"):
-            event_based_covariance(1.4, steady, paper_model)
+    def test_never_firing_is_the_open_loop(self, steady, paper_model):
+        """At beta = 40 the weight w is 0: no information, a finite open-loop answer."""
+        posterior = event_based_covariance(40.0, steady, paper_model)
+        assert relative_gap(posterior, open_loop_fixed_point(paper_model)) < 1e-12
 
     @pytest.mark.parametrize(
         "n, m, rho, seed",

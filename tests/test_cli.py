@@ -406,8 +406,14 @@ class TestSimulate:
         assert payload["emp_cov_trace"] > 0.0 and "undefined" not in payload
         assert out_file.read_text() == out
 
-    def test_unconverged_theory_exits_2(self, capsys, tmp_path, slow_plant_payload):
-        assert_unconverged_theory_exits_2(capsys, tmp_path, slow_plant_payload, "simulate")
+    def test_unconverged_theory_exits_2(self, capsys, tmp_path, unconverged_payload):
+        assert_unconverged_theory_exits_2(capsys, tmp_path, unconverged_payload, "simulate")
+
+    def test_slow_plant_has_a_theory(self, capsys, tmp_path, slow_plant_payload):
+        code, out, _ = run_cli(capsys, "simulate", "--config",
+                               payload_file(tmp_path, slow_plant_payload))
+        assert code == 0
+        assert strict_json(out)["theory_cov_trace"] == pytest.approx(115.1266, abs=1e-4)
 
     def test_missing_config_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.json"))
@@ -463,8 +469,8 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("numeric error: steady bias diverges; A has spectral radius")
 
-    def test_unconverged_theory_exits_2(self, capsys, tmp_path, slow_plant_payload):
-        assert_unconverged_theory_exits_2(capsys, tmp_path, slow_plant_payload, "analyze")
+    def test_unconverged_theory_exits_2(self, capsys, tmp_path, unconverged_payload):
+        assert_unconverged_theory_exits_2(capsys, tmp_path, unconverged_payload, "analyze")
 
     def test_tiny_sigma_alarm_is_one(self, capsys, tmp_path):
         # the alarm's ufunc overflows at x = mu^2 sigma = 4e-28, noncentrality 400

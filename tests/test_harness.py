@@ -752,10 +752,10 @@ class TestDomainBeforeTheRun:
         with pytest.raises(ef.DomainError, match="alarm_probability overflows"):
             ef.run_scenario(config)
 
-    def test_unconverged_theory_costs_no_run(self, slow_plant_payload, monkeypatch):
-        """A stable A whose event-based covariance hits its iteration cap is a numeric
-        error before the Monte Carlo, not an undefined theory."""
-        config = ef.config_from_dict(slow_plant_payload)
+    def test_unconverged_theory_costs_no_run(self, unconverged_payload, monkeypatch):
+        """A stable A whose event-based covariance does not finish is a numeric error
+        before the Monte Carlo, not an undefined theory."""
+        config = ef.config_from_dict(unconverged_payload)
         assert config.model.spectral_radius() < 1.0
 
         def no_run(config):

@@ -23,14 +23,15 @@ recursion), which is what makes the modes comparable stream-for-stream.
 Simulation core: one step loop advances every trajectory at once. State
 vectors are (T, n, 1) columns, covariances (T, n, n), and S, L, F, K are
 held per trajectory. The plant does not depend on the estimator, so each
-trajectory's noise is drawn in one block from its own (seed, trajectory)
-stream and the plant path is computed before the filter loop. The records
-stay trajectory-major, (T, steps, ...), so that a trajectory's reductions
-read its own contiguous rows. The measurements and the loop's per-step
-buffers are step-major, (steps, T, ...) and (block, T, ...), so that every
-operand of a step is one contiguous (T, ...) slab; the loop copies each
-block of its buffers into the records with one assignment per array. The
-scalar functions in estimator, model, attack and detector stay the
+trajectory's noise is drawn from its own (seed, trajectory) stream into one
+row of a block allocated first, and the plant path is computed before the
+filter loop (_plant). The records stay trajectory-major, (T, steps, ...), so
+that a trajectory's reductions read its own contiguous rows. The plant path,
+the measurements and the loop's per-step buffers are step-major, (steps, T,
+...) and (block, T, ...), so that every operand of a step is one contiguous
+(T, ...) slab; the path is copied once into the x record, and the loop
+copies each block of its buffers into the records with one assignment per
+array. The scalar functions in estimator, model, attack and detector stay the
 specification:
 each trajectory's records equal, bit for bit, what a loop over those
 functions produces (tests/_oracles.py keeps that loop as the reference).
@@ -61,9 +62,15 @@ step at a time. The attacked estimate x_a, the attack effect x_tilde, the
 sensor innovation z and its whitening eps never feed back into it, so
 _AttackPass computes them afterwards, one block of attacked steps at a
 time. The loop makes the pass at attack_start, from x_n's posterior there,
-and hands it each attacked step: x_a and x_tilde are one (T, 2, n, 1)
-recursion of one matmul and two adds per step, the rest stacked products
-over the block; the attack mode decides only the sensor's z. The
+and hands it each attacked step's K z_nominal and the step's nodes in the
+memo: the pass takes L, F, K and x_tilde's bias increment K L delta by node,
+one take per table per block. It copies L, F and K only for the steps the
+memo holds no node for (an attack from step 0 starts without one, and a
+stopped memo holds none), and computes K L delta for a block that has such
+steps. x_a and x_tilde are one (T, 2, n, 1) recursion of one matmul
+and two adds per step, the rest stacked products over the block; the attack
+mode decides only the sensor's z. A take or a copy is exact, and each
+product still runs per slice through the same stacked matmul. The
 recursions keep their bits by the same rule: a silent step adds -0.0, and
 x_a's half of x_tilde's second increment is -0.0 throughout, so each step
 adds that increment as one contiguous (T, 2, n, 1) slab. The loop and the
@@ -77,10 +84,11 @@ z and eps are the arrays xn, zn and epst.
 Covariance memo: under an attack the scheduler fires on almost every step,
 so the covariance recursion is nearly the Riccati map and keeps reaching
 P+ bits it reached before. On attacked steps (k >= attack_start) the run's
-_CovarianceMemo serves the prior (P, L, F, K) and the next P+ when it has
-seen every slice's (P+, gamma) before, and computes the step as above
-otherwise. It is exact: those values, non-finite factors included, are
-functions of the P+ bits and gamma alone, and F is stored and served
+_CovarianceMemo serves the prior's F and K, its P only when some slice's
+next P+ is not known, and the next P+ when it has seen every slice's (P+,
+gamma) before, and computes the step as above otherwise. It is exact:
+those values, non-finite factors included, are functions of the P+ bits
+and gamma alone, and F is stored and served
 through estimator.f_storage, so it keeps factor_stack's layout. The
 attack-off path and the steps before the attack run no memo code.
 
@@ -94,17 +102,19 @@ and it is left out of the aggregates and the trace.
 Memory: the measurements and every per-step record of every trajectory
 are kept until the run ends, T * steps * (3n + 5m + 1) doubles under an
 attack and T * steps * (2n + 3m + 1) with it off (three records are
-shared). The plant's path holds less: the noise block, x and y, and one
-y-sized temporary, and the noise is freed before the filter loop. The
+shared). The plant's path holds less: the noise block, the step-major
+path, y and one y-sized temporary; the noise is freed before the path is
+copied into the x record, and the path before the filter loop. The
 summary's reductions hold one or two window-sized temporaries at a time:
-the paper's 50 x 4200 run peaks at 38.1 MB under an attack and 23.8 MB off.
+the paper's 50 x 4200 run peaks at 38.5 MB under an attack and 23.8 MB off.
 A trace adds one _TRACE_CHUNK of rows, about 0.2 MB at n = 3, m = 2,
 whatever the number of steps. One block is 25 steps on the paper system.
 The attack pass's buffers of one block take about _ATTACK_PASS_BYTES
 (8 KiB) per trajectory under either attacked mode, and the loop's buffers
-n + 2m doubles and a bool per trajectory-step of it, in every mode. The
-memo holds at most _MEMO_NODES nodes of n^2 + 2m^2 + nm doubles each, plus
-an n^2-double key: the paper's attacked runs make about 450 nodes at
+n + 2m doubles and a bool per trajectory-step of it, in every mode; the
+pass also holds a (block, T) array of nodes. The memo holds at most
+_MEMO_NODES nodes of n^2 + 2m^2 + nm + n doubles each, plus an n^2-double
+key: the paper's attacked runs make about 450 nodes at
 10 x 700, 2,200 at 50 x 4200 and 7,400 at 200 x 700. Measured peaks are in
 CHANGES.md and BENCH_*.json.
 """
@@ -554,6 +564,33 @@ def _noise(config: ScenarioConfig, traj: int) -> np.ndarray:
     return RandomSource(config.seed, traj).normal(n + config.steps * (n + m))
 
 
+def _plant(config: ScenarioConfig):
+    """The x record (T, steps, n, 1), trajectory-major, and the measurements
+    (steps, T, m, 1), step-major. The noise block is allocated before any row is
+    drawn, so a T it cannot hold fails at once. The path is built step-major, each
+    step one contiguous slab: x_{k+1} = w_k + A x_k, with w_k written first and
+    A x_k into one reused temporary. The last step's process noise is drawn but
+    moves no state the run records."""
+    model, T, steps = config.model, config.trajectories, config.steps
+    n, m = model.n, model.m
+    draws = np.empty((T, n + steps * (n + m), 1))
+    for traj in range(T):
+        draws[traj, :, 0] = _noise(config, traj)
+    noise = draws[:, n:].reshape(T, steps, n + m, 1)
+    path = np.empty((steps, T, n, 1))
+    path[0] = model._xi0_factor @ draws[:, :n]
+    # read in the noise's order, each trajectory's row in turn: at T = 1000 that
+    # takes about half the time of reading it step by step
+    np.matmul(model._q_factor, noise[:, :-1, :n], out=path[1:].swapaxes(0, 1))
+    Ax = np.empty((T, n, 1))
+    for x, x_next in zip(path, path[1:]):
+        x_next += np.matmul(model.A, x, out=Ax)
+    ys = model.C @ path
+    ys += model._r_factor @ noise[:, :, n:].swapaxes(0, 1)
+    del draws, noise
+    return np.ascontiguousarray(path.swapaxes(0, 1)), ys
+
+
 _MEMO_NODES = 1 << 14  # distinct P+ one run's memo may hold
 _MEMO_GRACE = 128  # steps the memo may compute beyond those it serves before it stops
 
@@ -562,32 +599,37 @@ class _CovarianceMemo:
     """Exact memo of one run's filter covariance path, shared by its trajectories.
 
     A node is one bit pattern of the posterior covariance P+ and owns the
-    prior computed from it, the next step's (P, L, F, K); (node, gamma) ->
-    node' is the P+ that step leaves. Each is a function of the P+ bits and
-    gamma alone, the non-finite factors of an S that is not positive
-    definite included, so a served step has the bits of a computed one. The
-    F table holds f_storage(F), so a served F has factor_stack's layout.
+    prior computed from it, the next step's (P, L, F, K), and x_tilde's bias
+    increment K L delta; (node, gamma) -> node' is the P+ that step leaves.
+    Each is a function of the P+ bits and gamma alone, the non-finite
+    factors of an S that is not positive definite included, so a served
+    step has the bits of a computed one. The F table holds f_storage(F), so
+    a served F has factor_stack's layout. A served step takes only F and K
+    from the tables, and P only when the loop asks for it (P()); held names
+    the step's nodes, from which the attack pass takes L, F, K and K L delta.
 
     The memo stops for the rest of the run when the table would pass
     _MEMO_NODES, or when it has computed _MEMO_GRACE more steps than it
     served (paths that rarely repeat).
     """
 
-    def __init__(self, n: int, m: int):
+    def __init__(self, n: int, m: int, delta: np.ndarray):
         self.index = {}  # P+ bytes -> node
+        self.delta = delta  # (m, 1)
         # np.empty reserves the tables; only the rows written take memory
-        shapes = ((n, n), (m, m), (m, m), (n, m))
+        shapes = ((n, n), (m, m), (m, m), (n, m), (n, 1))
         self.tables = [np.empty((_MEMO_NODES, *shape)) for shape in shapes]
         self.next = np.empty((_MEMO_NODES, 2), dtype=int)  # (node, gamma) -> node', -1 while unseen
         self.live = True
         self.lag = 0  # steps computed minus steps served
         self.nodes = None  # node of each slice's P+, when all are known
-        self.held = None  # nodes of the stacks in self.stacks
+        self.held = None  # nodes of self.stacks; None for computed ones the memo lacks
         self.stacks = None
         self.last = None  # (nodes, gamma) of the previous step, linked once its P+ is found
 
     def prior(self, P_post, compute):
-        """(P, L, F, K) of every slice's next step, served or computed by compute(P_post).
+        """[P, L, F, K] of every slice's next step, computed by compute(P_post), or
+        served: then P and L are None until P() or the pass takes them.
 
         P_post is read only when some slice's next node is not known.
         """
@@ -598,7 +640,7 @@ class _CovarianceMemo:
             if -1 not in found:
                 nodes = np.array(found)
         if nodes is None:
-            self.stacks = compute(P_post)
+            self.stacks = list(compute(P_post))
             self.lag += 1
             self.live = self.live and self.lag <= _MEMO_GRACE
             if self.live:
@@ -606,12 +648,18 @@ class _CovarianceMemo:
         else:
             self.lag -= 1
             if self.held is None or nodes.tobytes() != self.held.tobytes():
-                P, L, F, K = (table.take(nodes, axis=0) for table in self.tables)
-                self.stacks = P, L, f_storage(F), K
+                F, K = (table.take(nodes, axis=0) for table in self.tables[2:4])
+                self.stacks = [None, None, f_storage(F), K]
         if self.nodes is None and nodes is not None and self.last is not None:
             self.next[self.last] = nodes
         self.nodes = self.held = nodes
         return self.stacks
+
+    def P(self) -> np.ndarray:
+        """The P of the last prior(), taken from the table if it was served."""
+        if self.stacks[0] is None:
+            self.stacks[0] = self.tables[0].take(self.held, axis=0)
+        return self.stacks[0]
 
     def advance(self, gamma: np.ndarray) -> bool:
         """Whether every slice's next P+ is known from its node and gamma."""
@@ -635,7 +683,7 @@ class _CovarianceMemo:
         nodes = np.array([self.index.setdefault(key, len(self.index)) for key in keys])
         self.next[known:len(self.index)] = -1
         P, L, F, K = stacks
-        for table, stack in zip(self.tables, (P, L, f_storage(F), K)):
+        for table, stack in zip(self.tables, (P, L, f_storage(F), K, K @ (L @ self.delta))):
             table[nodes] = stack
         return nodes
 
@@ -655,7 +703,8 @@ def _attack_block(n: int, m: int) -> int:
 
     One attacked step of one trajectory holds about nm + 2m^2 + 6n + 4m
     doubles there: its K, L and F, the two estimates' priors, posteriors
-    and second increments (x_a's is -0.0), and the temporaries.
+    and second increments (x_a's is -0.0), and the temporaries; its node
+    in the memo adds one integer.
     """
     return max(1, _ATTACK_PASS_BYTES // (8 * (n * m + 2 * m * m + 6 * n + 4 * m)))
 
@@ -663,12 +712,13 @@ def _attack_block(n: int, m: int) -> int:
 class _AttackPass:
     """x_a, x_tilde, z and eps of the attacked steps, one block at a time (see the
     module docstring). Made at attack_start: x_a's first prior is A x_n, x_tilde's
-    is 0. push() takes a step's K, L, F and K z_nominal from the scheduler loop,
-    flush() computes the block from the loop's buffers of it. x_a and x_tilde are
-    one (T, 2, n, 1) stack under both attacked modes; the mode decides only the
-    sensor's z."""
+    is 0. push() takes a step's nodes in memo, or its K, L and F where the memo
+    holds none, and K z_nominal; flush() takes the block's factors and K L delta
+    from the memo's tables and computes the block from the loop's buffers of it. x_a
+    and x_tilde are one (T, 2, n, 1) stack under both attacked modes; the mode
+    decides only the sensor's z."""
 
-    def __init__(self, config: ScenarioConfig, xn_post, ys, xas, zs, epss):
+    def __init__(self, config: ScenarioConfig, xn_post, ys, xas, zs, epss, memo):
         model = config.model
         n, m, T = model.n, model.m, config.trajectories
         self.A, self.C = model.A, model.C
@@ -676,9 +726,14 @@ class _AttackPass:
         self.two_channel = config.attack_mode == "two_channel"
         self.ys = ys  # (steps, T, m, 1)
         self.xas, self.zs, self.epss = xas, zs, epss
+        self.tables = memo.tables[1:]  # L, F, K and K L delta by node
         self.start = config.attack_start  # first step of the open block
         self.count = 0  # steps in the open block
         block = self.block = min(_attack_block(n, m), config.steps - self.start)
+        self.nodes = np.empty((block, T), dtype=int)  # each step's nodes in memo
+        # the open block's steps with nodes are one run: only an attack from step 0
+        # starts without them, and once the memo stops it holds none
+        self.held = slice(0, 0)
         # K, L and f_storage(F) of each step of the block
         self.K, self.L, self.F = (np.empty((block, T, *shape)) for shape in ((n, m), (m, m), (m, m)))
         # prior[j] and post[j] of step j; prior[block] is the next block's prior[0]
@@ -687,13 +742,18 @@ class _AttackPass:
         self.post = np.empty((block, T, 2, n, 1))  # first the increments, then the posteriors
         self.inc = np.full((block, T, 2, n, 1), -0.0)  # x_tilde's second increment; x_a's is -0.0
 
-    def push(self, K, L, F, z_nominal) -> np.ndarray:
-        """Take one attacked step's factors and return K z_nominal."""
+    def push(self, nodes, K, L, F, z_nominal) -> np.ndarray:
+        """Take one attacked step's nodes, or None and a copy of its factors, and
+        return K z_nominal."""
         j = self.count
         self.count += 1
-        np.copyto(self.K[j], K)
-        np.copyto(self.L[j], L)
-        np.copyto(self.F[j], f_storage(F))
+        if nodes is not None:
+            self.nodes[j] = nodes
+            self.held = slice(self.held.start if self.held.stop else j, j + 1)
+        else:  # the first step of an attack from step 0, or the memo has stopped
+            np.copyto(self.K[j], K)
+            np.copyto(self.L[j], L)
+            np.copyto(self.F[j], f_storage(F))
         return np.matmul(K, z_nominal, out=self.post[j, :, 1])  # x_tilde's first increment
 
     def flush(self, epst, gamma) -> None:
@@ -704,14 +764,18 @@ class _AttackPass:
         ys = self.ys[window]
         # (b, T, ...) views of the records: steps first, each slab's inner block contiguous
         xas, zs, epss = (a[:, window].swapaxes(0, 1) for a in (self.xas, self.zs, self.epss))
-        K, L, F = self.K[:b], self.L[:b], f_storage(self.F[:b])
-        silent = ~gamma[..., None, None]
         prior, post, incs = self.prior, self.post[:b], self.inc[:b]
+        run = self.held
+        for table, out in zip(self.tables, (self.L, self.F, self.K, self.inc[:, :, 1])):
+            out[run] = table.take(self.nodes[run], axis=0)
+        K, L, F = self.K[:b], self.L[:b], f_storage(self.F[:b])
+        if run.stop - run.start < b:  # some step was copied: its K L delta is computed here
+            np.matmul(K, L @ self.delta, out=incs[:, :, 1])
+        silent = ~gamma[..., None, None]
 
         # np.where(gamma, x + u, x) == x + np.where(gamma, u, -0.0): x + (-0.0) is x, so x_a's
         # half of inc stays -0.0 and each step adds inc as one contiguous (T, 2, n, 1) slab
         post[:, :, 1] *= (gamma / self.mu - gamma)[..., None, None]
-        np.matmul(K, L @ self.delta, out=incs[:, :, 1])
         np.copyto(incs[:, :, 1], -0.0, where=silent)
         np.matmul(K, L @ epst, out=post[:, :, 0])
         np.copyto(post[:, :, 0], -0.0, where=silent)
@@ -730,6 +794,7 @@ class _AttackPass:
         prior[0] = prior[b]
         self.start += b
         self.count = 0
+        self.held = slice(0, 0)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:
@@ -757,21 +822,9 @@ def _simulate(config: ScenarioConfig) -> _Records:
     kappa_beta = kappa(beta)
 
     # The plant does not see the estimator, so its whole path comes first.
-    draws = np.stack([_noise(config, traj) for traj in range(T)])[..., None]
-    noise = draws[:, n:].reshape(T, steps, n + m, 1)
-    xs = np.empty((T, steps, n, 1))
-    xs[:, 0] = model._xi0_factor @ draws[:, :n]
-    # x_{k+1} = w_k + A x_k, with w_k written into x_{k+1} first and y = C x + v
-    # added in place, so the plant's path holds one temporary of y's size at most.
-    # The last step's process noise is drawn but moves no state the run records.
-    np.matmul(model._q_factor, noise[:, :-1, :n], out=xs[:, 1:])
-    for k in range(steps - 1):
-        xs[:, k + 1] += A @ xs[:, k]
-    ys = C @ xs
-    ys += model._r_factor @ noise[:, :, n:]
-    del draws, noise
-    ys_energy = _square_sums(ys)  # trajectory-major, as the records' terms below
-    ys = np.ascontiguousarray(ys.swapaxes(0, 1))  # (steps, T, m, 1): ys[k] is contiguous
+    xs, ys = _plant(config)
+    # summed over a trajectory-major copy, as the records' terms below
+    ys_energy = _square_sums(np.ascontiguousarray(ys.swapaxes(0, 1)))
 
     filt = initial_filter_state(model)
     P, L, F, K = (np.broadcast_to(a, (T, *a.shape)) for a in (filt.P_prior, filt.L, filt.F, filt.K))
@@ -799,12 +852,12 @@ def _simulate(config: ScenarioConfig) -> _Records:
     # The scheduler loop: gamma, the covariance path and the nominal estimate x_n.
     # Before the attack x_n is the filter; after, the received eps is built from
     # z_nominal, so nothing the attack pass computes feeds back into this loop.
-    memo = _CovarianceMemo(n, m) if attacked else None
+    memo = _CovarianceMemo(n, m, delta) if attacked else None
     attack = None
     k0 = 0  # first step of the open block; blocks also end at attack_start
     for k in range(steps):
         if attacked and k == config.attack_start:
-            attack = _AttackPass(config, xn_post, ys, xas, zs, epss)
+            attack = _AttackPass(config, xn_post, ys, xas, zs, epss, memo)
         if k > 0:
             P, L, F, K = memo.prior(P_post, prior) if attack is not None else prior(P_post)
         j = k - k0
@@ -819,12 +872,13 @@ def _simulate(config: ScenarioConfig) -> _Records:
         quiet = np.maximum.reduce(np.abs(eps_received), axis=(1, 2)) <= beta
         np.logical_not(quiet, out=gamma)
         if attack is None or not memo.advance(gamma):
+            P = memo.P() if P is None else P  # a served step's P is taken only here
             KCP = K @ (C @ P)
             P_post = _sym(P - np.multiply(kappa_beta, KCP, out=KCP, where=quiet[:, None, None]))
         if attack is None:
             gain = K @ (L @ eps_received)
         else:
-            gain = attack.push(K, L, F, z_nominal)
+            gain = attack.push(memo.held, K, L, F, z_nominal)
         xn_post = np.add(xn, gain, out=xn, where=gamma[:, None, None])
         if j + 1 == block or k + 1 in (config.attack_start, steps):
             window, b = slice(k0, k + 1), j + 1

@@ -1128,21 +1128,62 @@ class TestBatchedCore:
             growth[path] = peaks[1] - peaks[0]
         assert growth[trace] <= 1.01 * growth[None], growth
 
-    def test_memo_capacity_stop_keeps_the_summary(self, paper_payload, monkeypatch):
-        """A memo too small for the run stops at its capacity, once, and the
-        summary keeps its bits (every step it no longer serves is computed)."""
-        config = ef.config_from_dict(dict(paper_payload, steps=700, trajectories=10))
-        expected = json.dumps(ef.run_scenario(config).summary.to_dict())
-        real_add, added = harness._CovarianceMemo._add, []
+    # the paper attack's memo stops at a capacity of 16 or 40 nodes inside the first
+    # block; the unsaturated mu = 1.6 one by its grace, inside a later block
+    @pytest.mark.parametrize("nodes, grace, params", [
+        (16, None, None),
+        (40, None, None),
+        (None, 700, {"mu": 1.6, "delta_bar": 1.0}),
+    ], ids=["capacity_16", "capacity_40", "grace_mu_1.6"])
+    def test_memo_stop_inside_a_block_keeps_every_record(
+        self, paper_payload, monkeypatch, nodes, grace, params
+    ):
+        """A memo that stops inside a block, once, leaves one block whose first steps
+        the attack pass takes from the memo's tables and whose last steps it copies.
+        Every record keeps the bits of a run whose memo does not stop (the unpatched
+        one, or, for the grace stop, one whose grace outlasts the run)."""
+        payload = dict(paper_payload, steps=700, trajectories=10)
+        if params is not None:
+            payload["attack_params"] = params
+        config = ef.config_from_dict(payload)
+        real_flush, mixed = harness._AttackPass.flush, []
 
-        def spy(memo, keys, stacks):
-            added.append(real_add(memo, keys, stacks))
-            return added[-1]
+        def spy(attack, epst, gamma):  # the blocks that take and copy factors both
+            mixed.append(0 < attack.held.stop - attack.held.start < attack.count)
+            real_flush(attack, epst, gamma)
 
-        monkeypatch.setattr(harness, "_MEMO_NODES", 16)
-        monkeypatch.setattr(harness._CovarianceMemo, "_add", spy)
-        assert json.dumps(ef.run_scenario(config).summary.to_dict()) == expected
-        assert [nodes is None for nodes in added].count(True) == 1
+        monkeypatch.setattr(harness._AttackPass, "flush", spy)
+        with monkeypatch.context() as patch:
+            if grace is not None:
+                patch.setattr(harness, "_MEMO_GRACE", grace)
+            expected = harness._simulate(config)
+        assert mixed.count(True) == 0
+        mixed.clear()
+        if nodes is not None:
+            monkeypatch.setattr(harness, "_MEMO_NODES", nodes)
+        actual = harness._simulate(config)
+        assert mixed.count(True) == 1
+        for item in dataclasses.fields(harness._Records):
+            _assert_same_bits(getattr(actual, item.name), getattr(expected, item.name), item.name)
+
+    def test_noise_block_is_allocated_before_any_draw(self, paper_payload, monkeypatch):
+        """The noise is drawn into one block allocated first, not stacked from a list of
+        rows: a number of trajectories whose noise cannot be held (27.4 PiB here)
+        raises MemoryError at once, before any row is drawn. The spy stops a core that
+        draws row after row on its fourth row."""
+        config = ef.config_from_dict(dict(paper_payload, steps=700, trajectories=2**40))
+        real, drawn = harness._noise, []
+
+        def spy(config, traj):
+            drawn.append(traj)
+            if len(drawn) > 3:
+                raise AssertionError("noise drawn before its block was allocated")
+            return real(config, traj)
+
+        monkeypatch.setattr(harness, "_noise", spy)
+        with pytest.raises(MemoryError):
+            harness._simulate(config)
+        assert drawn == []
 
     @pytest.mark.parametrize("mode", harness.ATTACK_MODES)
     def test_memo_runs_only_in_the_attack_window(self, paper_payload, mode):

@@ -39,15 +39,18 @@ That holds because every product is a stacked np.matmul, which runs the
 same kernel per slice as the 2-D product, and everything else is an
 elementwise ufunc, a masked ufunc write (where=) or a max/min reduction;
 einsum, `X @ A.T` rewrites and `sum` contractions change the rounding and
-are not used. A per-step choice is the where= mask of the ufunc that
-consumes it, not an np.where temporary: np.add(x, u, out=x, where=gamma)
-has the bits of x + np.where(gamma, u, -0.0), and np.multiply(kappa, c,
-out=c, where=~gamma) those of np.where(gamma, 1.0, kappa) * c, since
-x + (-0.0) and 1.0 * x are x for every double that arithmetic makes,
-signed zeros, infinities and nan included, and where= leaves the
-masked-out entries as they are. The one exception is a sum of two nans,
-which keeps either one's sign and payload as numpy's loop for the operands
-picks; only a diverged slice carries nan, and no output reads its records.
+are not used on a record. The one einsum, in _square_sums, forms the
+divergence rule's energy, and only whether that is finite is read, so its
+rounding moves no output but at the edge of overflow. A per-step choice is
+the where= mask of the ufunc that consumes it, not an np.where temporary:
+np.add(x, u, out=x, where=gamma) has the bits of x + np.where(gamma, u,
+-0.0), and np.multiply(kappa, c, out=c, where=~gamma) those of
+np.where(gamma, 1.0, kappa) * c, since x + (-0.0) and 1.0 * x are x for
+every double that arithmetic makes, signed zeros, infinities and nan
+included, and where= leaves the masked-out entries as they are. The one
+exception is a sum of two nans, which keeps either one's sign and payload
+as numpy's loop for the operands picks; only a diverged slice carries nan,
+and no output reads its records.
 S is factorized by estimator.factor_stack, the factorization the scalar
 functions use: in closed form elementwise for m <= 2 and by a stacked
 Cholesky for m >= 3, each slice with the bits it gets alone. For every m,
@@ -229,10 +232,9 @@ class SimulationSummary:
     the bias, cov_trace, trigger and alarm of theory(config); the covariance
     is the attacked fixed point under an attack and the event-based filter's
     with the attack off. The first two need a stable A and are nan
-    otherwise. emp_cov_trace is the mean of ||xhat_a - x - c||^2 about the
-    centre c = theory_bias, or c = 0 (the mean squared error) where the
-    theory is undefined. to_dict writes an undefined theory as null, with
-    the reason under "theory".
+    otherwise. emp_cov_trace is the trace of the covariance of xhat_a - x
+    about its mean over the run. to_dict writes an undefined theory as
+    null, with the reason under "theory".
     """
 
     comm_rate: float
@@ -273,7 +275,8 @@ class TrajectorySums:
     count: int  # steps in the window
     gamma: np.ndarray  # (T,) scheduler decisions
     alarm: np.ndarray  # (T,) detector decisions
-    err_sq: np.ndarray  # (T,) ||xhat_a - x - c||^2 about SimulationSummary's centre c
+    err: np.ndarray  # (T, n) xhat_a - x
+    err_sq: np.ndarray  # (T,) ... and its squared norm
     bias: np.ndarray  # (T, n) xhat_a - xhat
     z: np.ndarray  # (T, m) sensor-side innovation
     zz: np.ndarray  # (T, m, m) ... and its outer products
@@ -298,7 +301,7 @@ class RunResult:
 
     summary: SimulationSummary
     sums: TrajectorySums
-    traj_bias_means: np.ndarray  # (trajectories, n) sums.bias / sums.count
+    traj_bias_means: np.ndarray  # (survivors, n) sums.bias / sums.count
     cancellation_max: float  # max_i |z_sensor - z_nominal|_i / (1 + |z_nominal_i|)
     gamma_count: int  # the rows of sums.gamma added
     alarm_count: int  # the rows of sums.alarm added
@@ -958,7 +961,6 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     """
     model = config.model
     known = theory(config)  # before the run, so that a domain error costs no simulation
-    centre = 0.0 if np.isnan(known.bias).any() else known.bias
 
     records = _simulate(config)
     survivors = np.flatnonzero(~records.diverged)
@@ -979,14 +981,15 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
     total = count * survivors.size
     xa, z, eps = records.xa[:, post], records.z[:, post], records.eps[:, post]
     with np.errstate(all="ignore"):  # diverged slices carry nan and inf
-        err = xa - records.x[:, post]
-        err -= centre  # in place: one window-sized temporary at a time
+        err = xa - records.x[:, post]  # squared in place: one window-sized temporary
+        err_sum = err.sum(axis=1)[survivors]
         err_sq = np.square(err, out=err).sum(axis=(1, 2))[survivors]
         del err
         sums = TrajectorySums(
             count=count,
             gamma=records.gamma[:, post].sum(axis=1)[survivors],
             alarm=records.alarm[:, post].sum(axis=1)[survivors],
+            err=err_sum,
             err_sq=err_sq,
             bias=(xa - records.xn[:, post]).sum(axis=1)[survivors],
             z=z.sum(axis=1)[survivors],
@@ -1006,11 +1009,12 @@ def run_scenario(config: ScenarioConfig, trace_path=None) -> RunResult:
 
     gamma_count = int(sums.gamma.sum())
     alarm_count = int(sums.alarm.sum())
+    err_mean = sum(sums.err) / total
     summary = SimulationSummary(
         comm_rate=gamma_count / total,
         alarm_rate=alarm_count / total,
         emp_bias=sum(sums.bias) / total,
-        emp_cov_trace=sum(sums.err_sq.tolist()) / total,
+        emp_cov_trace=sum(sums.err_sq.tolist()) / total - sum((err_mean * err_mean).tolist()),
         theory_bias=known.bias,
         theory_cov_trace=known.cov_trace,
         analytic_trigger=known.trigger,

@@ -57,6 +57,8 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 # OpenBLAS core -> the family whose digest map it checks: the cores of one family gave
 # byte-identical --write files, and the two families differ in about half the entries.
+# On an Intel host OPENBLAS_CORETYPE=Zen loads the Haswell core, so the "Zen" key is
+# unchecked on a core that OpenBLAS itself names Zen.
 FAMILIES = {
     "SkylakeX": "SkylakeX", "Cooperlake": "SkylakeX", "Haswell": "Haswell", "Zen": "Haswell",
 }

@@ -394,7 +394,7 @@ def reference_trace_rows(rec: dict, traj: int) -> list:
     ]
 
 
-def reference_summary(records_by_traj: list, config, theory_bias: np.ndarray) -> dict:
+def reference_summary(records_by_traj: list, config) -> dict:
     """The post-burn-in window sums by a plain loop over trajectories.
 
     records_by_traj holds the surviving trajectories' records, as
@@ -407,15 +407,16 @@ def reference_summary(records_by_traj: list, config, theory_bias: np.ndarray) ->
     post = slice(config.burn_in, config.steps)
     count = config.steps - config.burn_in
     total = count * len(records_by_traj)
-    keys = ("gamma", "alarm", "err_sq", "bias", "z", "zz", "eps", "eps_sq", "eps_lag", "g")
+    keys = ("gamma", "alarm", "err", "err_sq", "bias", "z", "zz", "eps", "eps_sq", "eps_lag", "g")
     rows = {key: [] for key in keys}
     cancellation_max = 0.0
     for rec in records_by_traj:
         xa, z, eps = rec["xa"][post], rec["z"][post], rec["eps"][post]
-        err = xa - rec["x"][post] - theory_bias
+        err = xa - rec["x"][post]
         for key, value in (
             ("gamma", int(rec["gamma"][post].sum())),
             ("alarm", int(rec["alarm"][post].sum())),
+            ("err", err.sum(axis=0)),
             ("err_sq", float((err * err).sum())),
             ("bias", (xa - rec["xn"][post]).sum(axis=0)),
             ("z", z.sum(axis=0)),
@@ -431,12 +432,13 @@ def reference_summary(records_by_traj: list, config, theory_bias: np.ndarray) ->
             gap = np.abs(z_win - zn_win) / (1.0 + np.abs(zn_win))
             cancellation_max = max(cancellation_max, float(gap.max()))
 
+    err_mean = sum(rows["err"]) / total
     return {
         "sums": {"count": count, **{key: np.array(value) for key, value in rows.items()}},
         "comm_rate": sum(rows["gamma"]) / total,
         "alarm_rate": sum(rows["alarm"]) / total,
         "emp_bias": sum(rows["bias"]) / total,
-        "emp_cov_trace": sum(rows["err_sq"]) / total,
+        "emp_cov_trace": sum(rows["err_sq"]) / total - sum((err_mean * err_mean).tolist()),
         "step_count": count,
         "trajectory_count": len(records_by_traj),
         "traj_bias_means": np.vstack(rows["bias"]) / count,

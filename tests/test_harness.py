@@ -536,6 +536,24 @@ class TestSummary:
             ef.alarm_probability(params, 11.34, 2), abs=1e-12
         )
 
+    @pytest.mark.parametrize("overrides", [
+        {"attack_mode": "off"},
+        {},
+        {"attack_params": {"mu": 1.6, "delta_bar": 1.0}},
+    ], ids=["off", "two_channel", "mu1.6_delta1.0"])
+    def test_cov_trace_is_two_pass_covariance(self, paper_payload, overrides):
+        """emp_cov_trace, formed from the window sums as sum(err_sq)/N - |sum(err)/N|^2,
+        is the covariance of xhat_a - x about its mean, computed here in two passes
+        over _simulate's records: the mean error first, then the mean of |e - mean|^2."""
+        config = ef.config_from_dict(dict(paper_payload, steps=800, trajectories=6,
+                                          **overrides))
+        records = harness._simulate(config)
+        err = records.xa[:, config.burn_in:] - records.x[:, config.burn_in:]
+        err -= err.mean(axis=(0, 1))
+        two_pass = float(np.mean(np.sum(err * err, axis=2)))
+        summary = ef.run_scenario(config).summary
+        assert summary.emp_cov_trace == pytest.approx(two_pass, rel=1e-12, abs=0.0)
+
 
 class TestCrossModeConsistency:
     def test_received_stream_identical(self, paper_payload, tmp_path):
@@ -578,10 +596,11 @@ class TestCrossModeConsistency:
 
 class TestTrajectorySums:
     @pytest.mark.parametrize("masked", [False, True], ids=["clean", "trajectory_1_masked"])
-    def test_bias_se_by_hand(self, paper_payload, masked):
-        """se("bias") is the sample standard deviation of the survivors' window means
-        of xhat_a - xhat over the square root of their number, computed here from
-        _simulate's records."""
+    @pytest.mark.parametrize("name, reference", [("bias", "xn"), ("err", "x")], ids=["bias", "err"])
+    def test_bias_se_by_hand(self, paper_payload, masked, name, reference):
+        """se("bias") and se("err") are the sample standard deviation of the survivors'
+        window means of xhat_a - xhat and of xhat_a - x over the square root of their
+        number, computed here from _simulate's records."""
         config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=4))
         survivors = [0, 2, 3] if masked else [0, 1, 2, 3]
         with _golden._poisoned_noise() if masked else contextlib.nullcontext():
@@ -589,10 +608,11 @@ class TestTrajectorySums:
             sums = ef.run_scenario(config).sums
         assert np.flatnonzero(~records.diverged).tolist() == survivors
         post = slice(config.burn_in, config.steps)
-        means = (records.xa[survivors, post] - records.xn[survivors, post]).mean(axis=1)
+        rows = getattr(records, reference)[survivors, post]
+        means = (records.xa[survivors, post] - rows).mean(axis=1)
         T = len(survivors)
         hand = np.sqrt(((means - means.mean(axis=0)) ** 2).sum(axis=0) / (T - 1) / T)
-        np.testing.assert_allclose(sums.se("bias"), hand, rtol=1e-12)
+        np.testing.assert_allclose(sums.se(name), hand, rtol=1e-12)
 
     def test_se_of_one_trajectory_is_nan(self, paper_payload):
         config = ef.config_from_dict(dict(paper_payload, steps=240, trajectories=1))
@@ -772,8 +792,8 @@ class TestDomainBeforeTheRun:
 
     def test_unstable_plant_leaves_the_theory_nan(self, paper_payload):
         """An unstable A has no steady bias and no attacked fixed point: both raise
-        DivergenceError, and the run reports nan for them. The empirical covariance
-        is then the mean squared error, about 0, and to_dict states the reason."""
+        DivergenceError, the run reports nan for them, and to_dict states the reason.
+        The empirical covariance is the error's about its own mean, as for any A."""
         model = {"A": [[1.05, 0.0], [0.0, 1.05]], "C": EYE2, "Q": EYE2, "R": EYE2, "Xi0": EYE2}
         config = ef.config_from_dict(dict(
             paper_payload, model=model, steps=120, trajectories=2, burn_in=60, attack_start=30,
@@ -787,6 +807,7 @@ class TestDomainBeforeTheRun:
         assert np.isnan(summary.theory_bias).all() and math.isnan(summary.theory_cov_trace)
         records = harness._simulate(config)
         err = records.xa[:, 60:] - records.x[:, 60:]
+        err -= err.mean(axis=(0, 1))
         assert summary.emp_cov_trace == pytest.approx(float(np.mean(np.sum(err * err, axis=2))))
         out = summary.to_dict()
         assert out["theory_bias"] is None and out["theory_cov_trace"] is None
@@ -967,7 +988,7 @@ class TestBatchedCore:
             ef.write_trace(rows, scalar)
             assert batched.read_bytes() == scalar.read_bytes()
 
-        expected = reference_summary(references, config, result.summary.theory_bias)
+        expected = reference_summary(references, config)
         sums = expected.pop("sums")
         assert [item.name for item in dataclasses.fields(result.sums)] == list(sums)
         for key, value in sums.items():
